@@ -1,11 +1,10 @@
 /**
  * @file
  * Hot-path microbench for the MEMCON engine: the streaming k-way
- * merge + deadline-wheel path priced against the reference
- * materialize-then-sort + scan path (MemconConfig::referenceEventPath)
- * on the same synthetic traces. Emits BENCH_micro_engine_ops.json so
- * the events/sec, per-quantum cost, and peak-memory trajectory of the
- * engine is tracked across revisions.
+ * merge + deadline-wheel path on synthetic traces and one Table 1
+ * persona. Emits BENCH_micro_engine_ops.json so the events/sec,
+ * per-quantum cost, and peak-memory trajectory of the engine is
+ * tracked across revisions.
  *
  * Every metric in the digest is a deterministic counter (writes,
  * quanta, heap pushes, wheel pops, estimated peak event bytes);
@@ -37,9 +36,9 @@ namespace
 /**
  * A 100k-page synthetic trace: every page gets one write at a
  * hash-derived time, so the event stream is maximally wide (many
- * pages) and shallow (one event per page) - the regime where the
- * reference path's per-quantum full page scan and O(W) event
- * materialization dominate.
+ * pages) and shallow (one event per page) - the regime where a
+ * per-quantum full page scan or O(W) event materialization would
+ * dominate.
  */
 std::vector<std::vector<TimeMs>>
 syntheticTrace(std::uint64_t seed, std::size_t pages, double duration_ms)
@@ -58,13 +57,9 @@ counters(const MemconConfig &cfg, const MemconResult &r)
 {
     double quanta =
         r.durationMs > 0.0 ? r.durationMs / cfg.quantumMs.value() : 0.0;
-    // Peak resident estimate of the event plumbing: the reference
-    // path holds every event (16-byte {time, page}); the streaming
-    // path holds one 16-byte heap node per concurrently live stream.
-    double event_bytes =
-        cfg.referenceEventPath
-            ? static_cast<double>(r.writes) * 16.0
-            : static_cast<double>(r.peakLiveStreams) * 16.0;
+    // Peak resident estimate of the event plumbing: one 16-byte heap
+    // node per concurrently live stream.
+    double event_bytes = static_cast<double>(r.peakLiveStreams) * 16.0;
     return bench::Metrics{
         {"writes", static_cast<double>(r.writes)},
         {"quanta", quanta},
@@ -78,19 +73,17 @@ counters(const MemconConfig &cfg, const MemconResult &r)
 }
 
 MemconConfig
-scrubbyConfig(bool reference)
+scrubbyConfig()
 {
     MemconConfig cfg;
     cfg.quantumMs = TimeMs{64.0};
     // Budget and period chosen so the steady-state scrub demand
     // (~pages / scrub_epochs per quantum) fits inside the test
     // budget: the wheel then stays O(due) per quantum instead of
-    // churning a budget-starved backlog (which degrades to the
-    // reference path's O(pages) - the regime the seed engine is in
-    // at every quantum regardless).
+    // churning a budget-starved backlog (which degrades to an
+    // O(pages) scan per quantum).
     cfg.testSlotsPer64ms = 4096;
     cfg.scrubPeriodMs = 16384.0;
-    cfg.referenceEventPath = reference;
     return cfg;
 }
 
@@ -100,105 +93,74 @@ int
 main(int argc, char **argv)
 {
     bench::SweepOptions opts = bench::parseSweepArgs(argc, argv);
-    bench::banner("micro_engine_ops",
-                  "streaming engine vs reference event path");
-    note("Same traces, bit-identical metrics; only the wall clock and "
-         "the event-plumbing counters differ between the paths.");
+    bench::banner("micro_engine_ops", "streaming engine hot path");
+    note("Every metric is a deterministic counter; only the wall "
+         "clock varies between runs.");
     note(strprintf("kernel set: %s%s (MEMCON_FORCE_SCALAR pins scalar)",
                    simd::activeKernelSetName(),
                    simd::scalarForced() ? " [forced]" : ""));
 
-    const std::size_t pages = 100000; // the acceptance-bar trace width
+    const std::size_t pages = 100000; // the headline trace width
     const double duration_ms = opts.quick ? 20000.0 : 60000.0;
     const std::size_t scale_pages = pages / 4;
 
     bench::SweepRunner runner("micro_engine_ops", opts);
 
-    // Both paths of a pair replay the SAME pre-generated trace
-    // (shared seed, built outside the timed lambdas), so the wall
-    // clock prices only the engine and the metric counters differ
-    // only in the plumbing columns.
+    // Traces are pre-generated outside the timed lambdas, so the wall
+    // clock prices only the engine.
     const std::uint64_t trace_seed = deriveTaskSeed(opts.campaignSeed, 0);
     const auto trace_full = syntheticTrace(trace_seed, pages, duration_ms);
     const auto trace_quarter =
         syntheticTrace(trace_seed, scale_pages, duration_ms);
 
     // (a) headline: full mechanism (PRIL + scrub) on 100k pages.
-    for (bool reference : {true, false}) {
-        runner.add(
-            std::string("headline/") + (reference ? "ref" : "stream"),
-            [&trace_full, duration_ms,
-             reference](const bench::TaskContext &) {
-                MemconConfig cfg = scrubbyConfig(reference);
-                MemconEngine engine(cfg);
-                return counters(cfg,
-                                engine.run(trace_full, duration_ms));
-            });
-    }
+    runner.add("headline", [&trace_full,
+                            duration_ms](const bench::TaskContext &) {
+        MemconConfig cfg = scrubbyConfig();
+        return counters(cfg, MemconEngine(cfg).run(trace_full, duration_ms));
+    });
 
     // (b) merge only: scrub off, long quantum - prices the k-way
-    // merge against materialize+stable_sort with no scan advantage.
-    for (bool reference : {true, false}) {
-        runner.add(
-            std::string("merge_only/") + (reference ? "ref" : "stream"),
-            [&trace_full, duration_ms,
-             reference](const bench::TaskContext &) {
-                MemconConfig cfg;
-                cfg.quantumMs = TimeMs{1024.0};
-                cfg.referenceEventPath = reference;
-                MemconEngine engine(cfg);
-                return counters(cfg,
-                                engine.run(trace_full, duration_ms));
-            });
-    }
+    // merge with no wheel work.
+    runner.add("merge_only", [&trace_full,
+                              duration_ms](const bench::TaskContext &) {
+        MemconConfig cfg;
+        cfg.quantumMs = TimeMs{1024.0};
+        return counters(cfg, MemconEngine(cfg).run(trace_full, duration_ms));
+    });
 
-    // (c) scrub scaling: same config at pages/4 - per-quantum cost
-    // should scale with page count on the reference path only.
-    for (bool reference : {true, false}) {
-        runner.add(
-            std::string("scaled_down/") + (reference ? "ref" : "stream"),
-            [&trace_quarter, duration_ms,
-             reference](const bench::TaskContext &) {
-                MemconConfig cfg = scrubbyConfig(reference);
-                MemconEngine engine(cfg);
-                return counters(cfg,
-                                engine.run(trace_quarter, duration_ms));
-            });
-    }
+    // (c) scrub scaling: the headline config at pages/4 - the wheel
+    // keeps per-quantum cost proportional to due entries, not pages.
+    runner.add("scaled_down", [&trace_quarter,
+                               duration_ms](const bench::TaskContext &) {
+        MemconConfig cfg = scrubbyConfig();
+        return counters(cfg,
+                        MemconEngine(cfg).run(trace_quarter, duration_ms));
+    });
 
-    // (d) runOnApp: generator streaming vs full materialization.
-    for (bool reference : {true, false}) {
-        runner.add(
-            std::string("app/") + (reference ? "ref" : "stream"),
-            [=](const bench::TaskContext &) {
-                trace::AppPersona persona =
-                    trace::AppPersona::table1Suite()[0];
-                persona.seed = trace_seed;
-                if (opts.quick) {
-                    persona.pages = 4000;
-                    persona.durationSec = 60.0;
-                }
-                MemconConfig cfg;
-                cfg.referenceEventPath = reference;
-                MemconEngine engine(cfg);
-                return counters(cfg, engine.runOnApp(persona));
-            });
-    }
+    // (d) runOnApp: per-page write generators streamed into the merge.
+    runner.add("app", [=](const bench::TaskContext &) {
+        trace::AppPersona persona = trace::AppPersona::table1Suite()[0];
+        persona.seed = trace_seed;
+        if (opts.quick) {
+            persona.pages = 4000;
+            persona.durationSec = 60.0;
+        }
+        MemconConfig cfg;
+        return counters(cfg, MemconEngine(cfg).runOnApp(persona));
+    });
 
     const std::vector<bench::PointResult> &results = runner.run();
 
     TextTable table;
-    table.header({"scenario", "path", "events", "events/sec",
-                  "ns/quantum", "est peak event MB"});
+    table.header({"scenario", "events", "events/sec", "ns/quantum",
+                  "est peak event MB"});
     for (std::size_t i = 0; i < results.size(); ++i) {
         const bench::PointResult &r = results[i];
         double wall = runner.pointWallSeconds(i);
         double events = r.metric("writes");
         double quanta = r.metric("quanta");
-        std::string scenario = r.label.substr(0, r.label.find('/'));
-        std::string path = r.label.substr(r.label.find('/') + 1);
-        table.row({scenario, path,
-                   TextTable::num(events, 0),
+        table.row({r.label, TextTable::num(events, 0),
                    wall > 0.0 ? TextTable::num(events / wall, 0) : "-",
                    quanta > 0.0
                        ? TextTable::num(wall * 1e9 / quanta, 0)
@@ -209,32 +171,11 @@ main(int argc, char **argv)
     }
     std::printf("%s", table.render().c_str());
 
-    // The acceptance bars: the streaming path must clear 4x the
-    // reference path's events/sec on the 100k-page headline trace and
-    // 1.5x on the scan-free merge_only pair (ISSUE 9).
-    double wall_ref = runner.pointWallSeconds(0);
-    double wall_stream = runner.pointWallSeconds(1);
-    if (wall_stream > 0.0)
-        note(strprintf("headline speedup: %.2fx events/sec over the "
-                       "reference path (target >= 4x)",
-                       wall_ref / wall_stream));
-    double wall_merge_ref = runner.pointWallSeconds(2);
-    double wall_merge_stream = runner.pointWallSeconds(3);
-    if (wall_merge_stream > 0.0)
-        note(strprintf("merge_only speedup: %.2fx events/sec over the "
-                       "reference path (target >= 1.5x)",
-                       wall_merge_ref / wall_merge_stream));
-    double q_full = runner.pointWallSeconds(0) / results[0].metric("quanta");
-    double q_quarter =
-        runner.pointWallSeconds(4) / results[4].metric("quanta");
-    note(strprintf("reference per-quantum cost at 100k vs 25k pages: "
-                   "%.0f ns vs %.0f ns (scan scales with pages)",
-                   q_full * 1e9, q_quarter * 1e9));
     note(strprintf(
-        "streaming per-quantum cost at 100k vs 25k pages: "
-        "%.0f ns vs %.0f ns (wheel scales with due entries)",
-        runner.pointWallSeconds(1) * 1e9 / results[1].metric("quanta"),
-        runner.pointWallSeconds(5) * 1e9 / results[5].metric("quanta")));
+        "per-quantum cost at 100k vs 25k pages: %.0f ns vs %.0f ns "
+        "(wheel scales with due entries)",
+        runner.pointWallSeconds(0) * 1e9 / results[0].metric("quanta"),
+        runner.pointWallSeconds(2) * 1e9 / results[2].metric("quanta")));
     runner.finish();
     return 0;
 }

@@ -1,13 +1,13 @@
 /**
  * @file
  * Hot-path microbench for the hardware-modelled bookkeeping paths:
- * the flat-set PRIL predictor priced against the seed hash-set
- * reference (onWrite churn and quantum swap), block content fills
- * vs the per-word virtual wordAt loop, row compares through the
- * dispatched kernels vs forced scalar, and block row readback vs
- * the sparse per-cell evaluation. Emits BENCH_micro_pril_ops.json
- * so the per-access cost trajectory behind the §6.4 "off the
- * critical path" argument is tracked across revisions.
+ * the PRIL predictor under onWrite churn and quantum swap, block
+ * content fills vs the per-word virtual wordAt loop, row compares
+ * through the dispatched kernels vs forced scalar, and block row
+ * readback vs the sparse per-cell evaluation. Emits
+ * BENCH_micro_pril_ops.json so the per-access cost trajectory behind
+ * the §6.4 "off the critical path" argument is tracked across
+ * revisions.
  *
  * Every metric is a deterministic counter (writes, candidates,
  * drops, checksums, failing bits); wall-clock enters only through
@@ -15,7 +15,8 @@
  * digest, so --repeat N never trips the repeat-invariance check.
  * Both members of every pair replay identical pre-generated inputs,
  * so their metric columns must agree (fataled in-bench) and the wall
- * ratio prices exactly the implementation difference.
+ * ratio prices exactly the implementation difference. The two PRIL
+ * points are unpaired.
  */
 
 #include <cstdint>
@@ -41,11 +42,11 @@ constexpr std::size_t kBufferCap = 4000;
 
 /**
  * The quantum-swap scenario models one bank-sharded predictor (the
- * post-PR-7 engine runs one PrilPredictor per bank), so its page
+ * bank-sharded engine runs one PrilPredictor per bank), so its page
  * population is a bank's share of the 2^20 pages. The smaller write
  * map also stays cache-resident on the host, so the measured wall
  * prices the bookkeeping structures rather than host-DRAM misses on
- * the map words - the cost the two implementations share by design.
+ * the map words.
  */
 constexpr std::uint64_t kSwapPages = 1u << 17;
 
@@ -78,8 +79,7 @@ makeInputs(std::uint64_t seed, bool quick)
 
     // quantum_swap scenario: each quantum writes ~capacity distinct
     // pages, so the buffer fills and the swap pays the full
-    // candidate-extraction cost (sort + node frees on the reference
-    // implementation; map visit + O(1) clear on the flat one).
+    // candidate-extraction cost (map visit + O(1) clear).
     in.swapWritesPerQuantum = kBufferCap;
     in.swapQuanta = quick ? 64 : 512;
     Rng swap_rng(deriveTaskSeed(seed, 2));
@@ -90,12 +90,11 @@ makeInputs(std::uint64_t seed, bool quick)
     return in;
 }
 
-/** Run the onWrite mix on either predictor implementation. */
-template <typename Pril>
+/** Run the onWrite mix through the predictor. */
 bench::Metrics
 runOnWrite(const Inputs &in)
 {
-    Pril pril(kPages, kBufferCap);
+    core::PrilPredictor pril(kPages, kBufferCap);
     std::uint64_t candidates = 0;
     std::size_t i = 0;
     for (std::uint64_t page : in.onwriteSeq) {
@@ -113,16 +112,15 @@ runOnWrite(const Inputs &in)
 }
 
 /**
- * Run the swap-heavy mix on either predictor implementation. The flat
- * predictor goes through endQuantumInto() - the batched extraction the
- * engine's streaming loop calls, which reuses the caller's candidate
- * scratch instead of allocating a vector per quantum.
+ * Run the swap-heavy mix through endQuantumInto() - the batched
+ * extraction the engine's streaming loop calls, which reuses the
+ * caller's candidate scratch instead of allocating a vector per
+ * quantum.
  */
-template <typename Pril>
 bench::Metrics
 runQuantumSwap(const Inputs &in)
 {
-    Pril pril(kSwapPages, kBufferCap);
+    core::PrilPredictor pril(kSwapPages, kBufferCap);
     std::uint64_t candidates = 0;
     std::uint64_t candidate_sum = 0;
     std::size_t at = 0;
@@ -130,10 +128,7 @@ runQuantumSwap(const Inputs &in)
     for (std::size_t q = 0; q < in.swapQuanta; ++q) {
         for (std::size_t w = 0; w < in.swapWritesPerQuantum; ++w)
             pril.onWrite(PageId{in.swapSeq[at++]});
-        if constexpr (requires { pril.endQuantumInto(scratch); })
-            pril.endQuantumInto(scratch);
-        else
-            scratch = pril.endQuantum();
+        pril.endQuantumInto(scratch);
         for (PageId page : scratch) {
             ++candidates;
             candidate_sum += page.value();
@@ -169,22 +164,18 @@ main(int argc, char **argv)
 
     bench::SweepRunner runner("micro_pril_ops", opts);
 
-    // (a) onWrite churn: hash-set node traffic vs flat-set probes.
-    runner.add("onwrite/ref", [&inputs](const bench::TaskContext &) {
-        return runOnWrite<core::ReferencePrilPredictor>(inputs);
-    });
+    // (a) onWrite churn: flat-set probes and erases.
     runner.add("onwrite/flat", [&inputs](const bench::TaskContext &) {
-        return runOnWrite<core::PrilPredictor>(inputs);
+        return runOnWrite(inputs);
     });
 
-    // (b) quantum swap at full buffers: sorted extraction + node
-    // frees vs batched map visit + O(1) epoch clear (target >= 3x).
-    runner.add("quantum_swap/ref", [&inputs](const bench::TaskContext &) {
-        return runQuantumSwap<core::ReferencePrilPredictor>(inputs);
-    });
+    // (b) quantum swap at full buffers: batched map visit + O(1)
+    // epoch clear.
     runner.add("quantum_swap/flat", [&inputs](const bench::TaskContext &) {
-        return runQuantumSwap<core::PrilPredictor>(inputs);
+        return runQuantumSwap(inputs);
     });
+    // The paired scenarios below start here.
+    constexpr std::size_t kFirstPair = 2;
 
     // (c) content generation: per-word virtual dispatch vs the block
     // fillRow override. Checksums must match exactly.
@@ -313,25 +304,28 @@ main(int argc, char **argv)
 
     TextTable table;
     table.header({"scenario", "impl", "wall ms", "speedup"});
-    for (std::size_t i = 0; i < results.size(); i += 2) {
-        const std::string &ref_label = results[i].label;
-        const std::string &new_label = results[i + 1].label;
-        double ref_wall = runner.pointWallSeconds(i);
+    auto add_row = [&](std::size_t i, const std::string &speedup) {
+        const std::string &label = results[i].label;
+        table.row({label.substr(0, label.find('/')),
+                   label.substr(label.find('/') + 1),
+                   TextTable::num(runner.pointWallSeconds(i) * 1e3, 2),
+                   speedup});
+    };
+    for (std::size_t i = 0; i < kFirstPair; ++i)
+        add_row(i, "-");
+    for (std::size_t i = kFirstPair; i + 1 < results.size(); i += 2) {
+        double base_wall = runner.pointWallSeconds(i);
         double new_wall = runner.pointWallSeconds(i + 1);
-        std::string scenario = ref_label.substr(0, ref_label.find('/'));
-        table.row({scenario, ref_label.substr(ref_label.find('/') + 1),
-                   TextTable::num(ref_wall * 1e3, 2), "1.00x"});
-        table.row({scenario, new_label.substr(new_label.find('/') + 1),
-                   TextTable::num(new_wall * 1e3, 2),
-                   new_wall > 0.0
-                       ? strprintf("%.2fx", ref_wall / new_wall)
-                       : "-"});
+        add_row(i, "1.00x");
+        add_row(i + 1, new_wall > 0.0
+                           ? strprintf("%.2fx", base_wall / new_wall)
+                           : "-");
     }
     std::printf("%s", table.render().c_str());
 
     // Paired points must agree on every shared metric: same inputs,
     // same semantics, different implementation.
-    for (std::size_t i = 0; i + 1 < results.size(); i += 2) {
+    for (std::size_t i = kFirstPair; i + 1 < results.size(); i += 2) {
         for (const bench::Metric &m : results[i].metrics) {
             fatal_if(m.value != results[i + 1].metric(m.name),
                      "metric '%s' diverged between %s and %s",
@@ -340,14 +334,8 @@ main(int argc, char **argv)
         }
     }
 
-    double swap_ref = runner.pointWallSeconds(2);
-    double swap_flat = runner.pointWallSeconds(3);
-    if (swap_flat > 0.0)
-        note(strprintf("quantum-swap speedup: %.2fx over the hash-set "
-                       "reference (target >= 3x)",
-                       swap_ref / swap_flat));
-    double fill_wordat = runner.pointWallSeconds(4);
-    double fill_block = runner.pointWallSeconds(5);
+    double fill_wordat = runner.pointWallSeconds(kFirstPair);
+    double fill_block = runner.pointWallSeconds(kFirstPair + 1);
     if (fill_block > 0.0)
         note(strprintf("content fill speedup: %.2fx block over the "
                        "per-word virtual loop",

@@ -159,288 +159,13 @@ finalize(const MemconConfig &cfg, std::vector<ShardOutcome> outs,
 }
 
 // --------------------------------------------------------------------
-// Reference event path (the seed implementation): materialize every
-// write event, stable_sort, and scan all pages per quantum for the
-// re-scrub. Kept behind MemconConfig::referenceEventPath so the
-// equivalence suite can prove the streaming path reproduces it
-// bit-for-bit, and so micro_engine_ops can price the difference.
-// Flat-only: it models the single-bank engine, so it requires the
-// identity address map.
-// --------------------------------------------------------------------
-
-struct Event
-{
-    double time;
-    std::uint32_t page;
-};
-
-/**
- * Refresh state of one modelled row/page (reference path only).
- * Fields mirror PageSoA below and share its shard-confinement
- * contract: the name-based concurrency pass audits the union of
- * both structs' accessors, so every field is tagged here too.
- */
-struct PageState
-{
-    double stateSince = 0.0;       // memcon:shard_local
-    bool atLoRef = false;          // memcon:shard_local
-    std::uint64_t writeCount = 0;  // memcon:shard_local
-    double lastTestAt = -1.0;      // memcon:shard_local idle pending
-    double lastVerified = -1.0;    // memcon:shard_local last pass
-};
-
-// memcon:shard_scope - the one-shard reference engine; owns its
-// whole page table for the duration of the run
-MemconResult
-runReference(const MemconConfig &cfg,
-             const std::vector<std::vector<TimeMs>> &page_writes,
-             double duration_ms, const MemconEngine::FailureOracle &oracle,
-             const MemconEngine::TransitionObserver &observer,
-             const MemconEngine::TimedFailureOracle &timed_oracle)
-{
-    ShardOutcome out;
-    out.hiMs.assign(page_writes.size(), 0.0);
-    out.loMs.assign(page_writes.size(), 0.0);
-
-    // Merge all write events into one ordered stream.
-    std::vector<Event> events;
-    for (std::uint32_t p = 0; p < page_writes.size(); ++p) {
-        for (TimeMs t : page_writes[p]) {
-            panic_if(t < TimeMs{0.0}, "negative write time");
-            if (t.value() < duration_ms)
-                events.push_back({t.value(), p});
-        }
-    }
-    std::stable_sort(events.begin(), events.end(),
-                     [](const Event &a, const Event &b) {
-                         return a.time < b.time;
-                     });
-    out.writes = events.size();
-    // Every write opens its row once, silent or not.
-    out.acts = events.size();
-
-    CostModelConfig cm_cfg;
-    cm_cfg.timings = cfg.timings;
-    cm_cfg.hiRefMs = cfg.hiRefMs;
-    cm_cfg.loRefMs = cfg.loRefMs;
-    CostModel cost(cm_cfg);
-    const double min_write_interval =
-        cost.minWriteIntervalMs(cfg.mode).value();
-
-    const std::uint64_t tests_per_quantum = testsPerQuantum(cfg);
-
-    // The reference path prices against the seed hash-set predictor;
-    // the streaming path runs the flat-set one. The property suite
-    // pins the two predictors' candidate streams equal, and
-    // test_engine_equiv pins the two engine paths bit-identical, so
-    // either class here yields the same results - keeping the seed
-    // container on the priced baseline is what makes the
-    // micro_engine_ops speedups measure the optimization.
-    ReferencePrilPredictor pril(page_writes.size(),
-                                clampedBufferCapacity(cfg, page_writes.size()));
-    std::vector<PageState> state(page_writes.size());
-
-    auto accrue = [&](std::uint64_t p, double until) {
-        PageState &ps = state[p];
-        double span = until - ps.stateSince;
-        panic_if(span < -1e-9, "time went backwards");
-        if (span <= 0.0)
-            return;
-        if (ps.atLoRef)
-            out.loMs[p] += span;
-        else
-            out.hiMs[p] += span;
-        ps.stateSince = until;
-    };
-
-    auto classify = [&](PageState &ps, double now) {
-        if (ps.lastTestAt < 0.0)
-            return;
-        if (now - ps.lastTestAt >= min_write_interval)
-            ++out.testsCorrect;
-        else
-            ++out.testsMispredicted;
-        ps.lastTestAt = -1.0;
-    };
-
-    double next_quantum_end = cfg.quantumMs.value();
-    std::size_t event_idx = 0;
-
-    // Read-only identification (§6.1): pages that never saw a write
-    // by the end of the second quantum are background-tested with
-    // leftover budget and, if clean, kept at LO-REF.
-    std::vector<std::uint64_t> ro_queue;
-    std::size_t ro_next = 0;
-    unsigned quanta_seen = 0;
-
-    auto test_fails = [&](std::uint64_t page, std::uint64_t wc,
-                          double when) {
-        if (timed_oracle)
-            return timed_oracle(page, wc, when);
-        return oracle ? oracle(page, wc) : false;
-    };
-
-    auto run_test = [&](std::uint64_t page, double tq) {
-        PageState &ps = state[page];
-        panic_if(ps.atLoRef, "tested page already at LO-REF");
-        ++out.testsRun;
-        out.acts += 2; // read pass + restoring verify pass
-        ps.lastTestAt = tq;
-
-        bool fails = test_fails(page, ps.writeCount, tq);
-        if (fails) {
-            ++out.testsFailed;
-            // Data-dependent failure with this content: the row must
-            // keep the aggressive rate.
-            return;
-        }
-        ++out.testsPassed;
-        accrue(page, tq);
-        ps.atLoRef = true;
-        ps.lastVerified = tq;
-        if (observer)
-            observer(page, tq, true, ps.writeCount);
-    };
-
-    auto process_quantum_end = [&](double tq) {
-        std::vector<PageId> candidates = pril.endQuantum();
-        std::uint64_t budget = tests_per_quantum;
-        for (PageId page : candidates) {
-            if (budget == 0) {
-                ++out.testsSkippedBudget;
-                continue;
-            }
-            --budget;
-            run_test(page.value(), tq);
-        }
-
-        ++quanta_seen;
-        if (quanta_seen == 2) {
-            for (std::uint64_t p = 0; p < state.size(); ++p)
-                if (state[p].writeCount == 0)
-                    ro_queue.push_back(p);
-        }
-        while (budget > 0 && ro_next < ro_queue.size()) {
-            std::uint64_t page = ro_queue[ro_next++];
-            // A page written since enqueueing is no longer read-only;
-            // PRIL takes over for it.
-            if (state[page].writeCount > 0 || state[page].atLoRef)
-                continue;
-            --budget;
-            run_test(page, tq);
-        }
-        if (budget == 0)
-            for (std::uint64_t i = ro_next; i < ro_queue.size(); ++i)
-                if (state[ro_queue[i]].writeCount == 0 &&
-                    !state[ro_queue[i]].atLoRef)
-                    ++out.testsDeferredBudget;
-
-        // Idle-row re-scrub: revalidate LO-REF rows whose verdict has
-        // aged past the scrub period (VRT protection). Demotions here
-        // are the mechanism catching cells that drifted leaky.
-        if (cfg.scrubPeriodMs > 0.0) {
-            for (std::uint64_t p = 0; p < state.size(); ++p) {
-                PageState &ps = state[p];
-                if (!ps.atLoRef ||
-                    tq - ps.lastVerified < cfg.scrubPeriodMs)
-                    continue;
-                if (budget == 0) {
-                    // Deferred, not lost: the row stays due and the
-                    // next quantum retries it.
-                    ++out.testsDeferredBudget;
-                    continue;
-                }
-                --budget;
-                ++out.scrubTests;
-                out.acts += 2;
-                if (test_fails(p, ps.writeCount, tq)) {
-                    ++out.scrubDemotions;
-                    accrue(p, tq);
-                    ps.atLoRef = false;
-                    if (observer)
-                        observer(p, tq, false, ps.writeCount);
-                } else {
-                    ps.lastVerified = tq;
-                }
-            }
-        }
-    };
-
-    while (event_idx < events.size() || next_quantum_end < duration_ms) {
-        bool take_quantum =
-            next_quantum_end < duration_ms &&
-            (event_idx >= events.size() ||
-             next_quantum_end <= events[event_idx].time);
-        if (take_quantum) {
-            process_quantum_end(next_quantum_end);
-            next_quantum_end += cfg.quantumMs.value();
-            continue;
-        }
-        if (event_idx >= events.size())
-            break;
-
-        const Event &ev = events[event_idx++];
-        PageState &ps = state[ev.page];
-
-        // Silent-write detection (footnote 9): a write that stores
-        // the existing value leaves the content - and the validity
-        // of any prior test - intact.
-        if (cfg.detectSilentWrites && cfg.silentWriteFraction > 0.0) {
-            double u = static_cast<double>(
-                           hashMix64(ev.page * 0x9e3779b97f4a7c15ULL +
-                                     ps.writeCount) >>
-                           11) *
-                       0x1.0p-53;
-            if (u < cfg.silentWriteFraction) {
-                ++out.silentWritesSkipped;
-                continue;
-            }
-        }
-
-        classify(ps, ev.time);
-        accrue(ev.page, ev.time);
-        if (ps.atLoRef) {
-            // Content changes: protect until retested.
-            ps.atLoRef = false;
-            if (observer)
-                observer(ev.page, ev.time, false, ps.writeCount + 1);
-        }
-        ++ps.writeCount;
-        pril.onWrite(PageId{ev.page});
-    }
-
-    // Close out every page at the horizon. Tests with no later write
-    // inside the trace are censored, not mispredicted: the predicted
-    // idleness did hold for as long as we could observe.
-    out.writeCount.resize(state.size());
-    out.atLo.resize(state.size());
-    for (std::uint64_t p = 0; p < state.size(); ++p) {
-        PageState &ps = state[p];
-        if (ps.lastTestAt >= 0.0) {
-            ++out.testsCorrect;
-            ps.lastTestAt = -1.0;
-        }
-        accrue(p, duration_ms);
-        out.writeCount[p] = ps.writeCount;
-        out.atLo[p] = ps.atLoRef ? 1 : 0;
-    }
-
-    out.bufferDrops = pril.bufferDrops();
-    out.trackerStorageBytes = pril.storageBytes();
-
-    std::vector<ShardOutcome> outs;
-    outs.push_back(std::move(out));
-    return finalize(cfg, std::move(outs), page_writes.size(),
-                    duration_ms);
-}
-
-// --------------------------------------------------------------------
-// Streaming event path (the default): a lazy k-way merge over the
-// per-page sorted write streams feeds the quantum interleave loop
-// directly, page state lives in structure-of-arrays form, and the
-// re-scrub / read-only bookkeeping runs off deadline wheels instead
-// of full page scans. Metric-bit-identical to the reference path
-// (DESIGN.md §11 documents the ordering contracts that make it so).
+// The event path: a lazy k-way merge over the per-page sorted write
+// streams feeds the quantum interleave loop directly, page state
+// lives in structure-of-arrays form, and the re-scrub / read-only
+// bookkeeping runs off deadline wheels instead of full page scans.
+// Metric-bit-identical to the materialize-then-sort reference engine
+// in tests/oracles (DESIGN.md §11 documents the ordering contracts
+// that make it so).
 //
 // The unit of execution is one shard (bank): the function below runs
 // one shard's population - its own PRIL, SoA state, and wheels - over
@@ -561,7 +286,7 @@ runStreamingShard(const MemconConfig &cfg, std::vector<Stream> streams,
     // exact ceil) errs early by at most one quantum; a popped entry
     // re-checks the authoritative float predicate below and lazily
     // re-buckets itself, so maturing early costs one extra pop while
-    // maturing late would miss a scrub the reference path performs.
+    // maturing late would miss a scrub a full page scan performs.
     const std::int64_t scrub_epochs =
         cfg.scrubPeriodMs > 0.0
             ? std::max<std::int64_t>(
@@ -573,8 +298,8 @@ runStreamingShard(const MemconConfig &cfg, std::vector<Stream> streams,
     DeadlineWheel<std::uint32_t> ro_wheel;
     std::vector<ScrubEntry> scrub_due;
     // Matured read-only candidates drain into a persistent queue
-    // consumed by cursor across quanta (the seed's ro_queue/ro_next):
-    // re-pushing a budget-starved tail into the wheel every quantum
+    // consumed by cursor across quanta (like the reference engine's
+    // ro_queue): re-pushing a budget-starved tail into the wheel every quantum
     // would churn O(backlog) per boundary for nothing.
     std::vector<std::uint32_t> ro_pending;
     std::size_t ro_next = 0;
@@ -696,9 +421,9 @@ runStreamingShard(const MemconConfig &cfg, std::vector<Stream> streams,
                 scrub_due[n++] = e;
             }
             scrub_due.resize(n);
-            // The reference path scans pages ascending; the service
-            // (and budget cutoff) order is part of the bit-identity
-            // contract, so impose it on the due batch.
+            // Service (and budget cutoff) order is ascending page, as
+            // a full page scan would visit them; it is part of the
+            // bit-identity contract, so impose it on the due batch.
             std::sort(scrub_due.begin(), scrub_due.end(),
                       [](const ScrubEntry &a, const ScrubEntry &b) {
                           return a.page < b.page;
@@ -783,8 +508,8 @@ runStreamingShard(const MemconConfig &cfg, std::vector<Stream> streams,
     out.writeCount.resize(num_local);
     out.atLo.resize(num_local);
     // Pages whose last test never saw a later write: one bulk
-    // popcount over the pending-test bits replaces the per-page
-    // lastTestAt branch of the seed close-out loop.
+    // popcount over the pending-test bits replaces a per-page
+    // lastTestAt branch in the close-out loop.
     out.testsCorrect += simd::popcountWords(
         st.pendingTest.wordData(), st.pendingTest.wordCount());
     for (std::size_t p = 0; p < st.size(); ++p) {
@@ -892,10 +617,6 @@ MemconEngine::MemconEngine(const MemconConfig &config) : cfg(config)
     fatal_if(cfg.silentWriteFraction < 0.0 ||
                  cfg.silentWriteFraction > 1.0,
              "silent-write fraction must lie in [0, 1]");
-    fatal_if(cfg.referenceEventPath && cfg.addressMap.numShards() > 1,
-             "the reference event path models the flat engine; "
-             "it requires the identity address map (got '%s')",
-             cfg.addressMap.name().c_str());
 }
 
 MemconResult
@@ -920,10 +641,6 @@ MemconEngine::run(const std::vector<std::vector<TimeMs>> &page_writes,
         }
     }
 
-    if (cfg.referenceEventPath)
-        return runReference(cfg, page_writes, duration_ms, oracle,
-                            observer, timed_oracle);
-
     return runShardedStreaming(
         cfg, page_writes.size(), duration_ms,
         [&page_writes](std::uint64_t g) {
@@ -938,16 +655,6 @@ MemconEngine::runOnApp(const trace::AppPersona &persona,
                        const TransitionObserver &observer) const
 {
     const double duration_ms = persona.durationSec * 1000.0;
-    if (cfg.referenceEventPath) {
-        std::vector<std::vector<TimeMs>> page_writes;
-        page_writes.reserve(persona.pages);
-        for (std::uint64_t p = 0; p < persona.pages; ++p) {
-            trace::PageWriteProcess proc(persona, p);
-            page_writes.push_back(proc.writeTimes());
-        }
-        return run(page_writes, duration_ms, oracle, observer);
-    }
-
     fatal_if(persona.pages >= (std::uint64_t{1} << 32),
              "too many pages");
     // Generate each page's write process lazily inside the merge:

@@ -74,17 +74,6 @@ struct MemconConfig
     double scrubPeriodMs = 0.0;
 
     /**
-     * Testing-only: replay through the seed materialize-then-sort
-     * event path (build every event, std::stable_sort, scan all
-     * pages per quantum for scrub) instead of the streaming k-way
-     * merge + deadline wheel. Metrics are bit-identical either way;
-     * the flag exists so tests/test_engine_equiv.cc can keep proving
-     * it, and so micro_engine_ops can price the difference. Requires
-     * the identity address map.
-     */
-    bool referenceEventPath = false;
-
-    /**
      * How pages interleave across channel/rank/bank shards
      * (DESIGN.md §17). The identity map (default) is the flat engine:
      * one shard owning every page, bit-identical to the pre-sharding
@@ -190,10 +179,10 @@ struct MemconResult
     double refreshTimeBaselineNs = 0.0;
 
     /**
-     * Hot-path instrumentation (streaming path only; zero on the
-     * reference path). Outside the determinism contract's digest
-     * surface: excluded from golden digests and from the old-vs-new
-     * equivalence comparison, free to change as the engine evolves.
+     * Hot-path instrumentation. Outside the determinism contract's
+     * digest surface: excluded from golden digests and from the
+     * reference-oracle equivalence comparison, free to change as the
+     * engine evolves.
      */
     std::uint64_t heapPushes = 0;      //!< k-way merge heap inserts
     std::uint64_t wheelPops = 0;       //!< scrub/read-only wheel pops
@@ -205,9 +194,9 @@ struct MemconResult
      * testsSkippedBudget the work is retried later, so nothing is
      * lost - but a nonzero count means the per-quantum budget was a
      * binding shared resource, and flat vs sharded runs are then free
-     * to diverge (each shard holds its own budget). Counted on both
-     * event paths; the exact value is instrumentation, outside the
-     * digest surface - only zero vs nonzero carries a contract.
+     * to diverge (each shard holds its own budget). The exact value
+     * is instrumentation, outside the digest surface - only zero vs
+     * nonzero carries a contract.
      */
     std::uint64_t testsDeferredBudget = 0;
 

@@ -23,31 +23,25 @@
  * A full write-buffer drops the new page (footnote 10): MEMCON keeps
  * it at HI-REF, losing opportunity but never correctness.
  *
- * Two implementations live here (DESIGN.md §19):
- *
- *  - PrilPredictor: the production predictor. Write-buffers are
- *    deterministic open-addressing flat sets (no per-write node
- *    churn). A derived erased-map per side (bit set when a page
- *    leaves or is refused the buffer) makes candidate extraction a
- *    bulk `map ANDNOT erased` + visit-set-bits pass - no per-page
- *    hashing - which reproduces the sorted candidate list exactly:
- *    buffer membership is precisely {map bit set, erased bit clear},
- *    because pages enter the buffer only after testAndSet, leave it
- *    at most once per quantum (re-insertion is impossible - insert
- *    happens only on the first write), and buffer erases never clear
- *    map bits. The same invariant lets onWrite skip the
- *    previous-buffer probe whenever the previous map bit is clear.
- *  - ReferencePrilPredictor: the seed std::unordered_set
- *    implementation, kept verbatim as the priced baseline for the
- *    reference event path, the property cross-checks, and the
- *    micro_pril_ops speedup denominators.
+ * PrilPredictor's write-buffers are deterministic open-addressing
+ * flat sets (no per-write node churn). A derived erased-map per side
+ * (bit set when a page leaves or is refused the buffer) makes
+ * candidate extraction a bulk `map ANDNOT erased` + visit-set-bits
+ * pass - no per-page hashing - which reproduces the sorted candidate
+ * list exactly: buffer membership is precisely {map bit set, erased
+ * bit clear}, because pages enter the buffer only after testAndSet,
+ * leave it at most once per quantum (re-insertion is impossible -
+ * insert happens only on the first write), and buffer erases never
+ * clear map bits. The same invariant lets onWrite skip the
+ * previous-buffer probe whenever the previous map bit is clear. The
+ * property suite locksteps it against the seed std::unordered_set
+ * implementation, which lives in tests/oracles (DESIGN.md §19).
  */
 
 #ifndef MEMCON_CORE_PRIL_HH
 #define MEMCON_CORE_PRIL_HH
 
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "common/bitvector.hh"
@@ -131,43 +125,6 @@ class PrilPredictor
     // quanta): map ANDNOT erased, then visit.
     BitVector extractScratch;
 
-    unsigned current = 0;
-
-    std::uint64_t drops = 0;
-    std::size_t peakOccupancy = 0;
-};
-
-/**
- * The seed hash-set PRIL implementation, bit-for-bit equivalent to
- * PrilPredictor in candidates, drops, peak occupancy, and storage
- * accounting (the property suite pins this). The reference event
- * path prices against it; micro_pril_ops uses it as the speedup
- * baseline. Fingerprints are NOT comparable across the two classes -
- * this one mixes buffers in sorted order, the flat one in slot order.
- */
-class ReferencePrilPredictor
-{
-  public:
-    ReferencePrilPredictor(std::uint64_t num_pages,
-                           std::size_t buffer_capacity);
-
-    void onWrite(PageId page);
-    std::vector<PageId> endQuantum();
-
-    std::uint64_t numPages() const { return pages; }
-    std::size_t bufferCapacity() const { return capacity; }
-    std::uint64_t bufferDrops() const { return drops; }
-    std::size_t peakBufferOccupancy() const { return peakOccupancy; }
-    std::size_t storageBytes() const;
-    bool isTracked(PageId page) const;
-    std::uint32_t stateFingerprint() const;
-
-  private:
-    std::uint64_t pages;
-    std::size_t capacity;
-
-    BitVector writeMap[2];
-    std::unordered_set<PageId> writeBuffer[2];
     unsigned current = 0;
 
     std::uint64_t drops = 0;

@@ -2,9 +2,11 @@
  * @file
  * Tests for the memcon_analyze framework (tools/memcon_analyze,
  * DESIGN.md §18): the rule registry, per-rule selection, JSON
- * output, and a fixture corpus for each of the three passes the
- * framework adds beyond the determinism rules -
+ * output, and a fixture corpus for each pass -
  *
+ *   determinism  random-device / rand / wall-clock / unordered-iter /
+ *                empty-catch, plus lint-marker hygiene for malformed
+ *                or unknown-rule markers (the `Lint` suite)
  *   concurrency  guarded_by / shard_local / shard_scope / requires
  *                annotations (firing, suppressed-by-allow, and
  *                annotation-present-but-clean for each)
@@ -45,12 +47,18 @@ namespace
 using Sources = std::vector<std::pair<std::string, std::string>>;
 
 std::vector<std::string>
-rulesOf(const AnalyzeResult &r)
+rulesOf(const std::vector<Violation> &vs)
 {
     std::vector<std::string> rules;
-    for (const Violation &v : r.violations)
+    for (const Violation &v : vs)
         rules.push_back(v.rule);
     return rules;
+}
+
+std::vector<std::string>
+rulesOf(const AnalyzeResult &r)
+{
+    return rulesOf(r.violations);
 }
 
 AnalyzeResult
@@ -59,6 +67,31 @@ analyzeOne(const std::string &path, const std::string &text,
 {
     return analyzeSources({{path, text}}, options);
 }
+
+/**
+ * The determinism and marker-hygiene rules only (DESIGN.md §10). A
+ * non-empty `companion` is supplied as the sibling .hh of `path`, the
+ * declaration context the framework pairs with an implementation
+ * file.
+ */
+std::vector<Violation>
+lintOne(const std::string &path, const std::string &text,
+        const std::string &companion = {})
+{
+    AnalyzeOptions options;
+    options.only = {"random-device", "rand",        "wall-clock",
+                    "unordered-iter", "empty-catch", "lint-marker"};
+    Sources sources = {{path, text}};
+    if (!companion.empty())
+        sources.emplace_back(path.substr(0, path.rfind('.')) + ".hh",
+                             companion);
+    return analyzeSources(sources, options).violations;
+}
+
+// "random_device" etc., assembled so this file never contains the
+// banned token itself.
+const std::string kRandomDevice = std::string("random_") + "device";
+const std::string kSteadyClock = std::string("steady_") + "clock";
 
 } // namespace
 
@@ -130,6 +163,344 @@ TEST(AnalyzeFormat, JsonListsViolationsAndFileCount)
     AnalyzeResult clean = analyzeOne("ok.cc", "int x = 1;\n");
     EXPECT_NE(formatJson(clean).find("\"violations\": []"),
               std::string::npos);
+}
+
+// ---------------------------------------------------------------------
+// Determinism pass and marker hygiene: every banned pattern flagged
+// exactly once, the lint:allow escape hatch, malformed markers, and
+// the companion-header declaration lookup. The banned spellings are
+// assembled from fragments so this file stays clean if the gate ever
+// widens to tests/.
+// ---------------------------------------------------------------------
+
+TEST(Lint, CleanFilePasses)
+{
+    const std::string src = R"(
+        #include <vector>
+        int sum(const std::vector<int> &v) {
+            int s = 0;
+            for (int x : v)
+                s += x;
+            return s;
+        }
+    )";
+    EXPECT_TRUE(lintOne("clean.cc", src).empty());
+}
+
+TEST(Lint, RandomDeviceFlaggedOnce)
+{
+    const std::string src = "#include <random>\n"
+                            "unsigned seed() {\n"
+                            "    std::" + kRandomDevice + " rd;\n"
+                            "    return rd();\n"
+                            "}\n";
+    auto vs = lintOne("bad.cc", src);
+    ASSERT_EQ(vs.size(), 1u);
+    EXPECT_EQ(vs[0].rule, "random-device");
+    EXPECT_EQ(vs[0].line, 3u);
+    EXPECT_EQ(vs[0].file, "bad.cc");
+}
+
+TEST(Lint, LibcRandFlagged)
+{
+    const std::string src = "#include <cstdlib>\n"
+                            "int r1() { return std::rand(); }\n"
+                            "void r2(unsigned s) { srand(s); }\n";
+    auto vs = lintOne("bad.cc", src);
+    EXPECT_EQ(rulesOf(vs), (std::vector<std::string>{"rand", "rand"}));
+    // An identifier that merely contains "rand" is not a call of it.
+    EXPECT_TRUE(
+        lintOne("ok.cc", "int operand(int rando) { return rando; }")
+            .empty());
+    // Nor is a member function named rand on some other object.
+    EXPECT_TRUE(
+        lintOne("ok.cc", "int f(Rng &g) { return g.rand(); }")
+            .empty());
+}
+
+TEST(Lint, WallClockSeedingFlagged)
+{
+    auto vs = lintOne(
+        "bad.cc", "#include <ctime>\n"
+                  "long now() { return time(nullptr); }\n");
+    EXPECT_EQ(rulesOf(vs), std::vector<std::string>{"wall-clock"});
+
+    vs = lintOne("bad.cc",
+                    "auto t0 = std::chrono::" + kSteadyClock +
+                        "::now();\n");
+    EXPECT_EQ(rulesOf(vs), std::vector<std::string>{"wall-clock"});
+
+    // Words like "time" in comments and strings never trip the rule.
+    EXPECT_TRUE(lintOne("ok.cc",
+                           "// total interval time (Figure 12)\n"
+                           "const char *s = \"time(s)\";\n")
+                    .empty());
+}
+
+TEST(Lint, UnorderedIterationFlagged)
+{
+    const std::string decl =
+        "#include <unordered_map>\n"
+        "std::unordered_map<int, int> table;\n";
+
+    auto vs = lintOne("bad.cc", decl +
+                                       "int walk() {\n"
+                                       "    int s = 0;\n"
+                                       "    for (auto &kv : table)\n"
+                                       "        s += kv.second;\n"
+                                       "    return s;\n"
+                                       "}\n");
+    ASSERT_EQ(vs.size(), 1u);
+    EXPECT_EQ(vs[0].rule, "unordered-iter");
+    EXPECT_EQ(vs[0].line, 5u);
+
+    // Explicit iterator loops are the same hazard.
+    vs = lintOne("bad.cc",
+                    decl + "auto it = table.begin();\n");
+    EXPECT_EQ(rulesOf(vs), std::vector<std::string>{"unordered-iter"});
+
+    // find()/end() membership idiom is deterministic and stays legal.
+    EXPECT_TRUE(
+        lintOne("ok.cc",
+                   decl + "bool has(int k) {\n"
+                          "    return table.find(k) != table.end();\n"
+                          "}\n")
+            .empty());
+
+    // Ordered containers iterate deterministically; never flagged.
+    EXPECT_TRUE(lintOne("ok.cc",
+                           "#include <map>\n"
+                           "std::map<int, int> m;\n"
+                           "int f() {\n"
+                           "    int s = 0;\n"
+                           "    for (auto &kv : m)\n"
+                           "        s += kv.second;\n"
+                           "    return s;\n"
+                           "}\n")
+                    .empty());
+
+    // The sanctioned remedy - ordered::sortedItems()/sortedKeys()
+    // around the container - iterates in key order and is legal.
+    EXPECT_TRUE(
+        lintOne("ok.cc",
+                   decl +
+                       "int walk() {\n"
+                       "    int s = 0;\n"
+                       "    for (auto &[k, v] : "
+                       "ordered::sortedItems(table))\n"
+                       "        s += v;\n"
+                       "    for (int k : ordered::sortedKeys(table))\n"
+                       "        s += k;\n"
+                       "    return s;\n"
+                       "}\n")
+            .empty());
+}
+
+TEST(Lint, EmptyCatchFlagged)
+{
+    // The crash-safety hazard: an empty handler turns an error into
+    // silence. Flagged once, on the catch keyword's line.
+    const std::string src = "void f() {\n"
+                            "    try {\n"
+                            "        g();\n"
+                            "    } catch (...) {\n"
+                            "    }\n"
+                            "}\n";
+    auto vs = lintOne("bad.cc", src);
+    ASSERT_EQ(vs.size(), 1u);
+    EXPECT_EQ(vs[0].rule, "empty-catch");
+    EXPECT_EQ(vs[0].line, 4u);
+
+    // A typed empty handler is the same silence.
+    const std::string typed =
+        "void f() { try { g(); } catch (const E &) {} }\n";
+    EXPECT_EQ(rulesOf(lintOne("bad.cc", typed)),
+              std::vector<std::string>{"empty-catch"});
+
+    // A handler that does anything - even just a comment won't do,
+    // since comments are stripped, but a statement will - is legal.
+    const std::string handled = "void f() {\n"
+                                "    try { g(); }\n"
+                                "    catch (...) { report(); }\n"
+                                "}\n";
+    EXPECT_TRUE(lintOne("ok.cc", handled).empty());
+
+    // Rethrow is legal.
+    const std::string rethrow =
+        "void f() { try { g(); } catch (...) { throw; } }\n";
+    EXPECT_TRUE(lintOne("ok.cc", rethrow).empty());
+
+    // The escape hatch works where ignoring really is correct.
+    const std::string allowed =
+        "void f() {\n"
+        "    try { g(); }\n"
+        "    // lint:allow(empty-catch) - best-effort cleanup\n"
+        "    catch (...) {}\n"
+        "}\n";
+    EXPECT_TRUE(lintOne("ok.cc", allowed).empty());
+}
+
+TEST(Lint, CompanionHeaderDeclaresTheContainer)
+{
+    // The hazard the ordering satellites fixed: the member lives in
+    // the class header, the iteration in the .cc.
+    const std::string header = "#include <unordered_map>\n"
+                               "struct Engine {\n"
+                               "    std::unordered_map<int, int> "
+                               "sessions;\n"
+                               "};\n";
+    const std::string source = "int Engine_count(Engine &e) {\n"
+                               "    int n = 0;\n"
+                               "    for (auto &kv : e.sessions)\n"
+                               "        n += kv.second;\n"
+                               "    return n;\n"
+                               "}\n";
+    // Without the header context the scanner cannot know.
+    EXPECT_TRUE(lintOne("engine.cc", source).empty());
+    // With it, the iteration is flagged.
+    auto vs = lintOne("engine.cc", source, header);
+    EXPECT_EQ(rulesOf(vs), std::vector<std::string>{"unordered-iter"});
+}
+
+TEST(Lint, AllowEscapeSuppressesSameAndNextLine)
+{
+    const std::string same_line =
+        "std::" + kRandomDevice + " rd; // lint:allow(random-device)\n";
+    EXPECT_TRUE(lintOne("ok.cc", same_line).empty());
+
+    const std::string line_above =
+        "// lint:allow(random-device) - justified here\n"
+        "std::" + kRandomDevice + " rd;\n";
+    EXPECT_TRUE(lintOne("ok.cc", line_above).empty());
+
+    // The escape names a rule; a different rule's escape is inert.
+    const std::string wrong_rule =
+        "// lint:allow(wall-clock)\n"
+        "std::" + kRandomDevice + " rd;\n";
+    EXPECT_EQ(rulesOf(lintOne("bad.cc", wrong_rule)),
+              std::vector<std::string>{"random-device"});
+
+    // And it does not leak further down the file.
+    const std::string too_far =
+        "// lint:allow(random-device)\n"
+        "int x;\n"
+        "std::" + kRandomDevice + " rd;\n";
+    EXPECT_EQ(rulesOf(lintOne("bad.cc", too_far)),
+              std::vector<std::string>{"random-device"});
+}
+
+TEST(Lint, EachRuleOncePerOffendingFixture)
+{
+    // One fixture per rule; each yields exactly its own violation.
+    struct Fixture
+    {
+        std::string rule;
+        std::string code;
+    };
+    const Fixture fixtures[] = {
+        {"random-device", "std::" + kRandomDevice + " rd;\n"},
+        {"rand", "int x = rand();\n"},
+        {"wall-clock", "long t = time(nullptr);\n"},
+        {"unordered-iter",
+         "#include <unordered_set>\n"
+         "std::unordered_set<int> seen;\n"
+         "void f() { for (int x : seen) (void)x; }\n"},
+        {"empty-catch", "void f() { try { g(); } catch (...) {} }\n"},
+    };
+    for (const Fixture &f : fixtures) {
+        auto vs = lintOne("fixture.cc", f.code);
+        ASSERT_EQ(vs.size(), 1u) << f.rule;
+        EXPECT_EQ(vs[0].rule, f.rule);
+    }
+}
+
+TEST(Lint, ServiceSupervisionWallClockNeedsTheAllowEscape)
+{
+    // The memcond service idiom: tenant round tasks time themselves
+    // with the wall clock to feed the watchdog's adaptive deadline.
+    // That is supervision, never a metric - but the lint cannot know
+    // that, so the code must carry the lint:allow(wall-clock) escape
+    // exactly where src/service/memcond.cc does.
+    const std::string bare =
+        "void runTask() {\n"
+        "    const auto t0 = std::chrono::" + kSteadyClock +
+        "::now();\n"
+        "    work();\n"
+        "    const auto t1 = std::chrono::" + kSteadyClock +
+        "::now();\n"
+        "    watchdog.endTask(0, true, ms(t1 - t0));\n"
+        "}\n";
+    EXPECT_EQ(rulesOf(lintOne("service.cc", bare)),
+              (std::vector<std::string>{"wall-clock", "wall-clock"}));
+
+    const std::string allowed =
+        "void runTask() {\n"
+        "    // Supervision only - never a metric.\n"
+        "    // lint:allow(wall-clock)\n"
+        "    const auto t0 = std::chrono::" + kSteadyClock +
+        "::now();\n"
+        "    work();\n"
+        "    // lint:allow(wall-clock) - supervision only.\n"
+        "    const auto t1 = std::chrono::" + kSteadyClock +
+        "::now();\n"
+        "    watchdog.endTask(0, true, ms(t1 - t0));\n"
+        "}\n";
+    EXPECT_TRUE(lintOne("service.cc", allowed).empty());
+
+    // The escape reaches exactly one line: a justification paragraph
+    // between the marker and the call re-exposes the violation, so
+    // the allow must sit directly on or above the offending line.
+    const std::string too_far =
+        "void runTask() {\n"
+        "    // lint:allow(wall-clock) - supervision only, feeds\n"
+        "    // the watchdog median, never a metric.\n"
+        "    const auto t0 = std::chrono::" + kSteadyClock +
+        "::now();\n"
+        "}\n";
+    EXPECT_EQ(rulesOf(lintOne("service.cc", too_far)),
+              (std::vector<std::string>{"wall-clock"}));
+}
+
+TEST(Lint, MalformedAllowMarkerIsReportedNotDropped)
+{
+    // The historical bug: an unterminated allow marker parsed as
+    // "no marker here" and the suppression silently never engaged.
+    // Now it is a violation of its own, so the author finds out.
+    const std::string unterminated =
+        "// lint:allow(random-device - note the missing paren\n"
+        "std::" + kRandomDevice + " rd;\n";
+    auto vs = lintOne("bad.cc", unterminated);
+    ASSERT_EQ(vs.size(), 2u) << formatText({vs});
+    EXPECT_EQ(vs[0].rule, "lint-marker");
+    EXPECT_EQ(vs[0].line, 1u);
+    // ...and the intended suppression is indeed inert.
+    EXPECT_EQ(vs[1].rule, "random-device");
+}
+
+TEST(Lint, TwoAllowMarkersOnOneLineBothRegister)
+{
+    // Also historical: the scanner failed to advance past a matched
+    // marker, so a second marker on the same line was lost.
+    const std::string two =
+        "// lint:allow(random-device) lint:allow(wall-clock)\n"
+        "std::" + kRandomDevice + " rd; long t = time(nullptr);\n";
+    EXPECT_TRUE(lintOne("ok.cc", two).empty())
+        << formatText({lintOne("ok.cc", two)});
+}
+
+TEST(Lint, MalformedMarkerItselfSuppressible)
+{
+    // lint-marker is a rule like any other: a justified allow on the
+    // same line silences it (useful for prose that must spell out a
+    // broken marker, as this corpus does). The suppression must come
+    // first so the broken marker cannot steal its closing paren.
+    const std::string hushed =
+        "// lint:allow(lint-marker) here is one: lint:allow(broken\n";
+    EXPECT_TRUE(lintOne("ok.cc", hushed).empty());
+    // Without the suppression the same line reports.
+    const std::string bare = "// here is one: lint:allow(broken\n";
+    EXPECT_EQ(rulesOf(lintOne("bad.cc", bare)),
+              std::vector<std::string>{"lint-marker"});
 }
 
 // ---------------------------------------------------------------------
@@ -584,7 +955,7 @@ TEST(AnalyzeAllowInventory, RuleSelectionFiltersTheInventory)
         {"f.cc",
          "// lint:allow(unit-literal) - one\n"
          "double a_ms = 1.0;\n"
-         "// lint:allow(hotpath-wordat) - two\n"
+         "// lint:allow(content-wordat) - two\n"
          "int b;\n"},
     };
 
@@ -598,7 +969,7 @@ TEST(AnalyzeAllowInventory, RuleSelectionFiltersTheInventory)
     skip.skip = {"unit-literal"};
     sites = listAllowances(sources, skip);
     ASSERT_EQ(sites.size(), 1u);
-    EXPECT_EQ(sites[0].rule, "hotpath-wordat");
+    EXPECT_EQ(sites[0].rule, "content-wordat");
 }
 
 TEST(AnalyzeAllowInventory, FormatsReportAndJson)
@@ -633,6 +1004,29 @@ TEST(AnalyzeAllowInventory, FormatsReportAndJson)
               std::string::npos);
     EXPECT_NE(formatAllowancesJson({}).find("\"total\": 0"),
               std::string::npos);
+}
+
+TEST(AnalyzeAllowInventory, UnknownRuleMarkerIsReportedNotListed)
+{
+    using memcon::analyze::listAllowances;
+
+    // A marker naming no registered rule used to register as an
+    // allowance for that name: inert, yet counted in the inventory.
+    // It is a lint-marker violation instead, and never an allowance.
+    const Sources placeholder = {
+        {"f.cc", "// lint:allow(<rule>)\nint x;\n"}};
+    AnalyzeResult r = analyzeSources(placeholder, {});
+    ASSERT_EQ(rulesOf(r), std::vector<std::string>{"lint-marker"})
+        << formatText(r);
+    EXPECT_EQ(r.violations[0].line, 1u);
+    EXPECT_TRUE(listAllowances(placeholder, {}).empty());
+
+    // A misspelled suppression leaves the violation it meant to hide.
+    const Sources misspelled = {
+        {"f.cc", "// lint:allow(wallclock)\nlong t = time(nullptr);\n"}};
+    EXPECT_EQ(rulesOf(analyzeSources(misspelled, {})),
+              (std::vector<std::string>{"lint-marker", "wall-clock"}));
+    EXPECT_TRUE(listAllowances(misspelled, {}).empty());
 }
 
 TEST(AnalyzeAllowInventory, RealTreeInventoryMatchesMarkerGrep)

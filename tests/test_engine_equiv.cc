@@ -1,9 +1,9 @@
 /**
  * @file
- * Bit-identity proofs for the streaming engine hot path (DESIGN.md
- * §11): the k-way merge + deadline-wheel + SoA path must reproduce
- * the seed materialize-then-sort path (MemconConfig::
- * referenceEventPath) field-for-field on every metric and emit the
+ * Bit-identity proofs for the engine hot path (DESIGN.md §11): the
+ * k-way merge + deadline-wheel + SoA engine must reproduce the seed
+ * materialize-then-sort engine (oracles::runReference, in
+ * tests/oracles) field-for-field on every metric and emit the
  * same transition sequence, on traces engineered to stress the
  * tie-break (duplicate timestamps within and across pages, writes on
  * quantum boundaries, budget-starved scrub backlogs). Plus property
@@ -21,6 +21,7 @@
 #include "common/kway_merge.hh"
 #include "common/random.hh"
 #include "core/engine.hh"
+#include "oracles/reference_engine.hh"
 #include "trace/app_model.hh"
 
 namespace memcon::core
@@ -75,6 +76,7 @@ expectSameResult(const MemconResult &a, const MemconResult &b)
     EXPECT_EQ(a.silentWritesSkipped, b.silentWritesSkipped);
     EXPECT_EQ(a.scrubTests, b.scrubTests);
     EXPECT_EQ(a.scrubDemotions, b.scrubDemotions);
+    EXPECT_EQ(a.acts, b.acts);
     EXPECT_EQ(a.testTimeNs, b.testTimeNs);
     EXPECT_EQ(a.refreshTimeMemconNs, b.refreshTimeMemconNs);
     EXPECT_EQ(a.refreshTimeBaselineNs, b.refreshTimeBaselineNs);
@@ -94,10 +96,10 @@ struct Transition
     }
 };
 
-/** Run one config on both event paths and demand identical metrics
- *  and an identical transition sequence. */
+/** Run one config on the engine and the reference oracle and demand
+ *  identical metrics and an identical transition sequence. */
 void
-expectPathsAgree(MemconConfig cfg,
+expectPathsAgree(const MemconConfig &cfg,
                  const std::vector<std::vector<TimeMs>> &writes,
                  double duration_ms,
                  const MemconEngine::FailureOracle &oracle,
@@ -112,10 +114,8 @@ expectPathsAgree(MemconConfig cfg,
         };
     };
 
-    cfg.referenceEventPath = true;
-    MemconResult ref = MemconEngine(cfg).run(writes, duration_ms, oracle,
-                                             observe(log_ref), timed);
-    cfg.referenceEventPath = false;
+    MemconResult ref = oracles::runReference(
+        cfg, writes, duration_ms, oracle, observe(log_ref), timed);
     MemconResult stream = MemconEngine(cfg).run(
         writes, duration_ms, oracle, observe(log_stream), timed);
 
@@ -156,7 +156,7 @@ TEST_P(EngineEquiv, StreamingMatchesReference)
 
     // Budget-starved scrub: three tests per quantum against a
     // standing backlog, so the wheel's re-push-at-now+1 tail churn
-    // and the reference path's scan must starve identically.
+    // and the reference engine's scan must starve identically.
     MemconConfig scarce = base;
     scarce.quantumMs = TimeMs{96.0};
     scarce.testSlotsPer64ms = 2; // llround(2 * 96 / 64) = 3
@@ -165,7 +165,7 @@ TEST_P(EngineEquiv, StreamingMatchesReference)
 
     // Silent-write detection consumes one hash draw per write; the
     // draw sequence is keyed on (page, write count), not event
-    // order, so both paths must skip the same writes.
+    // order, so both engines must skip the same writes.
     MemconConfig silent = base;
     silent.silentWriteFraction = 0.4;
     silent.detectSilentWrites = true;
@@ -187,7 +187,7 @@ TEST_P(EngineEquiv, TimedOracleScrubMatches)
     cfg.scrubPeriodMs = 250.0;
     // VRT-style drift: whether a row fails depends on when it is
     // tested, so any divergence in *test times* (not just counts)
-    // between the paths cascades into different demotions.
+    // between the engines cascades into different demotions.
     auto timed = [](std::uint64_t page, std::uint64_t wc, double t) {
         return hashMix64(page * 977 + wc * 13 +
                          static_cast<std::uint64_t>(t / 400.0)) %
@@ -200,25 +200,35 @@ TEST_P(EngineEquiv, TimedOracleScrubMatches)
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineEquiv,
                          ::testing::Values(11, 12, 13, 14));
 
-TEST(EngineEquiv, RunOnAppStreamingMatchesReference)
+/** Parametrized by index into AppPersona::table1Suite(). */
+class EngineEquivApp : public ::testing::TestWithParam<std::size_t>
 {
-    // The streaming path generates each page's writes lazily through
-    // trace::PageWriteStream; the reference path materializes
+};
+
+TEST_P(EngineEquivApp, RunOnAppStreamingMatchesReference)
+{
+    // runOnApp generates each page's writes lazily through
+    // trace::PageWriteStream; the oracle materializes
     // PageWriteProcess::writeTimes(). Same persona, same metrics.
-    trace::AppPersona persona = trace::AppPersona::table1Suite()[0];
+    trace::AppPersona persona = trace::AppPersona::table1Suite()[GetParam()];
+    SCOPED_TRACE(persona.name);
     persona.pages = 400;
     persona.durationSec = 120.0;
 
     MemconConfig cfg;
     cfg.scrubPeriodMs = 4096.0;
-    cfg.referenceEventPath = true;
-    MemconResult ref = MemconEngine(cfg).runOnApp(persona, hashOracle());
-    cfg.referenceEventPath = false;
+    MemconResult ref =
+        oracles::runReferenceOnApp(cfg, persona, hashOracle());
     MemconResult stream =
         MemconEngine(cfg).runOnApp(persona, hashOracle());
     expectSameResult(ref, stream);
     EXPECT_GT(stream.writes, 0u);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Table1, EngineEquivApp,
+    ::testing::Range<std::size_t>(0,
+                                  trace::AppPersona::table1Suite().size()));
 
 // --------------------------------------------------------------------
 // Test-budget rounding (regression: the budget used to be silently

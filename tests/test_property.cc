@@ -23,6 +23,7 @@
 #include "failure/content.hh"
 #include "failure/model.hh"
 #include "failure/tester.hh"
+#include "oracles/reference_pril.hh"
 
 using namespace memcon;
 
@@ -418,8 +419,9 @@ TEST(Property, PrilFingerprintIsHistoryIndependent)
 }
 
 // --------------------------------------------------------------------
-// The two PrilPredictor implementations in lockstep: identical
-// observable behavior on drop-heavy random traffic.
+// PrilPredictor and the seed hash-set oracle (tests/oracles) in
+// lockstep: identical observable behavior on drop-heavy random
+// traffic.
 // --------------------------------------------------------------------
 
 TEST(Property, FlatAndReferencePrilAgree)
@@ -427,7 +429,7 @@ TEST(Property, FlatAndReferencePrilAgree)
     const std::uint64_t num_pages = 512;
     const std::size_t cap = 24; // small: drops occur constantly
     core::PrilPredictor flat(num_pages, cap);
-    core::ReferencePrilPredictor ref(num_pages, cap);
+    oracles::ReferencePrilPredictor ref(num_pages, cap);
     EXPECT_EQ(flat.storageBytes(), ref.storageBytes());
 
     Rng rng(0xD0D0ULL);

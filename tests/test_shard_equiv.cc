@@ -320,14 +320,6 @@ TEST(ShardEquiv, EmptyBanksAreHarmless)
     expectSamePageEnd(base, r);
 }
 
-TEST(ShardEquiv, ReferencePathRejectsNonIdentityMaps)
-{
-    MemconConfig cfg;
-    cfg.referenceEventPath = true;
-    cfg.addressMap = dram::AddressMap::paperDdr3_8bank();
-    EXPECT_DEATH(MemconEngine eng(cfg), "identity address map");
-}
-
 TEST(ShardEquiv, ObserversRejectShardedRuns)
 {
     MemconConfig cfg;

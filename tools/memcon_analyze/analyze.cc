@@ -46,6 +46,34 @@ headerCandidates(const std::string &path)
             fs::path(path).replace_extension(".hpp").string()};
 }
 
+/**
+ * Expand files/directories to every C++ source under them
+ * (.cc/.hh/.cpp/.hpp), recursively, sorted.
+ */
+std::vector<std::string>
+expandPaths(const std::vector<std::string> &paths)
+{
+    std::vector<std::string> files;
+    for (const std::string &p : paths) {
+        std::error_code ec;
+        if (fs::is_directory(p, ec)) {
+            for (auto it = fs::recursive_directory_iterator(p, ec);
+                 !ec && it != fs::recursive_directory_iterator();
+                 it.increment(ec)) {
+                if (it->is_regular_file(ec) &&
+                    isCppSource(it->path()))
+                    files.push_back(it->path().string());
+            }
+        } else {
+            files.push_back(p);
+        }
+    }
+    std::sort(files.begin(), files.end());
+    files.erase(std::unique(files.begin(), files.end()),
+                files.end());
+    return files;
+}
+
 void
 jsonEscape(std::ostringstream &out, const std::string &s)
 {
@@ -351,43 +379,6 @@ readFileText(const std::string &path, std::string *out)
     buf << in.rdbuf();
     *out = buf.str();
     return true;
-}
-
-std::string
-companionText(const std::string &path)
-{
-    if (!isImplFile(path))
-        return {};
-    for (const std::string &h : headerCandidates(path)) {
-        std::string text;
-        if (readFileText(h, &text))
-            return text;
-    }
-    return {};
-}
-
-std::vector<std::string>
-expandPaths(const std::vector<std::string> &paths)
-{
-    std::vector<std::string> files;
-    for (const std::string &p : paths) {
-        std::error_code ec;
-        if (fs::is_directory(p, ec)) {
-            for (auto it = fs::recursive_directory_iterator(p, ec);
-                 !ec && it != fs::recursive_directory_iterator();
-                 it.increment(ec)) {
-                if (it->is_regular_file(ec) &&
-                    isCppSource(it->path()))
-                    files.push_back(it->path().string());
-            }
-        } else {
-            files.push_back(p);
-        }
-    }
-    std::sort(files.begin(), files.end());
-    files.erase(std::unique(files.begin(), files.end()),
-                files.end());
-    return files;
 }
 
 } // namespace memcon::analyze

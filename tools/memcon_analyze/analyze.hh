@@ -60,7 +60,7 @@ analyzeSources(
 AnalyzeResult analyzePaths(const std::vector<std::string> &paths,
                            const AnalyzeOptions &options);
 
-/** One lint:allow(<rule>) marker, resolved to its file. */
+/** One lint:allow marker, resolved to its file and rule. */
 struct AllowanceSite
 {
     std::string file;
@@ -69,8 +69,8 @@ struct AllowanceSite
 };
 
 /**
- * Enumerate every lint:allow(<rule>) marker in the given in-memory
- * sources (the --list-allows report): the suppression inventory a
+ * Enumerate every lint:allow marker in the given in-memory sources
+ * (the --list-allows report): the suppression inventory a
  * reviewer audits, since every entry is a rule the codebase opted
  * out of somewhere. Honors AnalyzeOptions::only/skip as a rule
  * filter; sorted by (file, line, rule).
@@ -85,7 +85,8 @@ std::vector<AllowanceSite>
 listAllowancesInPaths(const std::vector<std::string> &paths,
                       const AnalyzeOptions &options);
 
-/** "file:line: lint:allow(rule)" lines plus a per-rule tally. */
+/** One "file:line: lint:allow" line per site (the marker with its
+ *  rule) plus a per-rule tally. */
 std::string formatAllowances(const std::vector<AllowanceSite> &sites);
 
 /** Machine-readable report: {"allowances":[...],"total":N}. */
@@ -98,20 +99,8 @@ std::string formatText(const AnalyzeResult &result);
 /** Machine-readable report: {"violations":[...],"files_scanned":N}. */
 std::string formatJson(const AnalyzeResult &result);
 
-// --- file-system helpers shared with the legacy lint entry points ---
-
 /** Read a whole file; false when it cannot be opened. */
 bool readFileText(const std::string &path, std::string *out);
-
-/** Text of the sibling .hh/.hpp for a .cc/.cpp path, else "". */
-std::string companionText(const std::string &path);
-
-/**
- * Expand files/directories to every C++ source under them
- * (.cc/.hh/.cpp/.hpp), recursively, sorted.
- */
-std::vector<std::string>
-expandPaths(const std::vector<std::string> &paths);
 
 } // namespace memcon::analyze
 

@@ -13,7 +13,7 @@
  * the providers and the one sanctioned per-word loop, the base-class
  * default fillRow() that bridges providers without a bulk override.
  * Priced baselines and cross-check tests that loop wordAt on purpose
- * suppress with `lint:allow(content-wordat)`.
+ * suppress with a lint:allow marker naming content-wordat.
  */
 
 #ifndef MEMCON_TOOLS_ANALYZE_HOTPATH_PASS_HH

@@ -1,11 +1,7 @@
 #include "lint.hh"
 
-#include <algorithm>
-#include <fstream>
+#include <cctype>
 #include <set>
-#include <sstream>
-
-#include "analyze.hh"
 
 namespace memcon::lint
 {
@@ -15,6 +11,7 @@ namespace
 using analyze::SourceFile;
 using analyze::Token;
 using analyze::tok;
+using analyze::Violation;
 
 bool
 isUnorderedContainer(const std::string &name)
@@ -62,15 +59,6 @@ collectUnorderedNames(const std::vector<Token> &tokens,
 }
 
 } // namespace
-
-const std::vector<std::string> &
-ruleNames()
-{
-    static const std::vector<std::string> rules = {
-        "random-device", "rand", "wall-clock", "unordered-iter",
-        "empty-catch", "lint-marker"};
-    return rules;
-}
 
 std::vector<Violation>
 determinismPass(const SourceFile &file, const SourceFile *companion)
@@ -192,60 +180,6 @@ determinismPass(const SourceFile &file, const SourceFile *companion)
     }
 
     return raw;
-}
-
-std::vector<Violation>
-lintSource(const std::string &file, const std::string &source,
-           const std::string &companion)
-{
-    SourceFile parsed = analyze::parseSource(file, source);
-    std::vector<Violation> raw = parsed.markerViolations;
-    if (companion.empty()) {
-        std::vector<Violation> d = determinismPass(parsed, nullptr);
-        raw.insert(raw.end(), d.begin(), d.end());
-    } else {
-        SourceFile ctx = analyze::parseSource(file + ".companion",
-                                              companion);
-        std::vector<Violation> d = determinismPass(parsed, &ctx);
-        raw.insert(raw.end(), d.begin(), d.end());
-    }
-    std::stable_sort(raw.begin(), raw.end(),
-                     [](const Violation &a, const Violation &b) {
-                         return a.line < b.line;
-                     });
-    return analyze::applyAllowances(std::move(raw),
-                                    parsed.allowances);
-}
-
-std::vector<Violation>
-lintFile(const std::string &path)
-{
-    std::string source;
-    if (!analyze::readFileText(path, &source))
-        return {{path, 0, "io", "cannot open file"}};
-    return lintSource(path, source,
-                      analyze::companionText(path));
-}
-
-std::vector<Violation>
-lintPaths(const std::vector<std::string> &paths)
-{
-    std::vector<Violation> all;
-    for (const std::string &file : analyze::expandPaths(paths)) {
-        std::vector<Violation> vs = lintFile(file);
-        all.insert(all.end(), vs.begin(), vs.end());
-    }
-    return all;
-}
-
-std::string
-formatReport(const std::vector<Violation> &violations)
-{
-    std::ostringstream out;
-    for (const Violation &v : violations)
-        out << v.file << ":" << v.line << ": [" << v.rule << "] "
-            << v.message << "\n";
-    return out.str();
 }
 
 } // namespace memcon::lint

@@ -19,8 +19,8 @@
  *                   suppression or annotation that silently fails to
  *                   parse is reported, never dropped
  *
- * A violation on line N is suppressed by `// lint:allow(<rule>)` on
- * line N or N-1. The scanner strips comments and string literals
+ * A violation on line N is suppressed by a `// lint:allow` marker
+ * naming its rule on line N or N-1. The scanner strips comments and string literals
  * before matching, so prose and format strings never trip a rule.
  *
  * The tool is intentionally per-file (no cross-TU type knowledge): a
@@ -28,16 +28,13 @@
  * to unordered-iter. That is the accepted trade-off for a lint that
  * builds in-tree in milliseconds and runs as a tier-1 test.
  *
- * This header keeps the original memcon_lint entry points; they run
- * the determinism rules only. The full multi-pass framework
- * (concurrency discipline, layering, unit literals) lives in
- * analyze.hh.
+ * The framework (analyze.hh) runs this pass alongside the others and
+ * applies lint:allow suppression centrally.
  */
 
 #ifndef MEMCON_TOOLS_LINT_HH
 #define MEMCON_TOOLS_LINT_HH
 
-#include <string>
 #include <vector>
 
 #include "source_model.hh"
@@ -45,45 +42,13 @@
 namespace memcon::lint
 {
 
-using analyze::Violation;
-
-/** The determinism rule identifiers, as accepted by lint:allow(...). */
-const std::vector<std::string> &ruleNames();
-
-/**
- * Lint an in-memory source buffer (fixture tests use this).
- * `companion` is additional declaration context - the matching
- * header's text when linting an X.cc - scanned for unordered
- * container declarations only, never for violations of its own.
- */
-std::vector<Violation> lintSource(const std::string &file,
-                                  const std::string &source,
-                                  const std::string &companion = {});
-
-/**
- * Lint one file on disk. For X.cc/X.cpp, a sibling X.hh/X.hpp is
- * read as declaration context, so iterating a member declared in the
- * class header is still caught in the implementation file.
- */
-std::vector<Violation> lintFile(const std::string &path);
-
-/**
- * Lint every C++ source/header (.cc/.hh/.cpp/.hpp) under each path;
- * a path may also be a single file. Violations are sorted by
- * (file, line) so the report is stable.
- */
-std::vector<Violation> lintPaths(const std::vector<std::string> &paths);
-
-/** One "file:line: [rule] message" line per violation. */
-std::string formatReport(const std::vector<Violation> &violations);
-
 /**
  * The determinism pass over an already-parsed file: raw violations,
  * before lint:allow suppression (the framework applies allowances
  * once, centrally). `companion` contributes unordered-container
  * declarations only.
  */
-std::vector<Violation>
+std::vector<analyze::Violation>
 determinismPass(const analyze::SourceFile &file,
                 const analyze::SourceFile *companion);
 

@@ -18,7 +18,7 @@ namespace memcon::analyze
 
 struct RuleInfo
 {
-    std::string name;     //!< as accepted by lint:allow(<name>)
+    std::string name;     //!< as named in a lint:allow marker
     std::string pass;     //!< determinism | markers | concurrency |
                           //!< layering | units | hotpath
     std::string severity; //!< all rules are "error" today; the field

@@ -3,6 +3,8 @@
 #include <cctype>
 #include <set>
 
+#include "registry.hh"
+
 namespace memcon::analyze
 {
 namespace
@@ -27,7 +29,9 @@ kindTakesArg(const std::string &kind)
 /**
  * Harvest lint:allow and memcon: markers from one comment's text.
  * Matched markers are skipped over entirely (two markers on one line
- * both register); malformed ones become lint-marker violations.
+ * both register); malformed ones - including an allow naming a rule
+ * missing from the registry - become lint-marker violations and
+ * never allowances.
  */
 void
 scanMarkers(const std::string &comment, unsigned comment_line,
@@ -55,8 +59,15 @@ scanMarkers(const std::string &comment, unsigned comment_line,
                 i = start;
                 continue;
             }
-            out.allowances.push_back(
-                {line, comment.substr(start, close - start)});
+            std::string rule = comment.substr(start, close - start);
+            if (knownRule(rule))
+                out.allowances.push_back({line, std::move(rule)});
+            else
+                out.markerViolations.push_back(
+                    {file, line, "lint-marker",
+                     "lint:allow names unknown rule '" + rule +
+                         "'; the suppression is inert - fix the name "
+                         "(see memcon_analyze --list)"});
             i = close + 1;
             continue;
         }

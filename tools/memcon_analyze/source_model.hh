@@ -9,7 +9,7 @@
  * stripping - the include path lives in a string literal), and the
  * markers harvested from comment text:
  *
- *   lint:allow(<rule>)    suppress <rule> on this or the next line
+ *   allow(<rule>)         suppress <rule> on this or the next line
  *                         (the escape hatch every pass honors)
  *   guarded_by(<mutex>)   the member declared on this (or the next)
  *                         line may only be touched while <mutex> is
@@ -21,11 +21,13 @@
  *   requires(<mutex>)     the function defined below is called with
  *                         <mutex> already held
  *
- * The annotation kinds are spelled with a `memcon:` prefix directly
- * before the kind, in any comment (this header's own docs name them
- * bare so the analyzer's self-scan does not read prose as markers).
+ * The allow marker is spelled with a `lint:` prefix and the
+ * annotation kinds with a `memcon:` prefix directly before the kind,
+ * in any comment (this header's own docs name them bare so the
+ * analyzer's self-scan does not read prose as markers).
  *
- * A malformed marker - an unterminated allow marker, a known kind
+ * A malformed marker - an unterminated allow marker, an allow marker
+ * naming a rule the registry does not know, a known kind
  * with a missing or unclosed argument list, an annotation that does
  * not attach to any declaration or function body - is a violation of
  * its own (rule `lint-marker`), never a silent no-op: a suppression
@@ -58,7 +60,7 @@ struct Token
     unsigned line;
 };
 
-/** A lint:allow(<rule>) marker found in a comment. */
+/** A lint:allow marker naming a registered rule, from a comment. */
 struct Allowance
 {
     unsigned line;
@@ -103,8 +105,8 @@ bool isMemberAccess(const std::vector<Token> &tokens, std::size_t i);
 bool isThisAccess(const std::vector<Token> &tokens, std::size_t i);
 
 /**
- * Drop every violation a lint:allow(<rule>) marker on the same line
- * or the line above covers. Order is preserved.
+ * Drop every violation a lint:allow marker naming its rule covers,
+ * on the same line or the line above. Order is preserved.
  */
 std::vector<Violation>
 applyAllowances(std::vector<Violation> raw,
