@@ -25,14 +25,13 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_util.hh"
 #include "common/random.hh"
 #include "common/table.hh"
-#include "core/online_memcon.hh"
+#include "core/closed_loop.hh"
 #include "failure/injector.hh"
 #include "failure/vrt.hh"
 #include "runner.hh"
@@ -91,27 +90,6 @@ runOne(double transient_rate, Layer layer, std::uint64_t seed, bool quick)
     failure::FaultInjector injector(inj_cfg, geom.totalRows());
     injector.attachVrt(&vrt);
 
-    Tick now{};
-
-    OnlineMemcon *slot = nullptr;
-    sim::ControllerConfig mc_cfg;
-    OnlineMemcon::installObserver(mc_cfg, slot);
-    mc_cfg.eccProbe = [&](std::uint64_t addr, Tick t) {
-        RowId row = geom.flatRowIndex(geom.decompose(addr));
-        bool lo = slot && slot->isLoRef(row);
-        return injector.onRead(row, t, lo);
-    };
-    // Chain the injector's restore semantics behind MEMCON's write
-    // observer: a demand write rewrites the row's content.
-    auto inner = mc_cfg.writeObserver;
-    mc_cfg.writeObserver = [&, inner](std::uint64_t addr, Tick t) {
-        injector.onRowRestored(geom.flatRowIndex(geom.decompose(addr)),
-                               t);
-        if (inner)
-            inner(addr, t);
-    };
-    sim::MemoryController mc(geom, timing, mc_cfg);
-
     OnlineMemconConfig om_cfg;
     om_cfg.quantum = usToTicks(20.0);
     om_cfg.testIdle = usToTicks(10.0);
@@ -127,34 +105,32 @@ runOne(double transient_rate, Layer layer, std::uint64_t seed, bool quick)
     om_cfg.resilience.scrubPeriod =
         layer == Layer::OnScrub ? usToTicks(60.0) : Tick{};
     om_cfg.resilience.scrubRowsPerSweep = 8;
-    // The test verdicts consult the injector's latent state: a row
-    // holding unsurfaced corruption fails its (re-)certification.
-    auto om = std::make_unique<OnlineMemcon>(
-        geom, mc, om_cfg, [&](RowId row) {
-            return injector.hasLatentFault(row, now, true);
-        });
-    slot = om.get();
+    // The injector decodes demand reads, demand writes restore rows,
+    // and test verdicts consult its latent state: a row holding
+    // unsurfaced corruption fails its (re-)certification.
+    ClosedLoop loop(geom, timing, om_cfg, injector);
+    const OnlineMemcon &om = loop.memcon();
 
     trace::CpuAccessStream stream(
         trace::CpuPersona::byName("perlbench"), hashMix64(seed ^ 0xc02e));
-    sim::SimpleCore core(0, std::move(stream), mc, 0,
+    sim::SimpleCore core(0, std::move(stream), loop.controller(), 0,
                          geom.totalBlocks());
 
     const Tick horizon = msToTicks(quick ? 0.5 : 2.0);
     const Tick sample_period = usToTicks(40.0);
     Tick next_sample = sample_period;
     std::uint64_t samples = 0, latent_sum = 0, latent_peak = 0;
+    Tick now{};
     while (now < horizon) {
         now += timing.tCk;
-        mc.tick(now);
-        om->tick(now);
+        loop.tick(now);
         for (unsigned k = 0; k < 5; ++k)
             core.tick(now);
         if (now >= next_sample) {
             next_sample += sample_period;
             std::uint64_t latent = 0;
             for (std::uint64_t r = 0; r < geom.totalRows(); ++r)
-                if (om->isLoRef(RowId{r}) &&
+                if (om.isLoRef(RowId{r}) &&
                     injector.hasLatentFault(RowId{r}, now, true))
                     ++latent;
             ++samples;
@@ -164,13 +140,13 @@ runOne(double transient_rate, Layer layer, std::uint64_t seed, bool quick)
     }
 
     return bench::Metrics{
-        {"lo_fraction", om->loRefFraction()},
-        {"reduction", om->emergentReduction()},
-        {"corrected", om->stats().value("ecc.corrected")},
-        {"uncorrectable", om->stats().value("ecc.uncorrectable")},
-        {"fallbacks", om->stats().value("fallback.entries")},
-        {"pinned", static_cast<double>(om->pinnedRows())},
-        {"scrub_failed", om->stats().value("scrub.failed")},
+        {"lo_fraction", om.loRefFraction()},
+        {"reduction", om.emergentReduction()},
+        {"corrected", om.stats().value("ecc.corrected")},
+        {"uncorrectable", om.stats().value("ecc.uncorrectable")},
+        {"fallbacks", om.stats().value("fallback.entries")},
+        {"pinned", static_cast<double>(om.pinnedRows())},
+        {"scrub_failed", om.stats().value("scrub.failed")},
         {"avg_latent_lo_rows",
          samples ? static_cast<double>(latent_sum) / samples : 0.0},
         {"peak_latent_lo_rows", static_cast<double>(latent_peak)},

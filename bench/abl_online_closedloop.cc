@@ -21,7 +21,7 @@
 
 #include "bench_util.hh"
 #include "common/table.hh"
-#include "core/online_memcon.hh"
+#include "core/closed_loop.hh"
 #include "runner.hh"
 #include "sim/system.hh"
 #include "trace/cpu_gen.hh"
@@ -40,23 +40,22 @@ runOne(const char *persona_name, bool with_memcon, std::uint64_t seed,
     geom.rowsPerBank = 64; // 512 rows: testable within the window
     auto timing = dram::TimingParams::ddr3_1600(dram::Density::Gb8, TimeMs{16.0});
 
-    OnlineMemcon *slot = nullptr;
-    sim::ControllerConfig mc_cfg;
-    if (with_memcon)
-        OnlineMemcon::installObserver(mc_cfg, slot);
-    sim::MemoryController mc(geom, timing, mc_cfg);
-
     OnlineMemconConfig om_cfg;
     om_cfg.quantum = usToTicks(20.0);
     om_cfg.testIdle = usToTicks(10.0);
     om_cfg.retargetPeriod = usToTicks(10.0);
     om_cfg.testEngine.slots = 16;
     om_cfg.testEngine.wordsPerRow = 64;
-    std::unique_ptr<OnlineMemcon> om;
-    if (with_memcon) {
-        om = std::make_unique<OnlineMemcon>(geom, mc, om_cfg);
-        slot = om.get();
-    }
+    // The baseline arm runs a bare controller.
+    std::unique_ptr<ClosedLoop> loop;
+    std::unique_ptr<sim::MemoryController> bare;
+    if (with_memcon)
+        loop = std::make_unique<ClosedLoop>(geom, timing, om_cfg);
+    else
+        bare = std::make_unique<sim::MemoryController>(
+            geom, timing, sim::ControllerConfig{});
+    sim::MemoryController &mc = loop ? loop->controller() : *bare;
+    const OnlineMemcon *om = loop ? &loop->memcon() : nullptr;
 
     trace::CpuAccessStream stream(
         trace::CpuPersona::byName(persona_name), seed);
@@ -68,9 +67,10 @@ runOne(const char *persona_name, bool with_memcon, std::uint64_t seed,
     const Tick horizon = msToTicks(quick ? 0.2 : 1.0);
     while (now < horizon) {
         now += timing.tCk;
-        mc.tick(now);
-        if (om)
-            om->tick(now);
+        if (loop)
+            loop->tick(now);
+        else
+            mc.tick(now);
         for (unsigned k = 0; k < 5; ++k)
             core.tick(now);
     }

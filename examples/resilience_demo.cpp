@@ -20,9 +20,8 @@
  */
 
 #include <cstdio>
-#include <memory>
 
-#include "core/online_memcon.hh"
+#include "core/closed_loop.hh"
 #include "failure/injector.hh"
 #include "failure/vrt.hh"
 #include "sim/system.hh"
@@ -55,24 +54,6 @@ main()
     failure::FaultInjector injector(inj_cfg, geom.totalRows());
     injector.attachVrt(&vrt);
 
-    Tick now{};
-
-    OnlineMemcon *slot = nullptr;
-    sim::ControllerConfig mc_cfg;
-    OnlineMemcon::installObserver(mc_cfg, slot);
-    mc_cfg.eccProbe = [&](std::uint64_t addr, Tick t) {
-        RowId row = geom.flatRowIndex(geom.decompose(addr));
-        return injector.onRead(row, t, slot && slot->isLoRef(row));
-    };
-    auto inner = mc_cfg.writeObserver;
-    mc_cfg.writeObserver = [&, inner](std::uint64_t addr, Tick t) {
-        injector.onRowRestored(
-            geom.flatRowIndex(geom.decompose(addr)), t);
-        if (inner)
-            inner(addr, t);
-    };
-    sim::MemoryController mc(geom, timing, mc_cfg);
-
     OnlineMemconConfig om_cfg;
     om_cfg.quantum = usToTicks(20.0);
     om_cfg.testIdle = usToTicks(10.0);
@@ -82,11 +63,11 @@ main()
     om_cfg.resilience.retestBackoff = usToTicks(20.0);
     om_cfg.resilience.fallbackHold = usToTicks(60.0);
     om_cfg.resilience.scrubPeriod = usToTicks(60.0);
-    auto om = std::make_unique<OnlineMemcon>(
-        geom, mc, om_cfg, [&](RowId row) {
-            return injector.hasLatentFault(row, now, true);
-        });
-    slot = om.get();
+    // The injector decodes every demand read, demand writes restore
+    // rows, and a row holding a latent fault fails its test.
+    ClosedLoop loop(geom, timing, om_cfg, injector);
+    sim::MemoryController &mc = loop.controller();
+    const OnlineMemcon &om = loop.memcon();
 
     trace::CpuAccessStream stream(
         trace::CpuPersona::byName("perlbench"), 3);
@@ -96,25 +77,25 @@ main()
     std::printf("t(us)  LO-REF  reduction  fallback  pinned\n");
     const Tick horizon = msToTicks(2.0);
     Tick next_report = usToTicks(200.0);
+    Tick now{};
     while (now < horizon) {
         now += timing.tCk;
-        mc.tick(now);
-        om->tick(now);
+        loop.tick(now);
         for (unsigned k = 0; k < 5; ++k)
             core.tick(now);
         if (now >= next_report) {
             next_report += usToTicks(200.0);
             std::printf("%5.0f  %5.1f%%  %8.1f%%  %8s  %6llu\n",
                         ticksToMs(now) * 1000.0,
-                        100.0 * om->loRefFraction(),
+                        100.0 * om.loRefFraction(),
                         100.0 * mc.refreshReduction(),
-                        om->inFallback() ? "ACTIVE" : "-",
+                        om.inFallback() ? "ACTIVE" : "-",
                         static_cast<unsigned long long>(
-                            om->pinnedRows()));
+                            om.pinnedRows()));
         }
     }
 
-    std::printf("\nevent counters:\n%s\n", om->stats().dump().c_str());
+    std::printf("\nevent counters:\n%s\n", om.stats().dump().c_str());
     std::printf("transients injected: %llu\n",
                 static_cast<unsigned long long>(
                     injector.injectedFaults()));

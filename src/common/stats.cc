@@ -25,18 +25,9 @@ StatGroup::accum(const std::string &stat, double delta)
     scalars[stat] += delta;
 }
 
-void
-StatGroup::formula(const std::string &stat, std::function<double()> fn)
-{
-    formulas[stat] = std::move(fn);
-}
-
 double
 StatGroup::value(const std::string &stat) const
 {
-    auto fit = formulas.find(stat);
-    if (fit != formulas.end())
-        return fit->second();
     auto sit = scalars.find(stat);
     return sit == scalars.end() ? 0.0 : sit->second;
 }
@@ -44,7 +35,7 @@ StatGroup::value(const std::string &stat) const
 bool
 StatGroup::has(const std::string &stat) const
 {
-    return scalars.count(stat) || formulas.count(stat);
+    return scalars.count(stat) != 0;
 }
 
 void
@@ -62,9 +53,6 @@ StatGroup::dump() const
     for (const auto &kv : scalars)
         os << strprintf("%-48s %.6g\n", (prefix + kv.first).c_str(),
                         kv.second);
-    for (const auto &kv : formulas)
-        os << strprintf("%-48s %.6g\n", (prefix + kv.first).c_str(),
-                        kv.second());
     return os.str();
 }
 

@@ -1,15 +1,14 @@
 /**
  * @file
  * A minimal named-statistics registry in the spirit of gem5's stats
- * package: components register scalar counters and formulas under a
- * dotted name, and a group can be dumped as text at the end of a run.
+ * package: components register scalar counters under a dotted name,
+ * and a group can be dumped as text at the end of a run.
  */
 
 #ifndef MEMCON_COMMON_STATS_HH
 #define MEMCON_COMMON_STATS_HH
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 
@@ -18,8 +17,7 @@ namespace memcon
 
 /**
  * A collection of named scalar statistics. Components hold a
- * reference to a StatGroup and bump counters through it; formulas are
- * evaluated lazily at dump time.
+ * reference to a StatGroup and bump counters through it.
  */
 class StatGroup
 {
@@ -35,16 +33,13 @@ class StatGroup
     /** Accumulate a floating-point quantity. */
     void accum(const std::string &stat, double delta);
 
-    /** Register a formula evaluated at dump()/value() time. */
-    void formula(const std::string &stat, std::function<double()> fn);
-
     /** @return the current value of the named stat (0 if absent). */
     double value(const std::string &stat) const;
 
     /** @return true if the stat exists. */
     bool has(const std::string &stat) const;
 
-    /** Reset all counters and scalars to zero (formulas retained). */
+    /** Reset all counters and scalars to zero. */
     void reset();
 
     /** Render "name value" lines, sorted by name. */
@@ -55,7 +50,6 @@ class StatGroup
   private:
     std::string groupName;
     std::map<std::string, double> scalars;
-    std::map<std::string, std::function<double()>> formulas;
 };
 
 } // namespace memcon

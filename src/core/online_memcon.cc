@@ -233,28 +233,17 @@ OnlineMemcon::startCandidateTests(Tick now)
         scrubQueue.empty() ? 0 : cfg.resilience.scrubReservedSlots;
     while (!pendingCandidates.empty() && engine.freeSlots() > reserve) {
         RowId row = pendingCandidates.front();
-        pendingCandidates.pop_front();
         // A write since candidacy disqualifies the row: PRIL would
         // have evicted it, but it may already sit in our queue (a
         // stale read-only candidate re-enters through PRIL later).
         // Pinned rows are never worth re-certifying.
         if (engine.isUnderTest(row) || loRows.test(row.value()) ||
-            resilience.isPinned(row))
+            resilience.isPinned(row)) {
+            pendingCandidates.pop_front();
             continue;
-        bool ok = engine.beginTest(
-            row, [](RowId r, std::uint64_t *dst, std::size_t n) {
-                syntheticFillRow(r, dst, n);
-            });
-        if (!ok)
-            break; // reserve region exhausted (Copy&Compare)
-
-        ActiveTest test;
-        test.row = row;
-        test.readbackAt = now + cfg.testIdle;
-        test.requestsLeft = geom.columnsPerRow; // first read pass
-        if (cfg.testEngine.mode == TestMode::CopyAndCompare)
-            test.requestsLeft += geom.columnsPerRow; // copy writes
-        activeTests.push_back(test);
+        }
+        if (!beginRowTest(pendingCandidates, false, now))
+            break;
     }
 }
 
@@ -267,27 +256,38 @@ OnlineMemcon::startScrubTests(Tick now)
     // re-certification is in flight; only a failure demotes it.
     while (!scrubQueue.empty() && engine.freeSlots() > 0) {
         RowId row = scrubQueue.front();
-        scrubQueue.pop_front();
         // Demoted or re-queued since the sweep picked it: skip.
-        if (!loRows.test(row.value()) || engine.isUnderTest(row))
+        if (!loRows.test(row.value()) || engine.isUnderTest(row)) {
+            scrubQueue.pop_front();
             continue;
-        bool ok = engine.beginTest(
-            row, [](RowId r, std::uint64_t *dst, std::size_t n) {
-                syntheticFillRow(r, dst, n);
-            });
-        if (!ok) {
-            scrubQueue.push_front(row);
-            break; // reserve region exhausted (Copy&Compare)
         }
-        ActiveTest test;
-        test.row = row;
-        test.readbackAt = now + cfg.testIdle;
-        test.requestsLeft = geom.columnsPerRow;
-        if (cfg.testEngine.mode == TestMode::CopyAndCompare)
-            test.requestsLeft += geom.columnsPerRow;
-        test.isScrub = true;
-        activeTests.push_back(test);
+        if (!beginRowTest(scrubQueue, true, now))
+            break;
     }
+}
+
+bool
+OnlineMemcon::beginRowTest(std::deque<RowId> &queue, bool is_scrub,
+                           Tick now)
+{
+    const RowId row = queue.front();
+    bool ok = engine.beginTest(
+        row, [](RowId r, std::uint64_t *dst, std::size_t n) {
+            syntheticFillRow(r, dst, n);
+        });
+    if (!ok)
+        return false; // reserve region exhausted (Copy&Compare): retry
+    queue.pop_front();
+
+    ActiveTest test;
+    test.row = row;
+    test.readbackAt = now + cfg.testIdle;
+    test.requestsLeft = geom.columnsPerRow; // first read pass
+    if (cfg.testEngine.mode == TestMode::CopyAndCompare)
+        test.requestsLeft += geom.columnsPerRow; // copy writes
+    test.isScrub = is_scrub;
+    activeTests.push_back(test);
+    return true;
 }
 
 void

@@ -58,12 +58,7 @@
 #include "core/resilience.hh"
 #include "core/test_engine.hh"
 #include "dram/address_map.hh"
-// Deliberate back-edge: the closed-loop online engine observes and
-// re-targets the sim::MemoryController directly. Inverting it (a
-// core-side observer interface the controller implements) is tracked
-// in ROADMAP.md; until then this is the one sanctioned core -> sim
-// edge.
-#include "sim/controller.hh" // lint:allow(layering)
+#include "sim/controller.hh"
 
 namespace memcon::core
 {
@@ -130,8 +125,9 @@ class OnlineMemcon
     /**
      * @param geometry    module geometry (page = row granularity)
      * @param controller  the controller to observe and re-target;
-     *                    this object installs itself as the write
-     *                    observer via attach()
+     *                    its observers must report here (see
+     *                    installObserver; core::ClosedLoop wires
+     *                    both halves)
      */
     OnlineMemcon(const dram::Geometry &geometry,
                  sim::MemoryController &controller,
@@ -139,10 +135,11 @@ class OnlineMemcon
                  RowFailureOracle oracle = {});
 
     /**
-     * Install the write and error observers into a controller
-     * config. Call before constructing the controller, then pass the
-     * controller to this class; split because the controller takes
-     * its config by value at construction.
+     * Install the write, ACT and error observers into a controller
+     * config; they report to `slot` once it is set. Call before
+     * constructing the controller, then pass the controller to this
+     * class; split because the controller takes its config by value
+     * at construction.
      */
     static void installObserver(sim::ControllerConfig &cfg,
                                 OnlineMemcon *&slot);
@@ -253,6 +250,9 @@ class OnlineMemcon
 
     void startCandidateTests(Tick now);
     void startScrubTests(Tick now);
+    /** Begin testing the row at the head of `queue`; it leaves the
+     * queue only if its test began. */
+    bool beginRowTest(std::deque<RowId> &queue, bool is_scrub, Tick now);
     void pumpTestTraffic(Tick now);
     void pumpVictimRefreshes(Tick now);
     void completeDueTests(Tick now);

@@ -75,17 +75,6 @@ TestEngine::beginTest(RowId row, const BlockRowReader &reader)
     return true;
 }
 
-bool
-TestEngine::beginTest(RowId row, const RowReader &reader)
-{
-    return beginTest(
-        row, BlockRowReader([&reader](RowId r, std::uint64_t *dst,
-                                      std::size_t n_words) {
-            for (std::size_t w = 0; w < n_words; ++w)
-                dst[w] = reader(r, w);
-        }));
-}
-
 std::optional<Redirection>
 TestEngine::redirect(RowId row) const
 {
@@ -151,17 +140,6 @@ TestEngine::completeTest(RowId row, const BlockRowReader &reader)
     else
         ++failed;
     return clean ? TestOutcome::Pass : TestOutcome::Fail;
-}
-
-TestOutcome
-TestEngine::completeTest(RowId row, const RowReader &reader)
-{
-    return completeTest(
-        row, BlockRowReader([&reader](RowId r, std::uint64_t *dst,
-                                      std::size_t n_words) {
-            for (std::size_t w = 0; w < n_words; ++w)
-                dst[w] = reader(r, w);
-        }));
 }
 
 std::vector<RowId>

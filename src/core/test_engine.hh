@@ -75,10 +75,6 @@ struct TestEngineConfig
 class TestEngine
 {
   public:
-    /** Reads the current content of (row, word) from the device. */
-    using RowReader =
-        std::function<std::uint64_t(RowId row, std::size_t word_idx)>;
-
     /**
      * Reads the whole row into dst[0..n_words) in one call - the
      * bit-parallel form (DESIGN.md §19). The captured buffers are
@@ -106,9 +102,6 @@ class TestEngine
      */
     bool beginTest(RowId row, const BlockRowReader &reader);
 
-    /** Per-word convenience wrapper around the block form. */
-    bool beginTest(RowId row, const RowReader &reader);
-
     /**
      * Where to serve a program access to this row from during the
      * test; empty if the row is not under test (access the row
@@ -129,9 +122,6 @@ class TestEngine
      * the captured state.
      */
     TestOutcome completeTest(RowId row, const BlockRowReader &reader);
-
-    /** Per-word convenience wrapper around the block form. */
-    TestOutcome completeTest(RowId row, const RowReader &reader);
 
     /** Rows currently under test, ascending. */
     std::vector<RowId> rowsUnderTest() const;

@@ -91,6 +91,7 @@ class FaultInjector
      * same way it retires pending transients.
      */
     void attachDisturb(DisturbModel *disturb) { disturbModel = disturb; }
+    DisturbModel *disturb() const { return disturbModel; }
 
     /** Attach the content-dependent model + the content installed in
      * the module (optional source). */

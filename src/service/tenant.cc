@@ -89,22 +89,17 @@ TenantSession::TenantSession(const TenantSpec &spec,
       rc(runtime),
       geom(runtime.geometry),
       timing(runtime.timing),
+      loop(geom, timing, rc.memcon, failureOracle(runtime, tenant_index)),
       stream(trafficConfig(spec, runtime, tenant_index)),
       ring(runtime.ringCapacity)
 {
-    sim::ControllerConfig mc_cfg;
-    core::OnlineMemcon::installObserver(mc_cfg, memconSlot);
-    mc = std::make_unique<sim::MemoryController>(geom, timing, mc_cfg);
-    om = std::make_unique<core::OnlineMemcon>(
-        geom, *mc, rc.memcon, failureOracle(runtime, tenant_index));
-    memconSlot = om.get();
 }
 
 void
 TenantSession::applyDirectives(const RoundDirectives &directives)
 {
-    om->setScansShed(directives.scansShed);
-    om->setQuantumStretch(directives.quantumStretch);
+    loop.memcon().setScansShed(directives.scansShed);
+    loop.memcon().setQuantumStretch(directives.quantumStretch);
 }
 
 void
@@ -183,7 +178,7 @@ TenantSession::consumeCycle(Tick now, std::uint64_t &budget_left)
     sim::Request req;
     req.type = sim::Request::Type::Write;
     req.addr = geom.compose(geom.rowFromFlatIndex(RowId{ev.row}));
-    if (!mc->enqueue(std::move(req), now))
+    if (!loop.controller().enqueue(std::move(req), now))
         return; // controller queue full; the event stays in the ring
 
     ring.popFront();
@@ -211,8 +206,7 @@ TenantSession::runRound(const RoundDirectives &directives, Tick round_start,
             token->throwIfCancelled();
         produceCycle(now, directives);
         consumeCycle(now, budget);
-        mc->tick(now);
-        om->tick(now);
+        loop.tick(now);
     }
 
     RoundReport report;
@@ -243,8 +237,7 @@ TenantSession::replayRound(const RoundDirectives &directives,
     for (Tick now = round_start + timing.tCk; now <= round_end;
          now += timing.tCk) {
         consumeCycle(now, budget);
-        mc->tick(now);
-        om->tick(now);
+        loop.tick(now);
     }
 
     panic_if(!ring.empty(),
@@ -277,6 +270,7 @@ TenantSession::p99IngestTicks() const
 std::string
 TenantSession::metricsLine() const
 {
+    const core::OnlineMemcon &om = loop.memcon();
     return strprintf(
         "tenant=%s gen=%llu app=%llu dbp=%llu dsh=%llu thr=%llu "
         "backlog=%llu held=%d fp=%08x lo=%.17g red=%.17g "
@@ -285,13 +279,13 @@ TenantSession::metricsLine() const
         (unsigned long long)applied, (unsigned long long)droppedBp,
         (unsigned long long)droppedShedEv, (unsigned long long)throttledTk,
         (unsigned long long)(ring.size() + (held ? 1 : 0)), held ? 1 : 0,
-        om->stateFingerprint(), om->loRefFraction(),
-        om->emergentReduction(), (unsigned long long)om->testsStarted(),
-        (unsigned long long)om->testsPassed(),
-        (unsigned long long)om->testsFailed(),
-        (unsigned long long)om->testsAborted(),
-        (unsigned long long)om->demotions(),
-        (unsigned long long)om->pinnedRows(), p99IngestTicks());
+        om.stateFingerprint(), om.loRefFraction(), om.emergentReduction(),
+        (unsigned long long)om.testsStarted(),
+        (unsigned long long)om.testsPassed(),
+        (unsigned long long)om.testsFailed(),
+        (unsigned long long)om.testsAborted(),
+        (unsigned long long)om.demotions(),
+        (unsigned long long)om.pinnedRows(), p99IngestTicks());
 }
 
 void

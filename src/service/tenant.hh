@@ -34,13 +34,13 @@
 #define MEMCON_SERVICE_TENANT_HH
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/histogram.hh"
 #include "common/thread_pool.hh"
 #include "common/units.hh"
+#include "core/closed_loop.hh"
 #include "core/online_memcon.hh"
 #include "dram/organization.hh"
 #include "dram/timing.hh"
@@ -194,11 +194,11 @@ class TenantSession
     double p99IngestTicks() const;
 
     // --- mechanism telemetry ----------------------------------------
-    core::OnlineMemcon &memcon() { return *om; }
-    const core::OnlineMemcon &memcon() const { return *om; }
+    core::OnlineMemcon &memcon() { return loop.memcon(); }
+    const core::OnlineMemcon &memcon() const { return loop.memcon(); }
     std::uint32_t stateFingerprint() const
     {
-        return om->stateFingerprint();
+        return loop.memcon().stateFingerprint();
     }
 
     /**
@@ -234,9 +234,7 @@ class TenantSession
     dram::Geometry geom;
     dram::TimingParams timing;
 
-    core::OnlineMemcon *memconSlot = nullptr;
-    std::unique_ptr<sim::MemoryController> mc;
-    std::unique_ptr<core::OnlineMemcon> om;
+    core::ClosedLoop loop;
     trace::TenantWriteStream stream;
     IngestRing ring;
 

@@ -713,16 +713,17 @@ TEST(AnalyzeLayering, InjectedBackEdgeFailsClosed)
 
 TEST(AnalyzeLayering, LegalEdgesAndSiblingsAreClean)
 {
-    // Every downward edge plus a same-rank sibling edge (core ->
-    // failure) is legal.
+    // Every downward edge plus a same-rank sibling edge (failure ->
+    // trace) is legal.
     Sources tree = {
         {"src/common/units.hh", "int u;\n"},
         {"src/dram/timing.hh", "#include \"common/units.hh\"\n"},
-        {"src/core/engine.hh", "#include \"dram/timing.hh\"\n"
-                               "#include \"failure/model.hh\"\n"},
-        {"src/failure/model.hh", "#include \"dram/timing.hh\"\n"},
-        {"src/sim/system.hh", "#include \"core/engine.hh\"\n"},
-        {"src/service/memcond.hh", "#include \"sim/system.hh\"\n"},
+        {"src/failure/model.hh", "#include \"dram/timing.hh\"\n"
+                                 "#include \"trace/app.hh\"\n"},
+        {"src/trace/app.hh", "#include \"dram/timing.hh\"\n"},
+        {"src/sim/system.hh", "#include \"failure/model.hh\"\n"},
+        {"src/core/engine.hh", "#include \"sim/system.hh\"\n"},
+        {"src/service/memcond.hh", "#include \"core/engine.hh\"\n"},
         {"bench/run.cc", "#include \"service/memcond.hh\"\n"},
         {"tools/x/main.cc", "#include \"sim/system.hh\"\n"},
         {"examples/demo.cpp", "#include \"core/engine.hh\"\n"},
@@ -747,14 +748,14 @@ TEST(AnalyzeLayering, IncludeCycleReportedWithChain)
     // cycle. The chain is printed so the offending loop is readable
     // from the one violation line.
     Sources tree = {
-        {"src/core/a.hh", "#include \"trace/b.hh\"\n"},
-        {"src/trace/b.hh", "#include \"core/a.hh\"\n"},
+        {"src/failure/a.hh", "#include \"trace/b.hh\"\n"},
+        {"src/trace/b.hh", "#include \"failure/a.hh\"\n"},
     };
     AnalyzeResult r = analyzeSources(tree, {});
     ASSERT_EQ(rulesOf(r), std::vector<std::string>{"layering"});
     EXPECT_NE(r.violations[0].message.find("include cycle"),
               std::string::npos);
-    EXPECT_NE(r.violations[0].message.find("src/core/a.hh"),
+    EXPECT_NE(r.violations[0].message.find("src/failure/a.hh"),
               std::string::npos);
     EXPECT_NE(r.violations[0].message.find("src/trace/b.hh"),
               std::string::npos);
@@ -762,12 +763,15 @@ TEST(AnalyzeLayering, IncludeCycleReportedWithChain)
 
 TEST(AnalyzeLayering, BackEdgeSuppressedByJustifiedAllow)
 {
-    // The sanctioned escape, as src/core/online_memcon.hh uses it.
+    // The escape hatch: a justified allow on the offending line. The
+    // edge (sim -> core) is a back-edge without it.
     Sources tree = {
-        {"src/core/online.hh",
-         "#include \"sim/controller.hh\" // lint:allow(layering)\n"},
-        {"src/sim/controller.hh", "int c;\n"},
+        {"src/sim/controller.hh", "#include \"core/online.hh\"\n"},
+        {"src/core/online.hh", "int c;\n"},
     };
+    EXPECT_EQ(rulesOf(analyzeSources(tree, {})),
+              std::vector<std::string>{"layering"});
+    tree[0].second = "#include \"core/online.hh\" // lint:allow(layering)\n";
     EXPECT_TRUE(analyzeSources(tree, {}).violations.empty());
 }
 
@@ -909,6 +913,23 @@ TEST(AnalyzeTree, RealTreeIsCleanUnderEveryPass)
         {});
     EXPECT_TRUE(r.violations.empty()) << formatText(r);
     EXPECT_GT(r.filesScanned, 100u);
+}
+
+TEST(AnalyzeTree, NoLayeringAllowances)
+{
+    // The component DAG closes: no file in the shipping trees needs
+    // a layering allow to get past the pass.
+    using memcon::analyze::formatAllowances;
+    using memcon::analyze::listAllowancesInPaths;
+    AnalyzeOptions only;
+    only.only = {"layering"};
+    auto sites = listAllowancesInPaths(
+        {std::string(MEMCON_SOURCE_DIR) + "/src",
+         std::string(MEMCON_SOURCE_DIR) + "/bench",
+         std::string(MEMCON_SOURCE_DIR) + "/tools",
+         std::string(MEMCON_SOURCE_DIR) + "/examples"},
+        only);
+    EXPECT_TRUE(sites.empty()) << formatAllowances(sites);
 }
 
 // ---------------------------------------------------------------------

@@ -20,7 +20,7 @@
 #include <memory>
 #include <vector>
 
-#include "core/online_memcon.hh"
+#include "core/closed_loop.hh"
 #include "core/resilience.hh"
 #include "dram/address_map.hh"
 #include "failure/disturb.hh"
@@ -708,31 +708,6 @@ struct DisturbLoopRig
                                                    geom.totalRows());
         injector->attachDisturb(disturb.get());
 
-        sim::ControllerConfig mc_cfg;
-        OnlineMemcon::installObserver(mc_cfg, slot);
-        mc_cfg.eccProbe = [this](std::uint64_t addr, Tick t) {
-            RowId row = geom.flatRowIndex(geom.decompose(addr));
-            return injector->onRead(row, t, slot && slot->isLoRef(row));
-        };
-        auto inner_write = mc_cfg.writeObserver;
-        mc_cfg.writeObserver = [this, inner_write](std::uint64_t addr,
-                                                   Tick t) {
-            injector->onRowRestored(
-                geom.flatRowIndex(geom.decompose(addr)), t);
-            if (inner_write)
-                inner_write(addr, t);
-        };
-        auto inner_act = mc_cfg.activateObserver;
-        mc_cfg.activateObserver = [this, inner_act](std::uint64_t addr,
-                                                    Tick t) {
-            disturb->onActivate(geom.flatRowIndex(geom.decompose(addr)),
-                                t);
-            if (inner_act)
-                inner_act(addr, t);
-        };
-        mc = std::make_unique<sim::MemoryController>(geom, timing,
-                                                     mc_cfg);
-
         OnlineMemconConfig om_cfg;
         om_cfg.quantum = usToTicks(20.0);
         om_cfg.testIdle = usToTicks(10.0);
@@ -754,16 +729,10 @@ struct DisturbLoopRig
         om_cfg.disturbGuard.bankCrossingLimit = 1u << 20;
         om_cfg.disturbGuard.crossingWindow = usToTicks(100.0);
         om_cfg.disturbGuard.bankDegradeHold = usToTicks(50.0);
-        om_cfg.victimRefresher = [this](RowId victim, Tick t) {
-            disturb->onVictimRefreshed(victim, t);
-        };
-        memcon = std::make_unique<OnlineMemcon>(
-            geom, *mc, om_cfg, [this](RowId row) {
-                return injector->hasLatentFault(row, now, true);
-            });
-        slot = memcon.get();
-        disturb->setLoRefQuery(
-            [this](RowId row) { return slot->isLoRef(row); });
+        loop = std::make_unique<core::ClosedLoop>(geom, timing, om_cfg,
+                                                  *injector);
+        mc = &loop->controller();
+        memcon = &loop->memcon();
 
         HammerSpec hs;
         hs.kind = HammerKind::DoubleSided;
@@ -799,9 +768,9 @@ struct DisturbLoopRig
     AddressMap map;
     std::unique_ptr<DisturbModel> disturb;
     std::unique_ptr<FaultInjector> injector;
-    OnlineMemcon *slot = nullptr;
-    std::unique_ptr<sim::MemoryController> mc;
-    std::unique_ptr<OnlineMemcon> memcon;
+    std::unique_ptr<core::ClosedLoop> loop;
+    sim::MemoryController *mc = nullptr;
+    OnlineMemcon *memcon = nullptr;
     std::unique_ptr<HammerStream> hammer;
     Tick now{};
 };
@@ -846,8 +815,7 @@ TEST(DisturbProperty, LadderNeverLosesARowUnderComposedFaults)
             rig.enqueueRead(rig.map.pageOf(bank, r));
             ++benign_cursor;
         }
-        rig.mc->tick(rig.now);
-        rig.memcon->tick(rig.now);
+        rig.loop->tick(rig.now);
 
         if (rig.now < next_check)
             continue;

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "common/random.hh"
@@ -135,14 +136,14 @@ struct FakeRows
 {
     std::unordered_map<std::uint64_t, std::vector<std::uint64_t>> rows;
 
-    core::TestEngine::RowReader
+    core::TestEngine::BlockRowReader
     reader()
     {
-        return [this](RowId row, std::size_t w) {
+        return [this](RowId row, std::uint64_t *dst, std::size_t n_words) {
             auto &data = rows[row.value()];
-            if (data.size() <= w)
-                data.resize(w + 1, row.value() * 1000 + w);
-            return data[w];
+            for (std::size_t w = data.size(); w < n_words; ++w)
+                data.push_back(row.value() * 1000 + w);
+            std::copy_n(data.begin(), n_words, dst);
         };
     }
 };
@@ -170,7 +171,6 @@ TEST_P(TestEngineModes, FailWhenCellDecays)
     FakeRows mem;
     ASSERT_TRUE(engine.beginTest(RowId{7}, mem.reader()));
     // A cell decays during the idle period.
-    mem.reader()(RowId{7}, 10); // materialize
     mem.rows[7][10] ^= 0x4;
     EXPECT_EQ(engine.completeTest(RowId{7}, mem.reader()),
               core::TestOutcome::Fail);

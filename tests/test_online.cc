@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
-#include "core/online_memcon.hh"
+#include <memory>
+
+#include "core/closed_loop.hh"
 #include "sim/system.hh"
 #include "trace/cpu_gen.hh"
 
@@ -23,15 +25,9 @@ struct Rig
     explicit Rig(OnlineMemconConfig cfg = smallConfig(),
                  OnlineMemcon::RowFailureOracle oracle = {})
         : geom(smallGeom()),
-          timing(dram::TimingParams::ddr3_1600(dram::Density::Gb8, TimeMs{16.0}))
+          timing(dram::TimingParams::ddr3_1600(dram::Density::Gb8, TimeMs{16.0})),
+          loop(geom, timing, cfg, std::move(oracle))
     {
-        sim::ControllerConfig mc_cfg;
-        OnlineMemcon::installObserver(mc_cfg, memconSlot);
-        mc = std::make_unique<sim::MemoryController>(geom, timing,
-                                                     mc_cfg);
-        memcon = std::make_unique<OnlineMemcon>(geom, *mc, cfg,
-                                                std::move(oracle));
-        memconSlot = memcon.get();
     }
 
     static dram::Geometry
@@ -63,8 +59,7 @@ struct Rig
     {
         for (unsigned i = 0; i < cycles; ++i) {
             now += timing.tCk;
-            mc->tick(now);
-            memcon->tick(now);
+            loop.tick(now);
         }
     }
 
@@ -82,9 +77,9 @@ struct Rig
 
     dram::Geometry geom;
     dram::TimingParams timing;
-    OnlineMemcon *memconSlot = nullptr;
-    std::unique_ptr<sim::MemoryController> mc;
-    std::unique_ptr<OnlineMemcon> memcon;
+    ClosedLoop loop;
+    sim::MemoryController *mc = &loop.controller();
+    OnlineMemcon *memcon = &loop.memcon();
     Tick now{};
 };
 
@@ -231,6 +226,24 @@ TEST(OnlineMemcon, SlotBudgetQueuesCandidates)
         EXPECT_TRUE(rig.memcon->isLoRef(RowId{r})) << "row " << r;
 }
 
+TEST(OnlineMemcon, ExhaustedReserveRequeuesCandidates)
+{
+    // Copy&Compare with one reserve row: slots are free, but only one
+    // test can hold the reserve at a time. The other candidates must
+    // wait their turn rather than drop out of the queue.
+    OnlineMemconConfig cfg = Rig::smallConfig();
+    cfg.testEngine.mode = TestMode::CopyAndCompare;
+    cfg.testEngine.reserveRowsPerBank = 1;
+    cfg.testEngine.banks = 1;
+    cfg.testEngine.slots = 4;
+    Rig rig(cfg);
+    for (std::uint64_t r = 0; r < 3; ++r)
+        rig.writeRow(r);
+    rig.spin(400000); // 500 us
+    for (std::uint64_t r = 0; r < 3; ++r)
+        EXPECT_TRUE(rig.memcon->isLoRef(RowId{r})) << "row " << r;
+}
+
 TEST(OnlineMemcon, FullSystemClosedLoop)
 {
     // End to end with real cores: the reduction emerges and the
@@ -241,20 +254,17 @@ TEST(OnlineMemcon, FullSystemClosedLoop)
     auto timing = dram::TimingParams::ddr3_1600(dram::Density::Gb8, TimeMs{16.0});
 
     auto run = [&](bool with_memcon) {
-        OnlineMemcon *slot = nullptr;
-        sim::ControllerConfig mc_cfg;
-        if (with_memcon)
-            OnlineMemcon::installObserver(mc_cfg, slot);
-        sim::MemoryController mc(geom, timing, mc_cfg);
-
         OnlineMemconConfig om_cfg = Rig::smallConfig();
         om_cfg.quantum = usToTicks(10.0);
         om_cfg.testIdle = usToTicks(5.0);
-        std::unique_ptr<OnlineMemcon> om;
-        if (with_memcon) {
-            om = std::make_unique<OnlineMemcon>(geom, mc, om_cfg);
-            slot = om.get();
-        }
+        std::unique_ptr<ClosedLoop> loop;
+        std::unique_ptr<sim::MemoryController> bare;
+        if (with_memcon)
+            loop = std::make_unique<ClosedLoop>(geom, timing, om_cfg);
+        else
+            bare = std::make_unique<sim::MemoryController>(
+                geom, timing, sim::ControllerConfig{});
+        sim::MemoryController &mc = loop ? loop->controller() : *bare;
 
         trace::CpuAccessStream stream(
             trace::CpuPersona::byName("perlbench"), 1);
@@ -264,15 +274,16 @@ TEST(OnlineMemcon, FullSystemClosedLoop)
         const Tick horizon = msToTicks(0.8);
         while (now < horizon) {
             now += timing.tCk;
-            mc.tick(now);
-            if (om)
-                om->tick(now);
+            if (loop)
+                loop->tick(now);
+            else
+                mc.tick(now);
             for (unsigned k = 0; k < 5; ++k)
                 core.tick(now);
         }
         return std::pair{mc.stats().value("refresh") /
                              ticksToMs(now).value(),
-                         om ? om->loRefFraction() : 0.0};
+                         loop ? loop->memcon().loRefFraction() : 0.0};
     };
 
     auto [base_rate, base_lo] = run(false);

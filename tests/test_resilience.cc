@@ -12,9 +12,8 @@
 #include <gtest/gtest.h>
 
 #include <functional>
-#include <memory>
 
-#include "core/online_memcon.hh"
+#include "core/closed_loop.hh"
 #include "failure/injector.hh"
 #include "failure/vrt.hh"
 
@@ -33,10 +32,15 @@ struct Rig
     explicit Rig(OnlineMemconConfig cfg = smallConfig(),
                  OnlineMemcon::RowFailureOracle oracle = {})
         : geom(smallGeom()),
-          timing(dram::TimingParams::ddr3_1600(dram::Density::Gb8, TimeMs{16.0}))
+          timing(dram::TimingParams::ddr3_1600(dram::Density::Gb8, TimeMs{16.0})),
+          loop(geom, timing, cfg, std::move(oracle), probeConfig())
+    {
+    }
+
+    sim::ControllerConfig
+    probeConfig()
     {
         sim::ControllerConfig mc_cfg;
-        OnlineMemcon::installObserver(mc_cfg, memconSlot);
         mc_cfg.eccProbe = [this](std::uint64_t addr,
                                  Tick t) -> EccStatus {
             ++probeCalls;
@@ -44,11 +48,7 @@ struct Rig
                 return EccStatus::Ok;
             return rowProbe(geom.flatRowIndex(geom.decompose(addr)), t);
         };
-        mc = std::make_unique<sim::MemoryController>(geom, timing,
-                                                     mc_cfg);
-        memcon = std::make_unique<OnlineMemcon>(geom, *mc, cfg,
-                                                std::move(oracle));
-        memconSlot = memcon.get();
+        return mc_cfg;
     }
 
     static dram::Geometry
@@ -83,8 +83,7 @@ struct Rig
     {
         for (unsigned i = 0; i < cycles; ++i) {
             now += timing.tCk;
-            mc->tick(now);
-            memcon->tick(now);
+            loop.tick(now);
         }
     }
 
@@ -143,11 +142,11 @@ struct Rig
 
     dram::Geometry geom;
     dram::TimingParams timing;
-    OnlineMemcon *memconSlot = nullptr;
-    std::unique_ptr<sim::MemoryController> mc;
-    std::unique_ptr<OnlineMemcon> memcon;
     std::function<EccStatus(RowId row, Tick)> rowProbe;
     unsigned probeCalls = 0;
+    ClosedLoop loop;
+    sim::MemoryController *mc = &loop.controller();
+    OnlineMemcon *memcon = &loop.memcon();
     Tick now{};
 };
 

@@ -68,10 +68,10 @@ int
 componentRank(const std::string &component)
 {
     static const std::map<std::string, int> ranks = {
-        {"common", 0},  {"dram", 1},  {"core", 2},
-        {"failure", 2}, {"trace", 2}, {"sim", 3},
-        {"service", 4}, {"bench", 5}, {"tools", 5},
-        {"examples", 5}};
+        {"common", 0},  {"dram", 1},    {"failure", 2},
+        {"trace", 2},   {"sim", 3},     {"core", 4},
+        {"service", 5}, {"bench", 6},   {"tools", 6},
+        {"examples", 6}};
     auto it = ranks.find(component);
     return it == ranks.end() ? -1 : it->second;
 }
@@ -103,7 +103,7 @@ layeringPass(const std::vector<SourceFile> &files)
                          segs[0] + " (rank " +
                          std::to_string(tgtRank) +
                          "); the DAG is common -> dram -> "
-                         "{core, failure, trace} -> sim -> service "
+                         "{failure, trace} -> sim -> core -> service "
                          "-> bench/tools/examples"});
         }
     }

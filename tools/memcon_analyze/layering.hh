@@ -4,16 +4,15 @@
  *
  * The repository's component graph is a DAG (DESIGN.md §18):
  *
- *   common -> dram -> { core, failure, trace } -> sim
- *                                              -> service
+ *   common -> dram -> { failure, trace } -> sim -> core -> service
  *   bench / tools / examples sit on top of everything; tests/ is
  *   exempt (fixtures may include anything).
  *
- * Components at the same rank (core, failure, trace) may include
- * each other - the pass proves those edges stay acyclic at file
+ * Components at the same rank (failure, trace) may include each
+ * other - the pass proves those edges stay acyclic at file
  * granularity and prints the offending include chain when they
  * don't. An include whose target ranks *above* its source (service
- * code reached from dram, sim reached from core, ...) is a
+ * code reached from dram, core reached from sim, ...) is a
  * back-edge and fails the build with the edge's location.
  *
  * Includes are resolved the way the build does: a quoted path is
