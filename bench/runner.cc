@@ -133,7 +133,7 @@ validateAndExit(const char *path)
     const bool is_ckpt = magic.rfind("MEMCON-CKPT", 0) == 0;
     std::string reason;
     const bool ok = is_ckpt
-                        ? ckpt::validateCheckpointFile(path, &reason)
+                        ? ckpt::loadCheckpoint(path, nullptr, &reason)
                         : ckpt::validateArtifactFile(path, &reason);
     if (ok) {
         std::printf("%s: valid %s\n", path,

@@ -36,36 +36,6 @@ crcTable()
     return table;
 }
 
-std::string
-headerPayload(const CampaignFingerprint &fp)
-{
-    return strprintf(
-        "MEMCON-CKPT v1 artifact=%s seed=%" PRIu64 " points=%" PRIu64
-        " quick=%d labels=%08x",
-        fp.artifact.c_str(), fp.campaignSeed, fp.pointCount,
-        fp.quick ? 1 : 0, fp.labelsCrc);
-}
-
-bool
-parseHeaderPayload(const std::string &payload, CampaignFingerprint *fp)
-{
-    char artifact[256] = {0};
-    std::uint64_t seed = 0, points = 0;
-    int quick = 0;
-    unsigned labels = 0;
-    if (std::sscanf(payload.c_str(),
-                    "MEMCON-CKPT v1 artifact=%255s seed=%" SCNu64
-                    " points=%" SCNu64 " quick=%d labels=%8x",
-                    artifact, &seed, &points, &quick, &labels) != 5)
-        return false;
-    fp->artifact = artifact;
-    fp->campaignSeed = seed;
-    fp->pointCount = points;
-    fp->quick = quick != 0;
-    fp->labelsCrc = labels;
-    return true;
-}
-
 bool
 fail(std::string *reason, const std::string &why)
 {
@@ -74,16 +44,43 @@ fail(std::string *reason, const std::string &why)
     return false;
 }
 
-bool
-slurpFile(const std::string &path, std::string *out, std::string *reason)
+const char kCheckpointMagic[] = "MEMCON-CKPT";
+
+std::string
+formatHeader(const std::string &magic, const CampaignFingerprint &fp)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return fail(reason, "cannot open '" + path + "'");
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    *out = buf.str();
-    return true;
+    return magic + " v2 " + fp.describe();
+}
+
+/** Inverse of formatHeader(), exact: anything formatHeader() would
+ *  not have written - another magic or version, a non-canonical
+ *  field, trailing bytes - is rejected. */
+bool
+parseHeader(const std::string &payload, const std::string &magic,
+            CampaignFingerprint *fp)
+{
+    const std::string prefix = magic + " v2 artifact=";
+    if (payload.compare(0, prefix.size(), prefix) != 0)
+        return false;
+    const std::size_t space = payload.find(' ', prefix.size());
+    if (space == std::string::npos)
+        return false;
+    fp->artifact = payload.substr(prefix.size(), space - prefix.size());
+    int quick = 0;
+    if (std::sscanf(payload.c_str() + space,
+                    " seed=%" SCNu64 " points=%" SCNu64
+                    " quick=%d labels=%8x",
+                    &fp->campaignSeed, &fp->pointCount, &quick,
+                    &fp->labelsCrc) != 4)
+        return false;
+    fp->quick = quick != 0;
+    return payload == formatHeader(magic, *fp);
+}
+
+std::string
+formatFooter(std::size_t lines, std::uint32_t total)
+{
+    return strprintf("END count=%zu total=%08x", lines, total);
 }
 
 } // namespace
@@ -203,39 +200,126 @@ requireFingerprintMatch(const CampaignFingerprint &found,
         throw FingerprintMismatch(found, expected);
 }
 
-CheckpointWriter::CheckpointWriter(std::string file_path,
-                                   const CampaignFingerprint &fp,
-                                   std::vector<TaskRecord> existing)
-    : path(std::move(file_path))
+bool
+readFile(const std::string &path, std::string *out, std::string *reason)
+{
+    std::ifstream in(path, std::ios::binary);
+    if (!in)
+        return fail(reason, "cannot open '" + path + "'");
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    *out = buf.str();
+    return true;
+}
+
+SealedWriter::SealedWriter(const std::string &magic,
+                           const CampaignFingerprint &fp)
 {
     panic_if(fp.artifact.find(' ') != std::string::npos,
              "artifact name '%s' must not contain spaces",
              fp.artifact.c_str());
-    body = sealLine(headerPayload(fp));
-    for (const TaskRecord &r : existing) {
-        body += sealLine(strprintf("T %" PRIu64 " ", r.index) +
-                           r.metrics);
-        ++count;
+    add(formatHeader(magic, fp));
+}
+
+void
+SealedWriter::add(const std::string &payload)
+{
+    body += sealLine(payload);
+    ++lines;
+}
+
+std::string
+SealedWriter::finish() &&
+{
+    body += sealLine(formatFooter(lines, crc32(body)));
+    return std::move(body);
+}
+
+bool
+readSealedFile(const std::string &content, const std::string &magic,
+               SealedRecords *out, std::string *reason)
+{
+    if (content.empty() || content.back() != '\n')
+        return fail(reason, "file is empty or does not end with a "
+                            "newline (truncated write?)");
+
+    std::vector<std::string> payloads;
+    std::size_t footer_start = 0;
+    for (std::size_t pos = 0; pos < content.size();) {
+        // content ends with '\n', so eol is always found.
+        const std::size_t eol = content.find('\n', pos);
+        std::string payload;
+        if (!unsealLine(content.substr(pos, eol - pos), &payload))
+            return fail(reason, strprintf("line %zu fails its CRC seal "
+                                          "(torn or corrupted record)",
+                                          payloads.size() + 1));
+        payloads.push_back(std::move(payload));
+        footer_start = pos;
+        pos = eol + 1;
     }
+
+    SealedRecords file;
+    if (!parseHeader(payloads.front(), magic, &file.fingerprint))
+        return fail(reason, "line 1 is not a '" + magic + " v2' header");
+
+    std::size_t count = 0;
+    std::uint32_t total = 0;
+    const std::string &last = payloads.back();
+    if (payloads.size() < 2 ||
+        std::sscanf(last.c_str(), "END count=%zu total=%8x", &count,
+                    &total) != 2 ||
+        last != formatFooter(count, total))
+        return fail(reason, "last line is not an END footer "
+                            "(truncated write?)");
+    if (count != payloads.size() - 1)
+        return fail(reason, strprintf("END count %zu != %zu lines above "
+                                      "it",
+                                      count, payloads.size() - 1));
+    if (total != crc32(content.data(), footer_start))
+        return fail(reason, "END running CRC mismatch (file corrupted)");
+
+    for (std::size_t i = 1; i + 1 < payloads.size(); ++i) {
+        if (payloads[i].compare(0, 4, "END ") == 0)
+            return fail(reason, strprintf("line %zu is an END footer "
+                                          "before the last line",
+                                          i + 1));
+    }
+    payloads.pop_back();
+    payloads.erase(payloads.begin());
+    file.records = std::move(payloads);
+    *out = std::move(file);
+    return true;
+}
+
+CheckpointWriter::CheckpointWriter(std::string file_path,
+                                   const CampaignFingerprint &fp,
+                                   std::vector<TaskRecord> existing)
+    : path(std::move(file_path)), file(kCheckpointMagic, fp)
+{
+    for (const TaskRecord &r : existing)
+        add(r);
     flush();
 }
 
 void
 CheckpointWriter::append(const TaskRecord &record)
 {
-    body += sealLine(strprintf("T %" PRIu64 " ", record.index) +
-                       record.metrics);
-    ++count;
+    add(record);
     flush();
+}
+
+void
+CheckpointWriter::add(const TaskRecord &record)
+{
+    file.add(strprintf("T %" PRIu64 " ", record.index) + record.metrics);
+    ++count;
 }
 
 void
 CheckpointWriter::flush()
 {
-    std::string footer = sealLine(
-        strprintf("END count=%zu total=%08x", count, crc32(body)));
     std::string error;
-    if (!atomicWriteFile(path, body + footer, &error))
+    if (!atomicWriteFile(path, SealedWriter(file).finish(), &error))
         fatal("checkpoint write to '%s' failed: %s", path.c_str(),
               error.c_str());
 }
@@ -245,85 +329,29 @@ loadCheckpoint(const std::string &path, LoadedCheckpoint *out,
                std::string *reason)
 {
     std::string content;
-    if (!slurpFile(path, &content, reason))
+    SealedRecords file;
+    if (!readFile(path, &content, reason) ||
+        !readSealedFile(content, kCheckpointMagic, &file, reason))
         return false;
-    if (content.empty() || content.back() != '\n')
-        return fail(reason, "checkpoint does not end with a newline "
-                            "(truncated write?)");
 
     LoadedCheckpoint loaded;
-    bool have_header = false, have_footer = false;
-    std::size_t line_no = 0;
-    std::size_t pos = 0;
-    std::string body_so_far;
-    while (pos < content.size()) {
-        std::size_t eol = content.find('\n', pos);
-        // content ends with '\n', so eol is always found.
-        std::string line = content.substr(pos, eol - pos);
-        pos = eol + 1;
-        ++line_no;
-
-        std::string payload;
-        if (!unsealLine(line, &payload))
-            return fail(reason,
-                        strprintf("line %zu fails its CRC seal "
-                                  "(torn or corrupted record)",
-                                  line_no));
-        if (have_footer)
-            return fail(reason, strprintf("line %zu follows the END "
-                                          "footer",
-                                          line_no));
-        if (!have_header) {
-            if (!parseHeaderPayload(payload, &loaded.fingerprint))
-                return fail(reason, "malformed checkpoint header");
-            have_header = true;
-        } else if (payload.compare(0, 4, "END ") == 0) {
-            std::size_t cnt = 0;
-            unsigned total = 0;
-            if (std::sscanf(payload.c_str(), "END count=%zu total=%8x",
-                            &cnt, &total) != 2)
-                return fail(reason, "malformed END footer");
-            if (cnt != loaded.records.size())
-                return fail(reason,
-                            strprintf("END count %zu != %zu records "
-                                      "present",
-                                      cnt, loaded.records.size()));
-            if (total != crc32(body_so_far))
-                return fail(reason, "END running CRC mismatch "
-                                    "(checkpoint corrupted)");
-            have_footer = true;
-            continue;
-        } else {
-            TaskRecord rec;
-            int consumed = 0;
-            if (std::sscanf(payload.c_str(), "T %" SCNu64 " %n",
-                            &rec.index, &consumed) != 1 ||
-                consumed <= 0)
-                return fail(reason,
-                            strprintf("malformed task record at "
-                                      "line %zu",
-                                      line_no));
-            rec.metrics =
-                payload.substr(static_cast<std::size_t>(consumed));
-            loaded.records.push_back(std::move(rec));
-        }
-        body_so_far += line;
-        body_so_far += '\n';
+    loaded.fingerprint = file.fingerprint;
+    for (std::size_t i = 0; i < file.records.size(); ++i) {
+        const std::string &payload = file.records[i];
+        TaskRecord rec;
+        int consumed = 0;
+        if (std::sscanf(payload.c_str(), "T %" SCNu64 " %n", &rec.index,
+                        &consumed) != 1 ||
+            consumed <= 0)
+            return fail(reason, strprintf("malformed task record at "
+                                          "line %zu",
+                                          i + 2));
+        rec.metrics = payload.substr(static_cast<std::size_t>(consumed));
+        loaded.records.push_back(std::move(rec));
     }
-    if (!have_header)
-        return fail(reason, "checkpoint is empty");
-    if (!have_footer)
-        return fail(reason, "checkpoint has no END footer "
-                            "(truncated write?)");
     if (out)
         *out = std::move(loaded);
     return true;
-}
-
-bool
-validateCheckpointFile(const std::string &path, std::string *reason)
-{
-    return loadCheckpoint(path, nullptr, reason);
 }
 
 std::string
@@ -358,9 +386,8 @@ bool
 validateArtifactFile(const std::string &path, std::string *reason)
 {
     std::string content;
-    if (!slurpFile(path, &content, reason))
-        return false;
-    return validateArtifactJson(content, reason);
+    return readFile(path, &content, reason) &&
+           validateArtifactJson(content, reason);
 }
 
 } // namespace memcon::ckpt

@@ -13,14 +13,19 @@
  *    directory, flushed, and rename()d into place, so readers only
  *    ever observe the old complete file or the new complete file.
  *
- *  * The campaign checkpoint ("MEMCON-CKPT v1") - one CRC32-guarded
- *    record per completed sweep task (task index -> named metrics in
- *    the canonical %.17g digest serialization), a fingerprint header
- *    binding the file to (artifact, campaign seed, point count,
- *    quick flag, label set), and an END footer covering every byte
- *    above it. loadCheckpoint() is strict: a file truncated or
- *    corrupted at ANY byte is rejected, never parsed as a shorter
- *    valid checkpoint.
+ *  * The sealed-file format - every durable record file (the
+ *    campaign checkpoint "MEMCON-CKPT v2" and the memcond snapshot
+ *    "MEMCOND-SVC v2") is CRC32-sealed lines: a "<MAGIC> v2"
+ *    fingerprint header binding the file to (artifact, seed, point
+ *    count, quick flag, label CRC), the record lines, and an
+ *    "END count=<lines above> total=<crc of those bytes>" footer.
+ *    SealedWriter writes it; readSealedFile() is the one strict
+ *    reader: a file truncated or corrupted at ANY byte is rejected,
+ *    never parsed as a shorter valid file.
+ *
+ *  * The campaign checkpoint - one sealed "T <index> <metrics>"
+ *    record per completed sweep task, with the metrics in the
+ *    canonical %.17g digest serialization.
  *
  *  * The BENCH_*.json footer - the emitter ends every artifact with
  *    a "footer" object carrying the CRC32 and byte count of
@@ -86,7 +91,8 @@ struct CampaignFingerprint
 
     bool matches(const CampaignFingerprint &other) const;
 
-    /** Human-readable form for mismatch diagnostics. */
+    /** Human-readable form for mismatch diagnostics; also the body
+     *  of every sealed file's header line. */
     std::string describe() const;
 };
 
@@ -108,6 +114,50 @@ class FingerprintMismatch : public std::runtime_error
 /** Throw FingerprintMismatch unless found matches expected. */
 void requireFingerprintMatch(const CampaignFingerprint &found,
                              const CampaignFingerprint &expected);
+
+/** Read a whole file into `out`; false with a reason if it cannot be
+ *  opened. */
+bool readFile(const std::string &path, std::string *out,
+              std::string *reason = nullptr);
+
+/**
+ * Builds one sealed file in a single append pass: the
+ * "<magic> v2 <fingerprint>" header, then add()ed record payloads,
+ * each sealLine()d, then - from finish() - the END footer.
+ */
+class SealedWriter
+{
+  public:
+    SealedWriter(const std::string &magic, const CampaignFingerprint &fp);
+
+    void add(const std::string &payload);
+
+    /** Append the END footer and hand over the complete file. */
+    std::string finish() &&;
+
+  private:
+    std::string body;      //!< every sealed line so far
+    std::size_t lines = 0; //!< lines in body, header included
+};
+
+/** What readSealedFile() accepted: header and footer stripped. */
+struct SealedRecords
+{
+    CampaignFingerprint fingerprint;
+    std::vector<std::string> records; //!< unsealed payloads, in order
+};
+
+/**
+ * The one strict reader of SealedWriter output. Checks, in order:
+ * the file is non-empty and ends in a newline; every line unseals;
+ * line 1 is exactly the "<magic> v2" header of some fingerprint; the
+ * last line is exactly an END footer whose count equals the lines
+ * above it (header included) and whose total is the CRC-32 of their
+ * bytes; no earlier line is a footer. Returns false with a reason on
+ * any deviation.
+ */
+bool readSealedFile(const std::string &content, const std::string &magic,
+                    SealedRecords *out, std::string *reason = nullptr);
 
 /** One completed task: its index and canonical metrics line
  *  ("name=value;..." with %.17g doubles - the digest serialization,
@@ -147,11 +197,11 @@ class CheckpointWriter
     const std::string &filePath() const { return path; }
 
   private:
+    void add(const TaskRecord &record);
     void flush();
 
     std::string path;
-    std::string body; //!< header + record lines (everything the
-                      //!< footer's running CRC covers)
+    SealedWriter file;
     std::size_t count = 0;
 };
 
@@ -163,16 +213,13 @@ struct LoadedCheckpoint
 };
 
 /**
- * Strictly load `path`: header, every record, and the END footer must
- * all be present and CRC-clean, with no trailing bytes. Returns false
- * with a reason on any deviation - including truncation at any byte.
+ * Strictly load `path` through readSealedFile(), then require every
+ * record to be a "T <index> <metrics>" line. Returns false with a
+ * reason on any deviation - including truncation at any byte. Pass a
+ * null `out` to validate only.
  */
 bool loadCheckpoint(const std::string &path, LoadedCheckpoint *out,
                     std::string *reason = nullptr);
-
-/** Validation-only wrapper around loadCheckpoint(). */
-bool validateCheckpointFile(const std::string &path,
-                            std::string *reason = nullptr);
 
 /**
  * The torn-file guard for BENCH_*.json: given the artifact body (the

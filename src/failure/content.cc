@@ -6,6 +6,19 @@
 namespace memcon::failure
 {
 
+namespace
+{
+
+/** PatternKind::Random's word; wordAt and fillRow both call it. */
+inline std::uint64_t
+randomWord(std::uint64_t param, std::uint64_t row, std::uint64_t word_idx)
+{
+    return hashMix64(param * 0x9e3779b97f4a7c15ULL ^
+                     hashMix64(row * 131 + word_idx));
+}
+
+} // namespace
+
 void
 ContentProvider::fillRow(std::uint64_t row, std::uint64_t *dst,
                          std::size_t n_words) const
@@ -70,8 +83,7 @@ PatternContent::wordAt(std::uint64_t row, std::uint64_t word_idx) const
       case PatternKind::WalkingZero:
         return ~(std::uint64_t{1} << (param % 64));
       case PatternKind::Random:
-        return hashMix64(param * 0x9e3779b97f4a7c15ULL ^
-                         hashMix64(row * 131 + word_idx));
+        return randomWord(param, row, word_idx);
     }
     panic("unknown pattern kind");
 }
@@ -85,8 +97,7 @@ PatternContent::fillRow(std::uint64_t row, std::uint64_t *dst,
     switch (patternKind) {
       case PatternKind::Random:
         for (std::size_t w = 0; w < n_words; ++w)
-            dst[w] = hashMix64(param * 0x9e3779b97f4a7c15ULL ^
-                               hashMix64(row * 131 + w));
+            dst[w] = randomWord(param, row, w);
         return;
       default: {
         const std::uint64_t word = wordAt(row, 0);
@@ -208,11 +219,10 @@ ProgramContent::generateWord(std::uint64_t mix) const
     return val; // high-entropy payload
 }
 
-std::uint64_t
-ProgramContent::wordAt(std::uint64_t row, std::uint64_t word_idx) const
+inline std::uint64_t
+ProgramContent::churnWord(std::uint64_t seeded, std::uint64_t slot) const
 {
-    std::uint64_t base = personaDesc.seed * 0x2545f4914f6cdd1dULL ^
-                         hashMix64(row * 4099 + word_idx);
+    const std::uint64_t base = seeded ^ hashMix64(slot);
 
     // Decide the last epoch at which this word changed: each epoch
     // rewrites kEpochChurn of the footprint.
@@ -229,28 +239,22 @@ ProgramContent::wordAt(std::uint64_t row, std::uint64_t word_idx) const
     return generateWord(base ^ hashMix64(last_changed + 1));
 }
 
+std::uint64_t
+ProgramContent::wordAt(std::uint64_t row, std::uint64_t word_idx) const
+{
+    return churnWord(personaDesc.seed * kSeedMul, row * 4099 + word_idx);
+}
+
 void
 ProgramContent::fillRow(std::uint64_t row, std::uint64_t *dst,
                         std::size_t n_words) const
 {
-    // Same word function as wordAt, devirtualized and with the
-    // row-invariant seed product hoisted out of the loop.
-    const std::uint64_t seeded = personaDesc.seed * 0x2545f4914f6cdd1dULL;
+    // Devirtualized, with the row-invariant seed product hoisted out
+    // of the loop.
+    const std::uint64_t seeded = personaDesc.seed * kSeedMul;
     const std::uint64_t row_base = row * 4099;
-    for (std::size_t w = 0; w < n_words; ++w) {
-        std::uint64_t base = seeded ^ hashMix64(row_base + w);
-        std::uint64_t last_changed = 0;
-        for (std::uint64_t e = epochIdx; e > 0; --e) {
-            double u = static_cast<double>(
-                           hashMix64(base ^ (e * 0x51ed2701)) >> 11) *
-                       0x1.0p-53;
-            if (u < kEpochChurn) {
-                last_changed = e;
-                break;
-            }
-        }
-        dst[w] = generateWord(base ^ hashMix64(last_changed + 1));
-    }
+    for (std::size_t w = 0; w < n_words; ++w)
+        dst[w] = churnWord(seeded, row_base + w);
 }
 
 std::string

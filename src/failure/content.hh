@@ -151,7 +151,14 @@ class ProgramContent : public ContentProvider
     static constexpr double kEpochChurn = 0.35;
 
   private:
+    static constexpr std::uint64_t kSeedMul = 0x2545f4914f6cdd1dULL;
+
     std::uint64_t generateWord(std::uint64_t mix) const;
+
+    /** The word in `slot` (row * 4099 + word index) given
+     *  `seeded` = seed * kSeedMul; wordAt and fillRow both call it. */
+    inline std::uint64_t churnWord(std::uint64_t seeded,
+                                   std::uint64_t slot) const;
 
     ContentPersona personaDesc;
     std::uint64_t epochIdx;

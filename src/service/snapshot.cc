@@ -3,7 +3,6 @@
 #include <cinttypes>
 #include <cstdarg>
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 
 #include "common/logging.hh"
@@ -13,6 +12,8 @@ namespace memcon::service
 
 namespace
 {
+
+const char kSnapshotMagic[] = "MEMCOND-SVC";
 
 [[noreturn]] void
 malformed(const char *fmt, ...)
@@ -37,8 +38,8 @@ eventList(const std::vector<WriteEvent> &events)
 std::vector<WriteEvent>
 parseEvents(std::istringstream &in, std::size_t n, const char *line_tag)
 {
+    // No reserve(n): n is untrusted until the tokens are there.
     std::vector<WriteEvent> events;
-    events.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
         std::string token;
         if (!(in >> token))
@@ -77,43 +78,33 @@ encodeServiceSnapshot(const ServiceSnapshot &s)
              "roundsDone=%" PRIu64,
              s.journal.size(), s.roundsDone);
 
-    std::string body;
-    std::size_t lines = 0;
-    auto put = [&body, &lines](const std::string &payload) {
-        body += ckpt::sealLine(payload);
-        ++lines;
-    };
-
-    const ckpt::CampaignFingerprint &fp = s.fingerprint;
-    put(strprintf("MEMCOND-SVC v1 artifact=%s seed=%" PRIu64
-                  " tenants=%" PRIu64 " quick=%d labels=%08x",
-                  fp.artifact.c_str(), fp.campaignSeed, fp.pointCount,
-                  fp.quick ? 1 : 0, fp.labelsCrc));
-    put(strprintf("G rounds=%" PRIu64 " stage=%u calm=%u esc=%" PRIu64
-                  " relax=%" PRIu64 " admit=%" PRIu64 " throttle=%" PRIu64
-                  " reject=%" PRIu64,
-                  s.roundsDone, static_cast<unsigned>(s.stage),
-                  s.calmStreak, s.escalations, s.relaxations, s.admits,
-                  s.throttles, s.rejects));
+    ckpt::SealedWriter file(kSnapshotMagic, s.fingerprint);
+    file.add(strprintf("G rounds=%" PRIu64 " stage=%u calm=%u esc=%" PRIu64
+                       " relax=%" PRIu64 " admit=%" PRIu64
+                       " throttle=%" PRIu64 " reject=%" PRIu64,
+                       s.roundsDone, static_cast<unsigned>(s.stage),
+                       s.calmStreak, s.escalations, s.relaxations,
+                       s.admits, s.throttles, s.rejects));
 
     for (std::size_t i = 0; i < s.tenants.size(); ++i) {
         const TenantSnapshotRecord &t = s.tenants[i];
         panic_if(t.describe.find('\n') != std::string::npos,
                  "tenant describe string must be single-line");
-        put(strprintf("T idx=%zu name=%s gen=%" PRIu64 " dbp=%" PRIu64
-                      " dsh=%" PRIu64 " thr=%" PRIu64 " loff=%" PRIu64
-                      " fp=%08x desc=",
-                      i, t.name.c_str(), t.generated,
-                      t.droppedBackpressure, t.droppedShed,
-                      t.throttledTicks, t.lastOffered, t.fingerprint) +
-            t.describe);
-        put(strprintf("R idx=%zu n=%zu", i, t.residue.size()) +
-            eventList(t.residue));
+        file.add(strprintf("T idx=%zu name=%s gen=%" PRIu64
+                           " dbp=%" PRIu64 " dsh=%" PRIu64 " thr=%" PRIu64
+                           " loff=%" PRIu64 " fp=%08x desc=",
+                           i, t.name.c_str(), t.generated,
+                           t.droppedBackpressure, t.droppedShed,
+                           t.throttledTicks, t.lastOffered,
+                           t.fingerprint) +
+                 t.describe);
+        file.add(strprintf("R idx=%zu n=%zu", i, t.residue.size()) +
+                 eventList(t.residue));
         if (t.hasHeld)
-            put(strprintf("H idx=%zu at=%" PRIu64 " row=%" PRIu64
-                          " since=%" PRIu64,
-                          i, t.held.at.value(), t.held.row,
-                          t.heldSince.value()));
+            file.add(strprintf("H idx=%zu at=%" PRIu64 " row=%" PRIu64
+                               " since=%" PRIu64,
+                               i, t.held.at.value(), t.held.row,
+                               t.heldSince.value()));
     }
 
     for (std::size_t r = 0; r < s.journal.size(); ++r) {
@@ -123,231 +114,142 @@ encodeServiceSnapshot(const ServiceSnapshot &s)
                      round.quantumStretch.size() != s.tenants.size() ||
                      round.applied.size() != s.tenants.size(),
                  "journal round %zu does not cover every tenant", r);
-        put(strprintf("J round=%zu stage=%u", r,
-                      static_cast<unsigned>(round.stage)));
+        file.add(strprintf("J round=%zu stage=%u", r,
+                           static_cast<unsigned>(round.stage)));
         for (std::size_t i = 0; i < s.tenants.size(); ++i)
-            put(strprintf("D round=%zu idx=%zu grant=%" PRIu64
-                          " scans=%d stretch=%u n=%zu",
-                          r, i, round.grant[i],
-                          round.scansShed[i] ? 1 : 0,
-                          round.quantumStretch[i],
-                          round.applied[i].size()) +
-                eventList(round.applied[i]));
+            file.add(strprintf("D round=%zu idx=%zu grant=%" PRIu64
+                               " scans=%d stretch=%u n=%zu",
+                               r, i, round.grant[i],
+                               round.scansShed[i] ? 1 : 0,
+                               round.quantumStretch[i],
+                               round.applied[i].size()) +
+                     eventList(round.applied[i]));
     }
 
-    body += ckpt::sealLine(strprintf("END count=%zu total=%08x", lines,
-                                     ckpt::crc32(body)));
-    return body;
+    return std::move(file).finish();
 }
 
 ServiceSnapshot
 decodeServiceSnapshot(const std::string &content)
 {
-    if (content.empty())
-        malformed("empty file");
-    if (content.back() != '\n')
-        malformed("does not end in a newline (truncated mid-line)");
+    ckpt::SealedRecords file;
+    std::string reason;
+    if (!ckpt::readSealedFile(content, kSnapshotMagic, &file, &reason))
+        malformed("%s", reason.c_str());
 
-    // Unseal every line up front; any torn or bit-flipped line fails
-    // here before we interpret anything.
-    std::vector<std::string> payloads;
-    std::size_t pos = 0;
-    std::size_t last_line_start = 0;
-    while (pos < content.size()) {
-        std::size_t nl = content.find('\n', pos);
-        std::string line = content.substr(pos, nl - pos);
-        std::string payload;
-        if (!ckpt::unsealLine(line, &payload))
-            malformed("line %zu failed its CRC seal", payloads.size() + 1);
-        payloads.push_back(std::move(payload));
-        last_line_start = pos;
-        pos = nl + 1;
-    }
-    if (payloads.size() < 3)
-        malformed("too short (%zu lines)", payloads.size());
-
-    // The footer must be the last line and must cover every byte
-    // above it.
-    std::size_t footer_count = 0;
-    std::uint32_t footer_crc = 0;
-    if (std::sscanf(payloads.back().c_str(), "END count=%zu total=%8x",
-                    &footer_count, &footer_crc) != 2)
-        malformed("missing END footer");
-    if (footer_count != payloads.size() - 1)
-        malformed("footer counts %zu lines, file has %zu", footer_count,
-                  payloads.size() - 1);
-    if (ckpt::crc32(content.data(), last_line_start) != footer_crc)
-        malformed("footer CRC does not cover the file body");
+    // Records are read in exactly the order the encoder writes them.
+    // A count in the file never sizes anything: it only says how many
+    // more lines to take, and a file that runs out of lines first is
+    // malformed.
+    const std::vector<std::string> &lines = file.records;
+    std::size_t next = 0;
+    auto at = [&lines, &next](char tag) {
+        return next < lines.size() && lines[next].size() > 1 &&
+               lines[next][0] == tag && lines[next][1] == ' ';
+    };
+    auto take = [&lines, &next, &at](char tag) -> const std::string & {
+        if (!at(tag))
+            malformed("line %zu is not the expected %c line", next + 2,
+                      tag);
+        return lines[next++];
+    };
 
     ServiceSnapshot s;
+    s.fingerprint = file.fingerprint;
+    unsigned stage_raw = 0;
+    const std::string &g = take('G');
+    if (std::sscanf(g.c_str(),
+                    "G rounds=%" SCNu64 " stage=%u calm=%u esc=%" SCNu64
+                    " relax=%" SCNu64 " admit=%" SCNu64
+                    " throttle=%" SCNu64 " reject=%" SCNu64,
+                    &s.roundsDone, &stage_raw, &s.calmStreak,
+                    &s.escalations, &s.relaxations, &s.admits,
+                    &s.throttles, &s.rejects) != 8)
+        malformed("bad governor line '%s'", g.c_str());
+    s.stage = parseStage(stage_raw, "G");
 
-    // Header.
-    {
-        char artifact[128] = {0};
-        int quick = 0;
-        if (std::sscanf(payloads[0].c_str(),
-                        "MEMCOND-SVC v1 artifact=%127s seed=%" SCNu64
-                        " tenants=%" SCNu64 " quick=%d labels=%8x",
-                        artifact, &s.fingerprint.campaignSeed,
-                        &s.fingerprint.pointCount, &quick,
-                        &s.fingerprint.labelsCrc) != 5)
-            malformed("bad header '%s'", payloads[0].c_str());
-        s.fingerprint.artifact = artifact;
-        s.fingerprint.quick = quick != 0;
-    }
+    for (std::size_t i = 0; i < s.fingerprint.pointCount; ++i) {
+        TenantSnapshotRecord t;
+        const std::string &p = take('T');
+        std::size_t idx = 0;
+        char name[128] = {0};
+        if (std::sscanf(p.c_str(),
+                        "T idx=%zu name=%127s gen=%" SCNu64 " dbp=%" SCNu64
+                        " dsh=%" SCNu64 " thr=%" SCNu64 " loff=%" SCNu64
+                        " fp=%8x",
+                        &idx, name, &t.generated, &t.droppedBackpressure,
+                        &t.droppedShed, &t.throttledTicks, &t.lastOffered,
+                        &t.fingerprint) != 8 ||
+            idx != i)
+            malformed("bad tenant line '%s'", p.c_str());
+        std::size_t desc = p.find(" desc=");
+        if (desc == std::string::npos)
+            malformed("tenant line misses its desc field");
+        t.name = name;
+        t.describe = p.substr(desc + 6);
 
-    // Governor/admission line.
-    {
-        unsigned stage_raw = 0;
-        if (std::sscanf(payloads[1].c_str(),
-                        "G rounds=%" SCNu64 " stage=%u calm=%u esc=%" SCNu64
-                        " relax=%" SCNu64 " admit=%" SCNu64
-                        " throttle=%" SCNu64 " reject=%" SCNu64,
-                        &s.roundsDone, &stage_raw, &s.calmStreak,
-                        &s.escalations, &s.relaxations, &s.admits,
-                        &s.throttles, &s.rejects) != 8)
-            malformed("bad governor line '%s'", payloads[1].c_str());
-        s.stage = parseStage(stage_raw, "G");
-    }
+        const std::string &r = take('R');
+        std::size_t n = 0;
+        int used = 0;
+        if (std::sscanf(r.c_str(), "R idx=%zu n=%zu%n", &idx, &n, &used) !=
+                2 ||
+            idx != i)
+            malformed("bad residue line '%s'", r.c_str());
+        std::istringstream events(r.substr(used));
+        t.residue = parseEvents(events, n, "R");
 
-    const std::size_t tenant_count = s.fingerprint.pointCount;
-    s.tenants.resize(tenant_count);
-    s.journal.resize(s.roundsDone);
-    for (RoundRecord &round : s.journal) {
-        round.grant.assign(tenant_count, 0);
-        round.scansShed.assign(tenant_count, false);
-        round.quantumStretch.assign(tenant_count, 1);
-        round.applied.assign(tenant_count, {});
-    }
-
-    std::vector<bool> seen_tenant(tenant_count, false);
-    std::vector<bool> seen_residue(tenant_count, false);
-    std::vector<bool> seen_round(s.roundsDone, false);
-    std::vector<std::vector<bool>> seen_grant(
-        s.roundsDone, std::vector<bool>(tenant_count, false));
-
-    for (std::size_t li = 2; li + 1 < payloads.size(); ++li) {
-        const std::string &p = payloads[li];
-        std::istringstream in(p);
-        std::string tag;
-        in >> tag;
-        if (tag == "T") {
-            std::size_t idx = 0;
-            char name[128] = {0};
-            std::uint64_t gen, dbp, dsh, thr, loff;
-            std::uint32_t fp32;
-            if (std::sscanf(p.c_str(),
-                            "T idx=%zu name=%127s gen=%" SCNu64
-                            " dbp=%" SCNu64 " dsh=%" SCNu64
-                            " thr=%" SCNu64 " loff=%" SCNu64 " fp=%8x",
-                            &idx, name, &gen, &dbp, &dsh, &thr, &loff,
-                            &fp32) != 8)
-                malformed("bad tenant line '%s'", p.c_str());
-            std::size_t desc = p.find(" desc=");
-            if (desc == std::string::npos)
-                malformed("tenant line misses its desc field");
-            if (idx >= tenant_count)
-                malformed("tenant index %zu out of range", idx);
-            if (seen_tenant[idx])
-                malformed("duplicate tenant line idx=%zu", idx);
-            seen_tenant[idx] = true;
-            TenantSnapshotRecord &t = s.tenants[idx];
-            t.name = name;
-            t.generated = gen;
-            t.droppedBackpressure = dbp;
-            t.droppedShed = dsh;
-            t.throttledTicks = thr;
-            t.lastOffered = loff;
-            t.fingerprint = fp32;
-            t.describe = p.substr(desc + 6);
-        } else if (tag == "R") {
-            std::size_t idx = 0, n = 0;
-            std::string f1, f2;
-            if (!(in >> f1 >> f2) ||
-                std::sscanf(f1.c_str(), "idx=%zu", &idx) != 1 ||
-                std::sscanf(f2.c_str(), "n=%zu", &n) != 1)
-                malformed("bad residue line '%s'", p.c_str());
-            if (idx >= tenant_count)
-                malformed("residue index %zu out of range", idx);
-            if (seen_residue[idx])
-                malformed("duplicate residue line idx=%zu", idx);
-            seen_residue[idx] = true;
-            s.tenants[idx].residue = parseEvents(in, n, "R");
-        } else if (tag == "H") {
-            std::size_t idx = 0;
-            std::uint64_t at, row, since;
-            if (std::sscanf(p.c_str(),
+        if (at('H')) {
+            const std::string &h = take('H');
+            std::uint64_t ev_at = 0, row = 0, since = 0;
+            if (std::sscanf(h.c_str(),
                             "H idx=%zu at=%" SCNu64 " row=%" SCNu64
                             " since=%" SCNu64,
-                            &idx, &at, &row, &since) != 4)
-                malformed("bad held-event line '%s'", p.c_str());
-            if (idx >= tenant_count)
-                malformed("held-event index %zu out of range", idx);
-            if (s.tenants[idx].hasHeld)
-                malformed("duplicate held-event line idx=%zu", idx);
-            s.tenants[idx].hasHeld = true;
-            s.tenants[idx].held = WriteEvent{Tick{at}, row};
-            s.tenants[idx].heldSince = Tick{since};
-        } else if (tag == "J") {
-            std::size_t round = 0;
-            unsigned stage_raw = 0;
-            if (std::sscanf(p.c_str(), "J round=%zu stage=%u", &round,
-                            &stage_raw) != 2)
-                malformed("bad journal line '%s'", p.c_str());
-            if (round >= s.roundsDone)
-                malformed("journal round %zu out of range", round);
-            if (seen_round[round])
-                malformed("duplicate journal round %zu", round);
-            seen_round[round] = true;
-            s.journal[round].stage = parseStage(stage_raw, "J");
-        } else if (tag == "D") {
-            std::size_t round = 0, idx = 0, n = 0;
-            std::string f1, f2, f3, f4, f5, f6;
+                            &idx, &ev_at, &row, &since) != 4 ||
+                idx != i)
+                malformed("bad held-event line '%s'", h.c_str());
+            t.hasHeld = true;
+            t.held = WriteEvent{Tick{ev_at}, row};
+            t.heldSince = Tick{since};
+        }
+        s.tenants.push_back(std::move(t));
+    }
+
+    for (std::size_t r = 0; r < s.roundsDone; ++r) {
+        RoundRecord round;
+        const std::string &j = take('J');
+        std::size_t round_idx = 0;
+        if (std::sscanf(j.c_str(), "J round=%zu stage=%u", &round_idx,
+                        &stage_raw) != 2 ||
+            round_idx != r)
+            malformed("bad journal line '%s'", j.c_str());
+        round.stage = parseStage(stage_raw, "J");
+        for (std::size_t i = 0; i < s.tenants.size(); ++i) {
+            const std::string &d = take('D');
+            std::size_t idx = 0, n = 0;
             std::uint64_t grant = 0;
-            int scans = 0;
+            int scans = 0, used = 0;
             unsigned stretch = 1;
-            if (!(in >> f1 >> f2 >> f3 >> f4 >> f5 >> f6) ||
-                std::sscanf(f1.c_str(), "round=%zu", &round) != 1 ||
-                std::sscanf(f2.c_str(), "idx=%zu", &idx) != 1 ||
-                std::sscanf(f3.c_str(), "grant=%" SCNu64, &grant) != 1 ||
-                std::sscanf(f4.c_str(), "scans=%d", &scans) != 1 ||
-                std::sscanf(f5.c_str(), "stretch=%u", &stretch) != 1 ||
-                std::sscanf(f6.c_str(), "n=%zu", &n) != 1)
-                malformed("bad journal-detail line '%s'", p.c_str());
-            if (round >= s.roundsDone || idx >= tenant_count)
-                malformed("journal detail (round=%zu idx=%zu) out of "
-                          "range",
-                          round, idx);
-            if (seen_grant[round][idx])
-                malformed("duplicate journal detail round=%zu idx=%zu",
-                          round, idx);
+            if (std::sscanf(d.c_str(),
+                            "D round=%zu idx=%zu grant=%" SCNu64
+                            " scans=%d stretch=%u n=%zu%n",
+                            &round_idx, &idx, &grant, &scans, &stretch, &n,
+                            &used) != 6 ||
+                round_idx != r || idx != i)
+                malformed("bad journal-detail line '%s'", d.c_str());
             if (stretch == 0)
                 malformed("journal detail round=%zu idx=%zu has zero "
                           "quantum stretch",
-                          round, idx);
-            seen_grant[round][idx] = true;
-            s.journal[round].grant[idx] = grant;
-            s.journal[round].scansShed[idx] = scans != 0;
-            s.journal[round].quantumStretch[idx] = stretch;
-            s.journal[round].applied[idx] = parseEvents(in, n, "D");
-        } else {
-            malformed("unknown line tag '%s'", tag.c_str());
+                          r, i);
+            round.grant.push_back(grant);
+            round.scansShed.push_back(scans != 0);
+            round.quantumStretch.push_back(stretch);
+            std::istringstream events(d.substr(used));
+            round.applied.push_back(parseEvents(events, n, "D"));
         }
+        s.journal.push_back(std::move(round));
     }
-
-    for (std::size_t i = 0; i < tenant_count; ++i) {
-        if (!seen_tenant[i])
-            malformed("tenant %zu has no T line", i);
-        if (!seen_residue[i])
-            malformed("tenant %zu has no R line", i);
-    }
-    for (std::size_t r = 0; r < s.roundsDone; ++r) {
-        if (!seen_round[r])
-            malformed("round %zu has no J line", r);
-        for (std::size_t i = 0; i < tenant_count; ++i)
-            if (!seen_grant[r][i])
-                malformed("round %zu tenant %zu has no D line", r, i);
-    }
+    if (next != lines.size())
+        malformed("line %zu follows the last journal round", next + 2);
     return s;
 }
 
@@ -363,12 +265,10 @@ saveServiceSnapshot(const std::string &path, const ServiceSnapshot &s)
 ServiceSnapshot
 loadServiceSnapshot(const std::string &path)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
+    std::string content;
+    if (!ckpt::readFile(path, &content))
         throw ServiceError("cannot open service snapshot '" + path + "'");
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    return decodeServiceSnapshot(buf.str());
+    return decodeServiceSnapshot(content);
 }
 
 } // namespace memcon::service

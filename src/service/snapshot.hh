@@ -3,20 +3,22 @@
  * The crash-safe service snapshot: everything memcond needs to resume
  * a SIGKILL'd daemon with bit-identical per-tenant state.
  *
- * The file reuses the durable-artifact discipline of the campaign
- * checkpoint (DESIGN.md §15): every line is individually CRC-sealed
- * ("payload #xxxxxxxx"), the header is a CampaignFingerprint binding
- * the snapshot to one service configuration, and an END footer
- * carries the line count and a running CRC over every byte above it.
- * Writes go through atomicWriteFile(), so a reader only ever sees a
- * complete old file or a complete new file. The loader is strict: a
- * file truncated or corrupted at ANY byte decodes to a typed
- * ServiceError, never to partial state.
+ * The file is a "MEMCOND-SVC v2" sealed file (DESIGN.md §15):
+ * ckpt::SealedWriter writes it and ckpt::readSealedFile() owns the
+ * framing - the per-line CRC seal, the CampaignFingerprint header
+ * binding the snapshot to one service configuration, and the END
+ * footer over every line above it. This file only encodes and decodes
+ * the record lines. Writes go through atomicWriteFile(), so a reader
+ * only ever sees a complete old file or a complete new file. The
+ * decoder is strict: a file truncated or corrupted at ANY byte
+ * decodes to a typed ServiceError, never to partial state, and no
+ * count in the file sizes an allocation before the lines it claims
+ * are known to be there.
  *
  * Contents:
  *
  *   - header: fingerprint (artifact "memcond", service seed, tenant
- *     count, config CRC as the label CRC)
+ *     count as points=, config CRC as the label CRC)
  *   - G: governor + admission cumulative state (rounds done, ladder
  *     stage, calm streak, escalation counters, verdict counters)
  *   - per tenant: T (producer counters + the OnlineMemcon state

@@ -4,13 +4,20 @@
  * PREA semantics, the controller's starvation guard and test-traffic
  * admission limit, Copy&Compare in the closed loop, geometry
  * validation, and the durable-record discipline (sealed lines,
- * fingerprint-mismatch diagnostics, and a truncation/corruption fuzz
- * over the memcond service snapshot format).
+ * fingerprint-mismatch diagnostics, and the SealedFile suite: one
+ * truncation/corruption/mutation fuzz run against both sealed-file
+ * formats, the campaign checkpoint and the memcond snapshot).
  */
+
+#include <algorithm>
+#include <fstream>
+
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
 #include "common/checkpoint.hh"
+#include "common/logging.hh"
 #include "common/random.hh"
 #include "common/stats.hh"
 #include "core/closed_loop.hh"
@@ -232,11 +239,12 @@ TEST(Energy, StatsDrivenTallyTracksActivity)
 }
 
 // ---------------------------------------------------------------------
-// Durable-record primitives and the service snapshot's strictness:
+// Durable-record primitives and the sealed-file readers' strictness:
 // sealed-line round trips, fingerprint-mismatch diagnostics, and a
-// fuzz over truncation and corruption of a snapshot file - every
-// damaged variant must surface as a typed ServiceError, never as
-// partial state.
+// fuzz over truncation, corruption and resealed mutation of both
+// sealed-file formats - every damaged variant must surface as the
+// format's typed rejection, never as partial state or any other
+// exception.
 // ---------------------------------------------------------------------
 
 TEST(DurableRecords, SealedLinesRoundTripAndRejectTamper)
@@ -352,83 +360,371 @@ sampleSnapshot()
     return s;
 }
 
-} // namespace
-
-TEST(DurableRecords, ServiceSnapshotTruncationAtEveryByteThrows)
+/** The file's sealed lines, each with its '\n'. */
+std::vector<std::string>
+sealedLines(const std::string &file)
 {
-    const std::string full =
-        service::encodeServiceSnapshot(sampleSnapshot());
-    // Sanity: the intact encoding decodes to the identical encoding.
-    EXPECT_EQ(service::encodeServiceSnapshot(
-                  service::decodeServiceSnapshot(full)),
-              full);
-
-    // Every proper prefix - which includes every section boundary:
-    // after the header, between tenants, mid-journal, before the
-    // footer - must throw, never decode to a shorter valid snapshot.
-    for (std::size_t len = 0; len < full.size(); ++len)
-        EXPECT_THROW(service::decodeServiceSnapshot(full.substr(0, len)),
-                     service::ServiceError)
-            << "truncation to " << len << " of " << full.size()
-            << " bytes was accepted";
-}
-
-TEST(DurableRecords, ServiceSnapshotLineRemovalAndReorderThrow)
-{
-    const std::string full =
-        service::encodeServiceSnapshot(sampleSnapshot());
     std::vector<std::string> lines;
-    std::size_t start = 0;
-    while (start < full.size()) {
-        std::size_t nl = full.find('\n', start);
-        lines.push_back(full.substr(start, nl - start + 1));
+    for (std::size_t start = 0; start < file.size();) {
+        const std::size_t nl = file.find('\n', start);
+        lines.push_back(file.substr(start, nl - start + 1));
         start = nl + 1;
     }
-    ASSERT_GE(lines.size(), 8u);
-
-    // Deleting any single line (each individually CRC-clean) breaks
-    // the footer's line count or running CRC.
-    for (std::size_t drop = 0; drop < lines.size(); ++drop) {
-        std::string damaged;
-        for (std::size_t i = 0; i < lines.size(); ++i)
-            if (i != drop)
-                damaged += lines[i];
-        EXPECT_THROW(service::decodeServiceSnapshot(damaged),
-                     service::ServiceError)
-            << "dropping line " << drop << " was accepted";
-    }
-
-    // Swapping two sealed lines keeps every line CRC valid; the
-    // structural checks (duplicate/missing sections) must still fire.
-    std::string swapped;
-    for (std::size_t i = 0; i < lines.size(); ++i) {
-        std::size_t j = i == 0 ? 1 : (i == 1 ? 0 : i);
-        swapped += lines[j];
-    }
-    EXPECT_THROW(service::decodeServiceSnapshot(swapped),
-                 service::ServiceError);
-
-    // Trailing bytes after the footer are a deviation too.
-    EXPECT_THROW(service::decodeServiceSnapshot(full + lines[1]),
-                 service::ServiceError);
+    return lines;
 }
 
-TEST(DurableRecords, ServiceSnapshotRandomCorruptionThrows)
+/** Every line's payload, the END footer dropped. */
+std::vector<std::string>
+recordPayloads(const std::string &file)
 {
-    const std::string full =
-        service::encodeServiceSnapshot(sampleSnapshot());
+    std::vector<std::string> payloads;
+    for (const std::string &line : sealedLines(file)) {
+        std::string payload;
+        EXPECT_TRUE(
+            ckpt::unsealLine(line.substr(0, line.size() - 1), &payload));
+        payloads.push_back(payload);
+    }
+    payloads.pop_back();
+    return payloads;
+}
+
+/** Seal `payloads` and end them with a footer that matches them: the
+ *  seals and the footer pass, so only the header and record checks
+ *  can object. */
+std::string
+resealed(const std::vector<std::string> &payloads)
+{
+    std::string body;
+    for (const std::string &payload : payloads)
+        body += ckpt::sealLine(payload);
+    return body + ckpt::sealLine(strprintf("END count=%zu total=%08x",
+                                           payloads.size(),
+                                           ckpt::crc32(body)));
+}
+
+/** `payload` with the value of its space-separated token `index` (the
+ *  part after '=', or the whole token if it has none) replaced. */
+std::string
+withToken(const std::string &payload, std::size_t index,
+          const std::string &value)
+{
+    std::vector<std::string> tokens;
+    for (std::size_t start = 0;;) {
+        const std::size_t space = payload.find(' ', start);
+        tokens.push_back(payload.substr(start, space - start));
+        if (space == std::string::npos)
+            break;
+        start = space + 1;
+    }
+    std::string &token = tokens.at(index);
+    const std::size_t eq = token.find('=');
+    token = eq == std::string::npos ? value : token.substr(0, eq + 1) + value;
+    std::string out = tokens[0];
+    for (std::size_t i = 1; i < tokens.size(); ++i)
+        out += " " + tokens[i];
+    return out;
+}
+
+constexpr const char *kHuge = "4611686018427387904"; // 2^62
+
+} // namespace
+
+TEST(DurableRecords, ServiceSnapshotOversizedCountsThrow)
+{
+    // Validly sealed files with a correct footer whose counts claim
+    // far more than the file holds: the tenant count (header token 4),
+    // the G line's rounds, and an R line's event count. Each must be
+    // a ServiceError, never an allocation sized from the claim.
+    const std::vector<std::string> payloads =
+        recordPayloads(service::encodeServiceSnapshot(sampleSnapshot()));
+    std::size_t residue = 0;
+    while (payloads.at(residue).compare(0, 2, "R ") != 0)
+        ++residue;
+    const std::pair<std::size_t, std::size_t> fields[] = {
+        {0, 4}, {1, 1}, {residue, 2}};
+    for (const auto &[line, token] : fields) {
+        std::vector<std::string> damaged = payloads;
+        damaged[line] = withToken(damaged[line], token, kHuge);
+        EXPECT_THROW(service::decodeServiceSnapshot(resealed(damaged)),
+                     service::ServiceError)
+            << "'" << damaged[line] << "' was not a ServiceError";
+    }
+}
+
+// ---------------------------------------------------------------------
+// SealedFile: the same damage, run against both sealed-file formats
+// through their public readers.
+// ---------------------------------------------------------------------
+
+enum class Format
+{
+    Checkpoint,
+    Snapshot
+};
+
+/** A reader's answer: accepted, or rejected with its typed reason. */
+struct Verdict
+{
+    bool accepted = false;
+    std::string reason;
+};
+
+ckpt::CampaignFingerprint
+checkpointFingerprint()
+{
+    ckpt::CampaignFingerprint fp;
+    fp.artifact = "sealed_file_test";
+    fp.campaignSeed = 7;
+    fp.pointCount = 3;
+    fp.quick = true;
+    fp.labelsCrc = ckpt::crc32("a\nb\nc");
+    return fp;
+}
+
+class SealedFile : public ::testing::TestWithParam<Format>
+{
+  protected:
+    /** This test's own temp file: ctest runs tests in parallel. */
+    std::string tempPath(const char *stem) const
+    {
+        std::string name =
+            ::testing::UnitTest::GetInstance()->current_test_info()->name();
+        for (char &c : name)
+            if (c == '/')
+                c = '_';
+        return ::testing::TempDir() + "sealed_" + name + "_" + stem +
+               strprintf("_%ld", static_cast<long>(::getpid()));
+    }
+
+    /** A file of format `format` holding every record kind it has. */
+    std::string sample(Format format) const
+    {
+        if (format == Format::Snapshot)
+            return service::encodeServiceSnapshot(sampleSnapshot());
+        const std::string path = tempPath("sample");
+        {
+            ckpt::CheckpointWriter writer(path, checkpointFingerprint());
+            writer.append({0, "m=1.5;"});
+            writer.append({1, "m=2.5;"});
+            writer.append({2, "m=3.5;"});
+        }
+        std::string content;
+        EXPECT_TRUE(ckpt::readFile(path, &content));
+        std::remove(path.c_str());
+        return content;
+    }
+
+    std::string sample() const { return sample(GetParam()); }
+
+    /** `content` through the format's public reader. Only the typed
+     *  rejection is caught: any other exception fails the test. */
+    Verdict decode(const std::string &content) const
+    {
+        Verdict v;
+        if (GetParam() == Format::Snapshot) {
+            try {
+                service::decodeServiceSnapshot(content);
+                v.accepted = true;
+            } catch (const service::ServiceError &e) {
+                v.reason = e.what();
+            }
+            return v;
+        }
+        const std::string path = tempPath("decode");
+        std::ofstream(path, std::ios::binary | std::ios::trunc) << content;
+        ckpt::LoadedCheckpoint loaded;
+        v.accepted = ckpt::loadCheckpoint(path, &loaded, &v.reason);
+        std::remove(path.c_str());
+        return v;
+    }
+
+    /** Decode `content`, which must be rejected with a reason. */
+    void expectRejected(const std::string &content,
+                        const std::string &what) const
+    {
+        const Verdict v = decode(content);
+        EXPECT_FALSE(v.accepted) << what << " was accepted";
+        EXPECT_TRUE(v.accepted || !v.reason.empty()) << what;
+    }
+};
+
+/** Names the parameter in test listings: .../checkpoint, .../snapshot. */
+void
+PrintTo(Format format, std::ostream *os)
+{
+    *os << (format == Format::Checkpoint ? "checkpoint" : "snapshot");
+}
+
+INSTANTIATE_TEST_SUITE_P(Formats, SealedFile,
+                         ::testing::Values(Format::Checkpoint,
+                                           Format::Snapshot));
+
+TEST_P(SealedFile, IntactFileRoundTripsByteForByte)
+{
+    const std::string full = sample();
+    const Verdict v = decode(full);
+    ASSERT_TRUE(v.accepted) << v.reason;
+    if (GetParam() == Format::Snapshot) {
+        EXPECT_EQ(service::encodeServiceSnapshot(
+                      service::decodeServiceSnapshot(full)),
+                  full);
+        return;
+    }
+    const std::string path = tempPath("intact");
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << full;
+    ckpt::LoadedCheckpoint loaded;
+    ASSERT_TRUE(ckpt::loadCheckpoint(path, &loaded));
+    EXPECT_TRUE(loaded.fingerprint.matches(checkpointFingerprint()));
+    ASSERT_EQ(loaded.records.size(), 3u);
+    EXPECT_EQ(loaded.records[2].index, 2u);
+    EXPECT_EQ(loaded.records[2].metrics, "m=3.5;");
+    ckpt::CheckpointWriter(path, loaded.fingerprint, loaded.records);
+    std::string rewritten;
+    ASSERT_TRUE(ckpt::readFile(path, &rewritten));
+    EXPECT_EQ(rewritten, full);
+    std::remove(path.c_str());
+}
+
+TEST_P(SealedFile, TruncationAtEveryByteIsRejected)
+{
+    // Every proper prefix - which includes every line boundary: after
+    // the header, between records, before the footer - is rejected,
+    // never read as a shorter valid file.
+    const std::string full = sample();
+    ASSERT_GT(full.size(), 100u);
+    for (std::size_t len = 0; len < full.size(); ++len)
+        expectRejected(full.substr(0, len),
+                       strprintf("truncation to %zu of %zu bytes", len,
+                                 full.size()));
+}
+
+TEST_P(SealedFile, ByteFlipsAreRejectedByTheCrc)
+{
+    const std::string full = sample();
+
+    // One payload byte of the first record: its seal names the CRC.
+    std::string damaged = full;
+    damaged[full.find('\n') + 1] ^= 0x20;
+    Verdict v = decode(damaged);
+    EXPECT_FALSE(v.accepted);
+    EXPECT_NE(v.reason.find("CRC"), std::string::npos) << v.reason;
+
+    // 500 seeded flips anywhere. Only the final newline is not under
+    // a seal; every other flip breaks (or splits, or merges) a line.
     Rng rng(0xc0ffee);
     for (int trial = 0; trial < 500; ++trial) {
-        std::string damaged = full;
+        damaged = full;
         const std::size_t at = rng.uniformInt(damaged.size());
         const char flip =
             static_cast<char>(1 + rng.uniformInt(255)); // never 0
         damaged[at] = static_cast<char>(damaged[at] ^ flip);
-        EXPECT_THROW(service::decodeServiceSnapshot(damaged),
-                     service::ServiceError)
+        v = decode(damaged);
+        EXPECT_FALSE(v.accepted)
             << "flipping byte " << at << " with 0x" << std::hex
             << int(flip) << " was accepted";
+        if (at + 1 < full.size()) {
+            EXPECT_NE(v.reason.find("CRC"), std::string::npos)
+                << "byte " << at << ": " << v.reason;
+        }
     }
+}
+
+TEST_P(SealedFile, DroppedDuplicatedOrSwappedLinesAreRejected)
+{
+    // Every line stays individually CRC-clean; the footer's count and
+    // running CRC (or the header/footer positions) must catch it.
+    const std::vector<std::string> lines = sealedLines(sample());
+    ASSERT_GE(lines.size(), 5u);
+    auto join = [](const std::vector<std::string> &parts) {
+        std::string out;
+        for (const std::string &part : parts)
+            out += part;
+        return out;
+    };
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+        std::vector<std::string> dropped = lines;
+        dropped.erase(dropped.begin() + static_cast<std::ptrdiff_t>(i));
+        expectRejected(join(dropped), strprintf("dropping line %zu", i));
+
+        std::vector<std::string> duplicated = lines;
+        duplicated.insert(duplicated.begin() +
+                              static_cast<std::ptrdiff_t>(i),
+                          lines[i]);
+        expectRejected(join(duplicated),
+                       strprintf("duplicating line %zu", i));
+
+        for (std::size_t j = i + 1; j < lines.size(); ++j) {
+            std::vector<std::string> swapped = lines;
+            std::swap(swapped[i], swapped[j]);
+            expectRejected(join(swapped),
+                           strprintf("swapping lines %zu and %zu", i, j));
+        }
+    }
+}
+
+TEST_P(SealedFile, SealedLineAfterEndIsRejected)
+{
+    const std::string full = sample();
+    const std::vector<std::string> lines = sealedLines(full);
+    expectRejected(full + lines[1], "a record line after END");
+    expectRejected(full + lines.back(), "a second END footer");
+
+    // Even with a new footer that covers it, an END line may only be
+    // the last line.
+    std::vector<std::string> payloads = recordPayloads(full);
+    std::string footer;
+    ASSERT_TRUE(ckpt::unsealLine(
+        lines.back().substr(0, lines.back().size() - 1), &footer));
+    payloads.push_back(footer);
+    payloads.push_back(recordPayloads(full)[1]);
+    const Verdict v = decode(resealed(payloads));
+    EXPECT_FALSE(v.accepted);
+    EXPECT_NE(v.reason.find("END"), std::string::npos) << v.reason;
+}
+
+TEST_P(SealedFile, OtherFormatIsRejectedAtItsHeader)
+{
+    const Format other = GetParam() == Format::Checkpoint
+                             ? Format::Snapshot
+                             : Format::Checkpoint;
+    const Verdict v = decode(sample(other));
+    EXPECT_FALSE(v.accepted);
+    EXPECT_NE(v.reason.find("header"), std::string::npos) << v.reason;
+}
+
+TEST_P(SealedFile, V1HeaderIsRejected)
+{
+    std::vector<std::string> payloads = recordPayloads(sample());
+    ASSERT_EQ(withToken(payloads[0], 1, "v2"), payloads[0]);
+    payloads[0] = withToken(payloads[0], 1, "v1");
+    const Verdict v = decode(resealed(payloads));
+    EXPECT_FALSE(v.accepted);
+    EXPECT_NE(v.reason.find("v2' header"), std::string::npos) << v.reason;
+}
+
+TEST_P(SealedFile, ResealedMutationsDecodeOrRejectTyped)
+{
+    // One token set to 0, 2^62 or empty, the line re-sealed and the
+    // footer recomputed: the framing is intact, so the record-level
+    // decoder alone must cope - by decoding, or by its typed
+    // rejection. decode() lets any other exception fail the test.
+    const std::vector<std::string> payloads = recordPayloads(sample());
+    const char *values[] = {"0", kHuge, ""};
+    Rng rng(0x5ea1ed);
+    std::size_t rejected = 0;
+    for (int trial = 0; trial < 400; ++trial) {
+        std::vector<std::string> damaged = payloads;
+        std::string &line = damaged[rng.uniformInt(damaged.size())];
+        const std::size_t tokens =
+            1 + static_cast<std::size_t>(
+                    std::count(line.begin(), line.end(), ' '));
+        line = withToken(line, rng.uniformInt(tokens),
+                         values[rng.uniformInt(3)]);
+        const Verdict v = decode(resealed(damaged));
+        EXPECT_TRUE(v.accepted || !v.reason.empty());
+        rejected += v.accepted ? 0 : 1;
+    }
+    EXPECT_GT(rejected, 0u);
 }
 
 TEST(DurableRecords, ServiceSnapshotGarbageFilesThrow)
@@ -437,11 +733,11 @@ TEST(DurableRecords, ServiceSnapshotGarbageFilesThrow)
     using service::ServiceError;
     EXPECT_THROW(decodeServiceSnapshot(""), ServiceError);
     EXPECT_THROW(decodeServiceSnapshot("not a snapshot\n"), ServiceError);
-    EXPECT_THROW(decodeServiceSnapshot("MEMCOND-SVC v1 unsealed\n"),
+    EXPECT_THROW(decodeServiceSnapshot("MEMCOND-SVC v2 unsealed\n"),
                  ServiceError);
     // A valid *campaign checkpoint* header is still not a snapshot.
     EXPECT_THROW(
-        decodeServiceSnapshot(ckpt::sealLine("MEMCON-CKPT v1 x")),
+        decodeServiceSnapshot(ckpt::sealLine("MEMCON-CKPT v2 x")),
         ServiceError);
     // Missing trailing newline on an otherwise intact file.
     const std::string full =

@@ -2,7 +2,8 @@
  * @file
  * Tests for the crash-safe campaign supervisor (DESIGN.md §15):
  * CRC32/atomic-write primitives, checkpoint round-trips, fuzzed
- * truncation of checkpoints and artifacts, checkpointed resume
+ * truncation of artifacts (checkpoint damage is the SealedFile suite
+ * in test_robustness.cc), checkpointed resume
  * (in-process and across a SIGKILL via the campaign_testbed
  * subprocess), graceful SIGTERM shutdown, and the hung-task watchdog.
  *
@@ -219,51 +220,6 @@ TEST(SweepRunnerCheckpoint, RoundTripsRecordsAndFingerprint)
     std::remove(path.c_str());
 }
 
-TEST(SweepRunnerCheckpoint, TruncationAtEveryByteIsRejected)
-{
-    std::string path = scratch("ck.txt");
-    {
-        ckpt::CheckpointWriter writer(path, testFingerprint());
-        writer.append({0, "m=1.5;"});
-        writer.append({1, "m=2.5;"});
-        writer.append({2, "m=3.5;"});
-    }
-    std::string full = slurp(path);
-    ASSERT_GT(full.size(), 100u);
-    ASSERT_TRUE(ckpt::validateCheckpointFile(path, nullptr));
-
-    std::string trunc_path = scratch("trunc.txt");
-    for (std::size_t len = 0; len < full.size(); ++len) {
-        spew(trunc_path, full.substr(0, len));
-        std::string reason;
-        EXPECT_FALSE(ckpt::validateCheckpointFile(trunc_path, &reason))
-            << "truncation to " << len << " of " << full.size()
-            << " bytes was accepted";
-    }
-    std::remove(path.c_str());
-    std::remove(trunc_path.c_str());
-}
-
-TEST(SweepRunnerCheckpoint, CorruptedByteIsRejected)
-{
-    std::string path = scratch("ck.txt");
-    {
-        ckpt::CheckpointWriter writer(path, testFingerprint());
-        writer.append({0, "m=1.5;"});
-    }
-    std::string full = slurp(path);
-    // Flip one payload byte in the middle of the task record.
-    std::string damaged = full;
-    std::size_t at = full.find("m=1.5;");
-    ASSERT_NE(at, std::string::npos);
-    damaged[at] = 'x';
-    spew(path, damaged);
-    std::string reason;
-    EXPECT_FALSE(ckpt::validateCheckpointFile(path, &reason));
-    EXPECT_NE(reason.find("CRC"), std::string::npos) << reason;
-    std::remove(path.c_str());
-}
-
 TEST(SweepRunnerCheckpoint, ArtifactTruncationAtEveryByteIsRejected)
 {
     // Build a representative artifact body + footer and fuzz every
@@ -385,7 +341,7 @@ TEST(SweepRunnerResume, FingerprintMismatchIsFatal)
 TEST(SweepRunnerResume, CorruptCheckpointIsFatal)
 {
     std::string ck = scratch("corrupt.ck");
-    spew(ck, "MEMCON-CKPT v1 but this is not sealed\n");
+    spew(ck, "MEMCON-CKPT v2 but this is not sealed\n");
     SweepOptions opts;
     opts.threads = 1;
     opts.resumePath = ck;
@@ -542,7 +498,7 @@ killResumeAt(unsigned threads)
 
     // The checkpoint the kill left behind is complete and valid...
     std::string reason;
-    ASSERT_TRUE(ckpt::validateCheckpointFile(ck, &reason)) << reason;
+    ASSERT_TRUE(ckpt::loadCheckpoint(ck, nullptr, &reason)) << reason;
     ckpt::LoadedCheckpoint loaded;
     ASSERT_TRUE(ckpt::loadCheckpoint(ck, &loaded, &reason)) << reason;
     EXPECT_EQ(loaded.records.size(), 5u);
