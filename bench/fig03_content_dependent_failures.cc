@@ -90,12 +90,12 @@ main()
          "only under some contents. The rare/conditional population "
          "above reproduces that.");
 
-    // The same battery through the bit-parallel sweep (DESIGN.md
-    // §19): per-pattern visible failing bits plus the coverage curve
-    // (bits no earlier pattern flagged), maintained with the bulk
-    // or/andnot kernels instead of per-cell sets. Counts cover the
-    // logically visible bits only, so they sit at or below the
-    // cell-level numbers above (spare columns have no address here).
+    // The same battery through the block sweep (DESIGN.md §19):
+    // per-pattern visible failing bits plus the coverage curve (bits
+    // no earlier pattern flagged), what a readback compare would
+    // flag. Counts cover the logically visible bits only, so they sit
+    // at or below the cell-level numbers above (spare columns have no
+    // address here).
     auto bit_counts = tester.batteryFailingBitCounts(battery, 328.0);
     std::uint64_t total_bits = 0, covered = 0;
     std::size_t patterns_to_90 = 0;

@@ -53,9 +53,9 @@ main()
             sum += frac;
             mn = std::min(mn, frac);
             mx = std::max(mx, frac);
-            // The bit-parallel pass prices severity, not just row
-            // verdicts: how many visible bits the controller would
-            // actually see flip under this content (DESIGN.md §19).
+            // The block pass prices severity, not just row verdicts:
+            // how many visible bits the controller would actually
+            // see flip under this content (DESIGN.md §19).
             bits += tester.testWithContentBlock(content, 328.0)
                         .failingBits;
         }

@@ -2,15 +2,14 @@
  * @file
  * Hot-path microbench for the hardware-modelled bookkeeping paths:
  * the PRIL predictor under onWrite churn and quantum swap, block
- * content fills vs the per-word virtual wordAt loop, row compares
- * through the dispatched kernels vs forced scalar, and block row
- * readback vs the sparse per-cell evaluation. Emits
+ * content fills vs the per-word virtual wordAt loop, and row
+ * compares through the dispatched kernels vs forced scalar. Emits
  * BENCH_micro_pril_ops.json so the per-access cost trajectory behind
  * the §6.4 "off the critical path" argument is tracked across
  * revisions.
  *
  * Every metric is a deterministic counter (writes, candidates,
- * drops, checksums, failing bits); wall-clock enters only through
+ * drops, checksums, mismatch bits); wall-clock enters only through
  * the runner's per-point wall_seconds, which stays outside the
  * digest, so --repeat N never trips the repeat-invariance check.
  * Both members of every pair replay identical pre-generated inputs,
@@ -29,7 +28,6 @@
 #include "common/table.hh"
 #include "core/pril.hh"
 #include "failure/content.hh"
-#include "failure/model.hh"
 #include "runner.hh"
 
 using namespace memcon;
@@ -160,7 +158,6 @@ main(int argc, char **argv)
     const std::size_t content_rows = opts.quick ? 512 : 4096;
     const std::size_t row_words = 1024; // 8 KB row
     const std::size_t compare_rows = opts.quick ? 1u << 10 : 1u << 13;
-    const std::size_t eval_rows = opts.quick ? 256 : 2048;
 
     bench::SweepRunner runner("micro_pril_ops", opts);
 
@@ -248,54 +245,6 @@ main(int argc, char **argv)
                     {"rows", static_cast<double>(compare_rows)},
                     {"mismatch_rows", static_cast<double>(mismatches)},
                     {"mismatch_bits", static_cast<double>(bits)},
-                };
-            });
-    }
-
-    // (e) row readback: sparse per-cell evaluation vs the block
-    // readback + xor-popcount path the Fig 3/4 sweeps run on.
-    for (bool block : {false, true}) {
-        runner.add(
-            std::string("row_readback/") + (block ? "block" : "sparse"),
-            [block, eval_rows](const bench::TaskContext &) {
-                failure::FailureModelParams params;
-                failure::FailureModel model(params, 1 << 14, 1 << 16);
-                failure::ProgramContent content(
-                    failure::ContentPersona::byName("gcc"), 0);
-                const std::size_t n_words = (1 << 16) / 64;
-                Arena arena;
-                std::uint64_t *expected =
-                    arena.allocate<std::uint64_t>(n_words);
-                std::uint64_t *readback =
-                    arena.allocate<std::uint64_t>(n_words);
-                std::uint64_t failures = 0;
-                for (std::size_t r = 0; r < eval_rows; ++r) {
-                    if (block) {
-                        std::uint64_t logical =
-                            model.scrambler().logicalRow(r);
-                        content.fillRow(logical, expected, n_words);
-                        model.readbackPhysicalRow(RowId{r}, content,
-                                                  64.0, readback,
-                                                  n_words);
-                        failures += simd::xorPopcount(
-                            expected, readback, n_words);
-                    } else {
-                        for (const failure::CellFailure &f :
-                             model.evaluatePhysicalRow(RowId{r},
-                                                       content, 64.0)) {
-                            // Count only logically visible failures,
-                            // to match the block path's view.
-                            if (model.remapper().addressedColumn(
-                                    f.column) !=
-                                failure::ColumnRemapper::kUnmapped)
-                                ++failures;
-                        }
-                    }
-                }
-                return bench::Metrics{
-                    {"rows", static_cast<double>(eval_rows)},
-                    {"visible_failing_bits",
-                     static_cast<double>(failures)},
                 };
             });
     }

@@ -42,7 +42,7 @@ class ContentProvider
 
     /**
      * Fill dst[0..n_words) with words 0..n_words of the row - the
-     * block form the bit-parallel test path compares from (DESIGN.md
+     * block form a whole-row readback compare starts from (DESIGN.md
      * §19). Contract: fillRow(row, dst, n) leaves dst[w] ==
      * wordAt(row, w) for every w; the property suite pins this for
      * every provider. The default loops over the virtual wordAt;

@@ -162,28 +162,6 @@ FailureModel::evaluatePhysicalRow(RowId physical_row,
     return failures;
 }
 
-void
-FailureModel::readbackPhysicalRow(RowId physical_row,
-                                  const ContentProvider &content,
-                                  double interval_ms,
-                                  std::uint64_t *dst,
-                                  std::size_t n_words) const
-{
-    std::uint64_t logical_row = scrambler_.logicalRow(physical_row.value());
-    content.fillRow(logical_row, dst, n_words);
-
-    for (const CellFailure &f :
-         evaluatePhysicalRow(physical_row, content, interval_ms)) {
-        std::uint64_t addressed = remapper_.addressedColumn(f.column);
-        if (addressed == ColumnRemapper::kUnmapped)
-            continue; // no logical address: invisible to the system
-        std::uint64_t logical_col = scrambler_.logicalColumn(addressed);
-        if (logical_col / 64 >= n_words)
-            continue; // outside the compared span
-        dst[logical_col / 64] ^= std::uint64_t{1} << (logical_col % 64);
-    }
-}
-
 bool
 FailureModel::physicalRowFails(RowId physical_row,
                                const ContentProvider &content,

@@ -46,7 +46,6 @@
 #ifndef MEMCON_FAILURE_MODEL_HH
 #define MEMCON_FAILURE_MODEL_HH
 
-#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
@@ -156,6 +155,14 @@ class FailureModel
     /**
      * Failures in one physical row with the given logical content
      * installed, after the row idles for interval_ms.
+     *
+     * One record per failing population member. Members draw their
+     * columns independently, so two records can share a column; the
+     * cell still reads back as its stored bit inverted, once. A
+     * failure at an unused spare or fused-off column has no logical
+     * address and never reaches a readback - DramTester's block
+     * paths project these records onto the logical bits the memory
+     * controller sees (DESIGN.md §19).
      */
     std::vector<CellFailure>
     evaluatePhysicalRow(RowId physical_row,
@@ -198,21 +205,6 @@ class FailureModel
      */
     bool chargedAt(RowId physical_row, std::uint64_t storage_col,
                    const ContentProvider &content) const;
-
-    /**
-     * The logical words read back from one physical row after it
-     * idles for interval_ms with the content installed: fillRow of
-     * the scrambled logical row, with each *logically visible*
-     * failing cell's bit flipped (a failure always reads as the
-     * discharged state, i.e. the stored bit inverted). Failures at
-     * unused spare or fused-off columns have no logical address and
-     * are invisible here - the block test path (DESIGN.md §19)
-     * therefore sees exactly what the memory controller would see.
-     */
-    void readbackPhysicalRow(RowId physical_row,
-                             const ContentProvider &content,
-                             double interval_ms, std::uint64_t *dst,
-                             std::size_t n_words) const;
 
   private:
     struct RowPopulation

@@ -1,14 +1,45 @@
 #include "failure/tester.hh"
 
+#include <algorithm>
 #include <cmath>
-#include <cstring>
+#include <iterator>
 
-#include "common/arena.hh"
 #include "common/logging.hh"
-#include "common/simd.hh"
 
 namespace memcon::failure
 {
+
+namespace
+{
+
+/**
+ * The block readback of one physical row, projected: the sorted,
+ * de-duplicated logical bit positions at which the row reads back
+ * differently from what was written. The readback is the written row
+ * with each visible failing cell inverted, so these bits are all a
+ * compare of the two rows could find. Failures with no logical
+ * address (unused spare or fused-off column) are invisible to the
+ * system; every other column has a logical position inside the row.
+ */
+void
+visibleFailingBits(const FailureModel &model, RowId physical_row,
+                   const ContentProvider &content, double interval_ms,
+                   std::vector<std::uint64_t> &out)
+{
+    out.clear();
+    for (const CellFailure &f :
+         model.evaluatePhysicalRow(physical_row, content, interval_ms)) {
+        std::uint64_t addressed = model.remapper().addressedColumn(f.column);
+        if (addressed != ColumnRemapper::kUnmapped)
+            out.push_back(model.scrambler().logicalColumn(addressed));
+    }
+    // Two failure records can share a column; the cell still reads
+    // back as one inverted bit.
+    std::sort(out.begin(), out.end());
+    out.erase(std::unique(out.begin(), out.end()), out.end());
+}
+
+} // namespace
 
 double
 temperatureScaledInterval(double interval_ms, double from_celsius,
@@ -53,35 +84,21 @@ DramTester::testWithContent(const ContentProvider &content,
     return result;
 }
 
-std::size_t
-DramTester::rowWords() const
-{
-    return static_cast<std::size_t>((model.cellsPerRow() + 63) / 64);
-}
-
 TestResult
 DramTester::testWithContentBlock(const ContentProvider &content,
                                  double interval_ms,
                                  std::uint64_t row_limit) const
 {
     std::uint64_t limit = rowLimitOrAll(row_limit);
-    const std::size_t n_words = rowWords();
     TestResult result;
     result.rowsTested = limit;
 
-    Arena arena;
-    std::uint64_t *expected = arena.allocate<std::uint64_t>(n_words);
-    std::uint64_t *readback = arena.allocate<std::uint64_t>(n_words);
-
+    std::vector<std::uint64_t> bits;
     for (std::uint64_t r = 0; r < limit; ++r) {
-        std::uint64_t logical_row = model.scrambler().logicalRow(r);
-        content.fillRow(logical_row, expected, n_words);
-        model.readbackPhysicalRow(RowId{r}, content, interval_ms,
-                                  readback, n_words);
-        if (!simd::rowsEqual(expected, readback, n_words)) {
+        visibleFailingBits(model, RowId{r}, content, interval_ms, bits);
+        if (!bits.empty()) {
             ++result.rowsFailing;
-            result.failingBits +=
-                simd::xorPopcount(expected, readback, n_words);
+            result.failingBits += bits.size();
         }
     }
     return result;
@@ -157,40 +174,25 @@ DramTester::batteryFailingBitCounts(
     std::uint64_t row_limit) const
 {
     std::uint64_t limit = rowLimitOrAll(row_limit);
-    const std::size_t n_words = rowWords();
     std::vector<PatternBitCounts> out(battery.size());
 
-    Arena arena;
-    std::uint64_t *expected = arena.allocate<std::uint64_t>(n_words);
-    std::uint64_t *readback = arena.allocate<std::uint64_t>(n_words);
-    std::uint64_t *diff = arena.allocate<std::uint64_t>(n_words);
-    std::uint64_t *fresh = arena.allocate<std::uint64_t>(n_words);
-    // One seen-mask per row, accumulated across the battery.
-    std::uint64_t *seen = arena.allocate<std::uint64_t>(limit * n_words);
-    std::memset(seen, 0, limit * n_words * sizeof(std::uint64_t));
-
+    // Per row, the sorted logical bits any earlier pattern flagged.
+    std::vector<std::vector<std::uint64_t>> seen(limit);
+    std::vector<std::uint64_t> bits, merged;
     for (std::size_t i = 0; i < battery.size(); ++i) {
-        const PatternContent &pattern = battery[i];
         for (std::uint64_t r = 0; r < limit; ++r) {
-            std::uint64_t logical_row = model.scrambler().logicalRow(r);
-            pattern.fillRow(logical_row, expected, n_words);
-            model.readbackPhysicalRow(RowId{r}, pattern, interval_ms,
-                                      readback, n_words);
-            for (std::size_t w = 0; w < n_words; ++w)
-                diff[w] = expected[w] ^ readback[w];
-            std::uint64_t bits = simd::popcountWords(diff, n_words);
-            if (bits == 0)
+            visibleFailingBits(model, RowId{r}, battery[i], interval_ms,
+                               bits);
+            if (bits.empty())
                 continue;
-            out[i].failingBits += bits;
+            out[i].failingBits += bits.size();
 
-            // New bits = diff with everything already seen masked
-            // off; then fold this pattern's diff into the row mask.
-            std::uint64_t *row_seen = seen + r * n_words;
-            std::memcpy(fresh, diff, n_words * sizeof(std::uint64_t));
-            simd::andNotWords(fresh, row_seen, n_words);
-            out[i].newFailingBits +=
-                simd::popcountWords(fresh, n_words);
-            simd::orWords(row_seen, diff, n_words);
+            std::vector<std::uint64_t> &row_seen = seen[r];
+            merged.clear();
+            std::set_union(row_seen.begin(), row_seen.end(), bits.begin(),
+                           bits.end(), std::back_inserter(merged));
+            out[i].newFailingBits += merged.size() - row_seen.size();
+            row_seen.swap(merged);
         }
     }
     return out;

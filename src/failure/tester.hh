@@ -48,9 +48,10 @@ struct TestResult
     std::uint64_t rowsFailing = 0;
 
     /**
-     * Total logically visible failing bits (xor-popcount of expected
-     * vs readback). Populated by the block test path; the sparse
-     * per-cell paths leave it zero.
+     * Total logically visible failing bits: the distinct cells with a
+     * logical address that fail, i.e. the bits a compare of the
+     * written and read-back rows would flag. Populated by the block
+     * test path; the sparse per-cell paths leave it zero.
      */
     std::uint64_t failingBits = 0;
 
@@ -79,9 +80,11 @@ class DramTester
                                std::uint64_t row_limit = 0) const;
 
     /**
-     * The bit-parallel form of testWithContent (DESIGN.md §19):
-     * fill the expected row, read the row back as a flat word
-     * buffer, and compare through the dispatched kernels. Reports
+     * The controller's view of testWithContent (DESIGN.md §19): what
+     * a compare of the written and read-back rows would report. The
+     * readback is the written row with each visible failing cell
+     * inverted, so this derives the verdict from those cells
+     * directly and never fills or compares a row. Reports
      * rowsFailing and failingBits but leaves the failures vector
      * empty - per-cell attribution needs the sparse path.
      *
@@ -134,11 +137,12 @@ class DramTester
     };
 
     /**
-     * Bit-parallel battery sweep for the Figure 3 pattern-coverage
-     * curves: per pattern, the visible failing-bit count and how many
-     * of those bits are new versus all preceding patterns. The
-     * per-row "seen" masks are maintained with the bulk or/andnot
-     * kernels, so the whole sweep never materializes per-cell sets.
+     * Block battery sweep for the Figure 3 pattern-coverage curves:
+     * per pattern, the visible failing-bit count and how many of
+     * those bits are new versus all preceding patterns. Each row's
+     * "seen" state is the sorted set of logical bits earlier
+     * patterns flagged, so memory grows with the failures found,
+     * not with the module.
      */
     std::vector<PatternBitCounts>
     batteryFailingBitCounts(const std::vector<PatternContent> &battery,
@@ -147,9 +151,6 @@ class DramTester
 
   private:
     std::uint64_t rowLimitOrAll(std::uint64_t row_limit) const;
-
-    /** Words per row in the block views (ceil of cells / 64). */
-    std::size_t rowWords() const;
 
     const FailureModel &model;
 };

@@ -18,14 +18,23 @@
  *  - Figure 17 LO-REF time coverage (paper: ~95% average).
  *  - Figure 15 shape: refresh reduction speeds the system up, more
  *    at higher chip density.
+ *
+ * Exact pins of the Figure 4 block tester: each SPEC persona's
+ * failing rows and visible failing bits at content epoch 0 on the
+ * fixed 1024-row module perfbench `detect` tests.
  */
 
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/cost_model.hh"
 #include "core/engine.hh"
+#include "failure/content.hh"
+#include "failure/model.hh"
+#include "failure/tester.hh"
 #include "sim/system.hh"
 #include "trace/app_model.hh"
 #include "trace/cpu_gen.hh"
@@ -172,4 +181,47 @@ TEST(Golden, Fig15RefreshReductionSpeedsUpAndScalesWithDensity)
     double s32 = speedup(dram::Density::Gb32);
     EXPECT_GT(s8, 1.0);
     EXPECT_GT(s32, s8);
+}
+
+TEST(Golden, Fig04BlockVerdictsPerPersonaAtEpoch0)
+{
+    struct Case
+    {
+        const char *persona;
+        std::uint64_t rowsFailing;
+        std::uint64_t failingBits;
+    };
+    const Case cases[] = {
+        {"perlbench", 5, 5},   {"bzip2", 14, 14},
+        {"gcc", 14, 14},       {"mcf", 14, 14},
+        {"zeusmp", 36, 36},    {"cactusADM", 24, 25},
+        {"gobmk", 17, 17},     {"namd", 32, 32},
+        {"soplex", 29, 30},    {"dealII", 32, 33},
+        {"calculix", 38, 38},  {"hmmer", 40, 43},
+        {"libquantum", 32, 33}, {"GemsFDTD", 47, 47},
+        {"h264ref", 38, 39},   {"tonto", 51, 51},
+        {"omnetpp", 47, 47},   {"lbm", 57, 57},
+        {"xalancbmk", 56, 58}, {"astar", 68, 70},
+    };
+    const std::vector<failure::ContentPersona> suite =
+        failure::ContentPersona::specSuite();
+    ASSERT_EQ(suite.size(), std::size(cases));
+
+    failure::FailureModelParams params;
+    params.nominalIntervalMs = 328.0;
+    params.seed = 2017;
+    params.redundantColumns = 0;
+    params.remappedColumns = 0;
+    failure::FailureModel model(params, 1 << 10, 1 << 16);
+    failure::DramTester tester(model);
+    for (std::size_t i = 0; i < suite.size(); ++i) {
+        ASSERT_EQ(suite[i].name, std::string(cases[i].persona));
+        failure::TestResult block = tester.testWithContentBlock(
+            failure::ProgramContent(suite[i], 0), 328.0);
+        EXPECT_EQ(block.rowsTested, 1024u) << cases[i].persona;
+        EXPECT_EQ(block.rowsFailing, cases[i].rowsFailing)
+            << cases[i].persona;
+        EXPECT_EQ(block.failingBits, cases[i].failingBits)
+            << cases[i].persona;
+    }
 }

@@ -24,6 +24,7 @@
 #include "failure/model.hh"
 #include "failure/tester.hh"
 #include "oracles/reference_pril.hh"
+#include "oracles/reference_readback.hh"
 
 using namespace memcon;
 
@@ -459,6 +460,36 @@ TEST(Property, FlatAndReferencePrilAgree)
 // path where both see the whole chip.
 // --------------------------------------------------------------------
 
+namespace
+{
+
+std::set<std::pair<RowId, std::uint64_t>>
+distinctCells(const failure::TestResult &result)
+{
+    std::set<std::pair<RowId, std::uint64_t>> cells;
+    for (const failure::CellFailure &f : result.failures)
+        cells.insert({f.physicalRow, f.column});
+    return cells;
+}
+
+/**
+ * A dense population on 64-cell rows: many rows carry two failure
+ * records on one column.
+ */
+failure::FailureModel
+denseCollidingModel()
+{
+    failure::FailureModelParams params;
+    params.vulnerableCellsPerRow = 8;
+    params.nominalIntervalMs = 328.0;
+    params.seed = 1;
+    params.redundantColumns = 0;
+    params.remappedColumns = 0;
+    return failure::FailureModel(params, 1 << 10, 64);
+}
+
+} // namespace
+
 TEST(Property, FillRowMatchesWordAtLoop)
 {
     const std::size_t n_words = 37; // not a lane multiple
@@ -506,9 +537,31 @@ TEST(Property, BlockTesterMatchesSparseTesterWithoutSpares)
         tester.testWithContentBlock(content, 328.0);
     EXPECT_EQ(block.rowsTested, sparse.rowsTested);
     EXPECT_EQ(block.rowsFailing, sparse.rowsFailing);
-    EXPECT_EQ(block.failingBits, sparse.failures.size());
+    EXPECT_EQ(block.failingBits, distinctCells(sparse).size());
     EXPECT_GT(block.failingBits, 0u)
         << "model produced no failures; the comparison is vacuous";
+}
+
+TEST(Property, BlockTesterCountsCollidingCellsOnce)
+{
+    // A cell with two failure records reads back as its stored bit
+    // inverted, once: the records must not cancel into "no failure".
+    const failure::FailureModel model = denseCollidingModel();
+    failure::DramTester tester(model);
+    failure::ProgramContent content(
+        failure::ContentPersona::byName("astar"), 1);
+
+    failure::TestResult sparse = tester.testWithContent(content, 328.0);
+    failure::TestResult block =
+        tester.testWithContentBlock(content, 328.0);
+    const std::set<std::pair<RowId, std::uint64_t>> cells =
+        distinctCells(sparse);
+    ASSERT_LT(cells.size(), sparse.failures.size())
+        << "no colliding records; the test is vacuous";
+    EXPECT_EQ(block.rowsFailing, sparse.rowsFailing);
+    EXPECT_EQ(block.failingBits, cells.size());
+    EXPECT_EQ(block.rowsFailing, 616u);
+    EXPECT_EQ(block.failingBits, 2272u);
 }
 
 TEST(Property, PrilCandidatesHadExactlyOneWriteTwoQuantaAgo)
@@ -540,4 +593,194 @@ TEST(Property, PrilCandidatesHadExactlyOneWriteTwoQuantaAgo)
         prev_counts = cur_counts;
         std::fill(cur_counts.begin(), cur_counts.end(), 0);
     }
+}
+
+// --------------------------------------------------------------------
+// Differential suite: the block tester derives each row's readback
+// from its visible failing cells; oracles::referenceTestWithContentBlock
+// and referenceBatteryFailingBitCounts fill, read back and compare
+// whole rows through the dispatched kernels. They must agree field for
+// field. CI runs this suite native and with MEMCON_FORCE_SCALAR=1, so
+// the oracle's compare goes through both kernel sets.
+// --------------------------------------------------------------------
+
+namespace
+{
+
+void
+expectBlockMatchesOracle(const failure::FailureModel &model,
+                         const failure::ContentProvider &content,
+                         double interval_ms, std::uint64_t row_limit = 0)
+{
+    failure::DramTester tester(model);
+    failure::TestResult got =
+        tester.testWithContentBlock(content, interval_ms, row_limit);
+    failure::TestResult want = oracles::referenceTestWithContentBlock(
+        model, content, interval_ms, row_limit);
+    EXPECT_EQ(got.rowsTested, want.rowsTested) << content.name();
+    EXPECT_EQ(got.rowsFailing, want.rowsFailing) << content.name();
+    EXPECT_EQ(got.failingBits, want.failingBits) << content.name();
+    EXPECT_EQ(got.failures.size(), want.failures.size()) << content.name();
+}
+
+void
+expectBatteryMatchesOracle(const failure::FailureModel &model,
+                           const std::vector<failure::PatternContent> &battery,
+                           double interval_ms, std::uint64_t row_limit = 0)
+{
+    failure::DramTester tester(model);
+    auto got = tester.batteryFailingBitCounts(battery, interval_ms, row_limit);
+    auto want = oracles::referenceBatteryFailingBitCounts(
+        model, battery, interval_ms, row_limit);
+    ASSERT_EQ(got.size(), want.size());
+    std::uint64_t total = 0;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].failingBits, want[i].failingBits)
+            << battery[i].name();
+        EXPECT_EQ(got[i].newFailingBits, want[i].newFailingBits)
+            << battery[i].name();
+        total += got[i].newFailingBits;
+    }
+    EXPECT_GT(total, 0u) << "battery found nothing; the check is vacuous";
+}
+
+/** perfbench `detect`'s module (and fig04's chip, 1024 rows of it). */
+failure::FailureModel
+detectModule()
+{
+    failure::FailureModelParams params;
+    params.nominalIntervalMs = 328.0;
+    params.seed = 2017;
+    params.redundantColumns = 0;
+    params.remappedColumns = 0;
+    return failure::FailureModel(params, 1 << 10, 1 << 16);
+}
+
+/** Small chip with the default spares, dense enough to fail often. */
+failure::FailureModelParams
+smallChipParams()
+{
+    failure::FailureModelParams params;
+    params.nominalIntervalMs = 328.0;
+    params.seed = 2017;
+    params.vulnerableCellsPerRow = 2.0;
+    params.weakCellsPerRow = 0.2;
+    return params;
+}
+
+std::vector<std::string>
+specPersonaNames()
+{
+    std::vector<std::string> names;
+    for (const failure::ContentPersona &p :
+         failure::ContentPersona::specSuite())
+        names.push_back(p.name);
+    return names;
+}
+
+} // namespace
+
+class BlockTesterOracleSpec : public ::testing::TestWithParam<std::string>
+{
+};
+
+TEST_P(BlockTesterOracleSpec, DetectModuleEpochs0To4)
+{
+    const failure::FailureModel model = detectModule();
+    const failure::ContentPersona persona =
+        failure::ContentPersona::byName(GetParam());
+    for (unsigned epoch = 0; epoch < 5; ++epoch)
+        expectBlockMatchesOracle(model,
+                                 failure::ProgramContent(persona, epoch),
+                                 328.0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SpecSuite, BlockTesterOracleSpec,
+    ::testing::ValuesIn(specPersonaNames()),
+    [](const ::testing::TestParamInfo<std::string> &info) {
+        return info.param;
+    });
+
+TEST(BlockTesterOracle, HundredPatternBattery)
+{
+    failure::FailureModel model(smallChipParams(), 1 << 9, 1 << 12);
+    expectBatteryMatchesOracle(model, failure::PatternContent::battery(100),
+                               328.0);
+}
+
+TEST(BlockTesterOracle, DefaultSparesHideInvisibleFailures)
+{
+    const failure::FailureModelParams params = smallChipParams();
+    ASSERT_EQ(params.redundantColumns, 128u);
+    ASSERT_EQ(params.remappedColumns, 24u);
+    failure::FailureModel model(params, 1 << 10, 1 << 12);
+    failure::ProgramContent content(
+        failure::ContentPersona::byName("mcf"), 3);
+
+    // Some failures must sit where the system cannot see them, or
+    // the spares exercise nothing.
+    failure::TestResult sparse =
+        failure::DramTester(model).testWithContent(content, 328.0);
+    std::uint64_t invisible = 0;
+    for (const failure::CellFailure &f : sparse.failures)
+        invisible += model.remapper().addressedColumn(f.column) ==
+                     failure::ColumnRemapper::kUnmapped;
+    ASSERT_GT(invisible, 0u);
+
+    expectBlockMatchesOracle(model, content, 328.0);
+    expectBatteryMatchesOracle(model, failure::PatternContent::battery(12),
+                               328.0);
+}
+
+TEST(BlockTesterOracle, ScramblingOff)
+{
+    failure::FailureModelParams params = smallChipParams();
+    params.scrambling = false;
+    failure::FailureModel model(params, 1 << 10, 1 << 12);
+    expectBlockMatchesOracle(
+        model,
+        failure::ProgramContent(failure::ContentPersona::byName("gcc"), 0),
+        328.0);
+    expectBatteryMatchesOracle(model, failure::PatternContent::battery(12),
+                               328.0);
+}
+
+TEST(BlockTesterOracle, Intervals64And328And1000Ms)
+{
+    failure::FailureModelParams params = smallChipParams();
+    params.nominalIntervalMs = 64.0;
+    failure::FailureModel model(params, 1 << 10, 1 << 12);
+    failure::ProgramContent content(
+        failure::ContentPersona::byName("lbm"), 2);
+    for (double interval_ms : {64.0, 328.0, 1000.0}) {
+        SCOPED_TRACE(interval_ms);
+        expectBlockMatchesOracle(model, content, interval_ms);
+        expectBatteryMatchesOracle(
+            model, failure::PatternContent::battery(12), interval_ms);
+    }
+}
+
+TEST(BlockTesterOracle, RowLimitBelowNumRows)
+{
+    failure::FailureModel model(smallChipParams(), 1 << 10, 1 << 12);
+    expectBlockMatchesOracle(
+        model,
+        failure::ProgramContent(failure::ContentPersona::byName("astar"),
+                                4),
+        328.0, 300);
+    expectBatteryMatchesOracle(model, failure::PatternContent::battery(12),
+                               328.0, 300);
+}
+
+TEST(BlockTesterOracle, DenseCollidingModel)
+{
+    const failure::FailureModel model = denseCollidingModel();
+    expectBlockMatchesOracle(
+        model,
+        failure::ProgramContent(failure::ContentPersona::byName("astar"),
+                                1),
+        328.0);
+    expectBatteryMatchesOracle(model, failure::PatternContent::battery(100),
+                               328.0);
 }
