@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "bench_util.hh"
-#include "common/arena.hh"
 #include "common/random.hh"
 #include "common/simd.hh"
 #include "common/table.hh"
@@ -183,9 +182,8 @@ main(int argc, char **argv)
                     row_words](const bench::TaskContext &) {
                        failure::ProgramContent content(
                            failure::ContentPersona::byName("astar"), 3);
-                       Arena arena;
-                       std::uint64_t *buf =
-                           arena.allocate<std::uint64_t>(row_words);
+                       std::vector<std::uint64_t> row(row_words);
+                       std::uint64_t *buf = row.data();
                        std::uint64_t checksum = 0;
                        for (std::size_t r = 0; r < content_rows; ++r) {
                            if (block) {
@@ -218,11 +216,10 @@ main(int argc, char **argv)
                 const simd::KernelSet &k = active
                                                ? simd::activeKernels()
                                                : simd::scalarKernels();
-                Arena arena;
-                std::uint64_t *a =
-                    arena.allocate<std::uint64_t>(row_words);
-                std::uint64_t *b =
-                    arena.allocate<std::uint64_t>(row_words);
+                std::vector<std::uint64_t> row_a(row_words);
+                std::vector<std::uint64_t> row_b(row_words);
+                std::uint64_t *a = row_a.data();
+                std::uint64_t *b = row_b.data();
                 Rng rng(deriveTaskSeed(opts.campaignSeed, 7));
                 std::uint64_t mismatches = 0;
                 std::uint64_t bits = 0;

@@ -10,7 +10,6 @@
 #include <cmath>
 #include <set>
 
-#include "common/arena.hh"
 #include "common/bitvector.hh"
 #include "common/histogram.hh"
 #include "common/linear_fit.hh"
@@ -314,63 +313,6 @@ TEST(BitVector, OrWithAndNotWith)
 
     // Tail bits past size() stay zero through bulk ops.
     EXPECT_EQ(seen.count(), 5u);
-}
-
-TEST(Arena, AllocatesAlignedAndResets)
-{
-    Arena arena;
-    std::uint64_t *words = arena.allocate<std::uint64_t>(100);
-    ASSERT_NE(words, nullptr);
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(words) %
-                  alignof(std::uint64_t),
-              0u);
-    for (std::size_t i = 0; i < 100; ++i)
-        words[i] = i;
-
-    std::uint32_t *mixed = arena.allocate<std::uint32_t>(7);
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(mixed) %
-                  alignof(std::uint32_t),
-              0u);
-    // Earlier allocation is untouched by later ones.
-    for (std::size_t i = 0; i < 100; ++i)
-        EXPECT_EQ(words[i], i);
-
-    EXPECT_GE(arena.usedBytes(), 100 * sizeof(std::uint64_t));
-    arena.reset();
-    EXPECT_EQ(arena.usedBytes(), 0u);
-    EXPECT_GT(arena.capacityBytes(), 0u);
-}
-
-TEST(Arena, ResetReusesAndCoalescesChunks)
-{
-    Arena arena(64); // small initial chunk: force growth
-    for (int i = 0; i < 10; ++i)
-        arena.allocate<std::uint64_t>(64); // 512 B each: new chunks
-    std::size_t grown = arena.capacityBytes();
-    EXPECT_GE(grown, 10 * 512u);
-
-    // After reset the arena serves the same demand from one chunk
-    // without growing further.
-    arena.reset();
-    std::size_t after_reset = arena.capacityBytes();
-    EXPECT_GE(after_reset, 10 * 512u);
-    for (int round = 0; round < 3; ++round) {
-        for (int i = 0; i < 10; ++i)
-            arena.allocate<std::uint64_t>(64);
-        EXPECT_EQ(arena.capacityBytes(), after_reset)
-            << "round " << round;
-        arena.reset();
-    }
-}
-
-TEST(Arena, ZeroCountAllocationIsSafe)
-{
-    Arena arena;
-    // n_words can legitimately be zero (empty spans are valid kernel
-    // inputs); the arena must not crash or grow unboundedly.
-    for (int i = 0; i < 100; ++i)
-        (void)arena.allocate<std::uint64_t>(0);
-    EXPECT_EQ(arena.usedBytes(), 0u);
 }
 
 /** Property: BitVector agrees with a std::set reference model under
