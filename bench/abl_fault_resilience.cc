@@ -120,10 +120,8 @@ runOne(double transient_rate, Layer layer, std::uint64_t seed, bool quick)
     const Tick sample_period = usToTicks(40.0);
     Tick next_sample = sample_period;
     std::uint64_t samples = 0, latent_sum = 0, latent_peak = 0;
-    Tick now{};
-    while (now < horizon) {
-        now += timing.tCk;
-        loop.tick(now);
+    sim::CycleDriver driver;
+    driver.afterTick = [&](Tick now) {
         for (unsigned k = 0; k < 5; ++k)
             core.tick(now);
         if (now >= next_sample) {
@@ -137,7 +135,9 @@ runOne(double transient_rate, Layer layer, std::uint64_t seed, bool quick)
             latent_sum += latent;
             latent_peak = std::max(latent_peak, latent);
         }
-    }
+        return true;
+    };
+    loop.runUntil(horizon, driver);
 
     return bench::Metrics{
         {"lo_fraction", om.loRefFraction()},

@@ -23,6 +23,7 @@
 #include "common/table.hh"
 #include "core/closed_loop.hh"
 #include "runner.hh"
+#include "sim/cycle_loop.hh"
 #include "sim/system.hh"
 #include "trace/cpu_gen.hh"
 
@@ -63,17 +64,16 @@ runOne(const char *persona_name, bool with_memcon, std::uint64_t seed,
                          geom.totalBlocks());
     // Run for a fixed simulated duration so the closed loop has the
     // same wall-clock opportunity under every workload.
-    Tick now{};
     const Tick horizon = msToTicks(quick ? 0.2 : 1.0);
-    while (now < horizon) {
-        now += timing.tCk;
-        if (loop)
-            loop->tick(now);
-        else
-            mc.tick(now);
+    sim::CycleDriver driver;
+    driver.afterTick = [&core](Tick now) {
         for (unsigned k = 0; k < 5; ++k)
             core.tick(now);
-    }
+        return true;
+    };
+    const Tick now =
+        loop ? loop->runUntil(horizon, driver)
+             : sim::runCycles(mc, driver, Tick{}, horizon, timing.tCk);
 
     return bench::Metrics{
         {"ipc", core.ipc()},

@@ -134,9 +134,8 @@ runDisturbLoop(trace::HammerKind kind, bool lo_ref_enabled,
     std::uint64_t samples = 0, latent_sum = 0, latent_peak = 0;
     bool held = false;
     sim::Request held_req;
-    Tick now{};
-    while (now < horizon) {
-        now += timing.tCk;
+    sim::CycleDriver driver;
+    driver.beforeTick = [&](Tick now) {
         // Drain due aggressor accesses as demand reads; a full
         // controller queue holds the access and retries next cycle.
         Tick at{};
@@ -156,7 +155,8 @@ runDisturbLoop(trace::HammerKind kind, bool lo_ref_enabled,
                 break;
             held = false;
         }
-        loop.tick(now);
+    };
+    driver.afterTick = [&](Tick now) {
         for (unsigned k = 0; k < 5; ++k)
             core.tick(now);
         if (now >= next_sample) {
@@ -170,7 +170,9 @@ runDisturbLoop(trace::HammerKind kind, bool lo_ref_enabled,
             latent_sum += latent;
             latent_peak = std::max(latent_peak, latent);
         }
-    }
+        return true;
+    };
+    loop.runUntil(horizon, driver);
 
     const std::map<std::string, double> all = {
         {"flips", static_cast<double>(disturb.flipsRecorded())},

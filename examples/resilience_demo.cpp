@@ -77,23 +77,23 @@ main()
     std::printf("t(us)  LO-REF  reduction  fallback  pinned\n");
     const Tick horizon = msToTicks(2.0);
     Tick next_report = usToTicks(200.0);
-    Tick now{};
-    while (now < horizon) {
-        now += timing.tCk;
-        loop.tick(now);
+    sim::CycleDriver driver;
+    driver.afterTick = [&](Tick now) {
         for (unsigned k = 0; k < 5; ++k)
             core.tick(now);
         if (now >= next_report) {
             next_report += usToTicks(200.0);
             std::printf("%5.0f  %5.1f%%  %8.1f%%  %8s  %6llu\n",
-                        ticksToMs(now) * 1000.0,
+                        ticksToMs(now).value() * 1000.0,
                         100.0 * om.loRefFraction(),
                         100.0 * mc.refreshReduction(),
                         om.inFallback() ? "ACTIVE" : "-",
                         static_cast<unsigned long long>(
                             om.pinnedRows()));
         }
-    }
+        return true;
+    };
+    loop.runUntil(horizon, driver);
 
     std::printf("\nevent counters:\n%s\n", om.stats().dump().c_str());
     std::printf("transients injected: %llu\n",

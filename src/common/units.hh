@@ -111,6 +111,10 @@ class StrongUnit
 /** Simulator time in picoseconds. */
 using Tick = StrongUnit<struct TickTag, std::uint64_t>;
 
+/** A tick no simulation reaches: the bound of a component with
+ * nothing scheduled. */
+constexpr Tick kTickNever{~std::uint64_t{0}};
+
 /** Coarse time in milliseconds (write-interval domain). */
 using TimeMs = StrongUnit<struct TimeMsTag, double>;
 

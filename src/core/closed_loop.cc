@@ -29,7 +29,7 @@ ClosedLoop::ClosedLoop(const dram::Geometry &geometry,
                        const OnlineMemconConfig &config,
                        OnlineMemcon::RowFailureOracle oracle,
                        sim::ControllerConfig base)
-    : geom(geometry),
+    : geom(geometry), tck(timing.tCk),
       mc(geometry, timing, wireController(std::move(base), nullptr)),
       om(geometry, mc, config, std::move(oracle))
 {
@@ -40,7 +40,7 @@ ClosedLoop::ClosedLoop(const dram::Geometry &geometry,
                        const dram::TimingParams &timing,
                        const OnlineMemconConfig &config,
                        failure::FaultInjector &injector)
-    : geom(geometry),
+    : geom(geometry), tck(timing.tCk),
       mc(geometry, timing, wireController({}, &injector)),
       om(geometry, mc, withVictimRefresher(config, injector.disturb()),
          // A row holding corruption no read has surfaced fails its

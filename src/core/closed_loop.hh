@@ -8,7 +8,13 @@
  * controller's request queue and re-targets its refresh cadence.
  * ClosedLoop owns both halves and installs that wiring, so a bench,
  * test or service tenant only supplies the configuration and drives
- * tick().
+ * the loop.
+ *
+ * ClosedLoop also owns time advance: runUntil() moves the loop to a
+ * horizon through sim::runCycles, simulating only the cycles in which
+ * the controller, MEMCON or the caller's CycleDriver can act (DESIGN
+ * "Time advance"). tick() remains for callers that step one cycle at
+ * a time; each component's cached bound makes its idle ticks O(1).
  *
  * An optional failure::FaultInjector turns the loop into a fault
  * experiment. The injector then
@@ -27,9 +33,12 @@
 #ifndef MEMCON_CORE_CLOSED_LOOP_HH
 #define MEMCON_CORE_CLOSED_LOOP_HH
 
+#include <algorithm>
+
 #include "core/online_memcon.hh"
 #include "failure/injector.hh"
 #include "sim/controller.hh"
+#include "sim/cycle_loop.hh"
 
 namespace memcon::core
 {
@@ -71,6 +80,45 @@ class ClosedLoop
         om.tick(now);
     }
 
+    /**
+     * Advance from the last tick reached, one tCK at a time, until
+     * the loop reaches `end` (the first cycle at or after it); each
+     * cycle runs driver.beforeTick, the controller, MEMCON, then
+     * driver.afterTick. Cycles in which no one can act are skipped
+     * and credited in bulk.
+     *
+     * @return the last tick reached
+     */
+    Tick
+    runUntil(Tick end, const sim::CycleDriver &driver)
+    {
+        current = sim::runCycles(*this, driver, current, end, tck);
+        return current;
+    }
+
+    /** The last tick simulated or skipped. */
+    Tick lastTick() const { return current; }
+
+    /** The earliest tick after `now` at which the controller or
+     * MEMCON can act. */
+    Tick
+    nextEventTick(Tick now)
+    {
+        // MEMCON acting next cycle makes the controller's bound moot.
+        const Tick memcon_next = om.nextEventTick(now);
+        if (memcon_next <= now + tck)
+            return memcon_next;
+        return std::min(memcon_next, mc.nextEventTick(now));
+    }
+
+    /** Credit `cycles` idle cycles after `now` to both halves. */
+    void
+    skipCycles(Tick now, std::uint64_t cycles)
+    {
+        mc.skipCycles(now, cycles);
+        om.skipCycles(cycles);
+    }
+
     sim::MemoryController &controller() { return mc; }
     const sim::MemoryController &controller() const { return mc; }
     OnlineMemcon &memcon() { return om; }
@@ -82,6 +130,7 @@ class ClosedLoop
     RowId rowOf(std::uint64_t addr) const;
 
     dram::Geometry geom;
+    Tick tck;       //!< the DRAM clock period the loop advances by
     Tick current{}; //!< the tick being simulated; the oracle reads it
     OnlineMemcon *observer = nullptr; //!< set once `om` is built
     sim::MemoryController mc;

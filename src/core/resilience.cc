@@ -1,5 +1,7 @@
 #include "core/resilience.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 #include "common/ordered.hh"
 #include "common/random.hh"
@@ -86,6 +88,12 @@ ResilienceManager::dueRetests(Tick now)
     return due;
 }
 
+Tick
+ResilienceManager::nextRetestTick() const
+{
+    return retestQueue.empty() ? kTickNever : retestQueue.begin()->first;
+}
+
 bool
 ResilienceManager::armFallback(Tick now)
 {
@@ -103,6 +111,12 @@ ResilienceManager::fallbackExpired(Tick now) const
     return fallback && now >= fallbackUntil;
 }
 
+Tick
+ResilienceManager::fallbackEndTick() const
+{
+    return fallback ? fallbackUntil : kTickNever;
+}
+
 void
 ResilienceManager::exitFallback()
 {
@@ -115,6 +129,12 @@ bool
 ResilienceManager::scrubDue(Tick now) const
 {
     return cfg.enabled && cfg.scrubPeriod > Tick{} && now >= nextScrub;
+}
+
+Tick
+ResilienceManager::nextScrubTick() const
+{
+    return cfg.enabled && cfg.scrubPeriod > Tick{} ? nextScrub : kTickNever;
 }
 
 std::vector<RowId>
@@ -240,6 +260,18 @@ DisturbGuard::recoveredBanks(Tick now)
         }
     }
     return out;
+}
+
+Tick
+DisturbGuard::nextRecoveryTick() const
+{
+    Tick next = kTickNever;
+    if (degradedCount == 0)
+        return next;
+    for (const BankState &bank : banks)
+        if (bank.degraded)
+            next = std::min(next, bank.degradedUntil);
+    return next;
 }
 
 std::uint64_t

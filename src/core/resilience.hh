@@ -133,6 +133,10 @@ class ResilienceManager
     /** Pop every scheduled re-test whose backoff has elapsed. */
     std::vector<RowId> dueRetests(Tick now);
 
+    /** When the earliest scheduled re-test falls due (kTickNever if
+     * none is scheduled). */
+    Tick nextRetestTick() const;
+
     // --- panic-fallback timer ---
 
     bool inFallback() const { return fallback; }
@@ -150,10 +154,17 @@ class ResilienceManager
     /** Leave fallback (caller begins the re-certification sweep). */
     void exitFallback();
 
+    /** When the fallback hold expires (kTickNever outside fallback). */
+    Tick fallbackEndTick() const;
+
     // --- idle-row re-scrub ---
 
     /** @return true when the next sweep step is due. */
     bool scrubDue(Tick now) const;
+
+    /** When the next sweep step falls due (kTickNever with scrub
+     * off). */
+    Tick nextScrubTick() const;
 
     /**
      * Advance the sweep: up to scrubRowsPerSweep LO-REF rows from
@@ -283,6 +294,10 @@ class DisturbGuard
 
     /** Cheap per-tick gate: is any bank currently degraded? */
     bool anyBankDegraded() const { return degradedCount > 0; }
+
+    /** The earliest degradation hold expiry (kTickNever when no bank
+     * is degraded). */
+    Tick nextRecoveryTick() const;
 
     /** Aggressor-counter crossings so far. */
     std::uint64_t crossings() const { return crossingCount; }

@@ -74,6 +74,18 @@ class Channel
     /** @return the open row (valid only when isRowOpen). */
     RowId openRow(unsigned rank, unsigned bank) const;
 
+    /**
+     * @return true if `row` is the bank's open row. Unchecked: for
+     * coordinates the geometry decomposed (the scheduler's row-hit
+     * test runs once per queued request per decision).
+     */
+    bool
+    isRowHit(unsigned rank, unsigned bank_idx, RowId row) const
+    {
+        const BankState &b = bankState[std::size_t{rank} * geom.banks + bank_idx];
+        return b.rowOpen && b.openRow == row;
+    }
+
     /** @return true if every bank in the rank is precharged. */
     bool allBanksPrecharged(unsigned rank) const;
 

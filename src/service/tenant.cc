@@ -1,5 +1,6 @@
 #include "service/tenant.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/logging.hh"
@@ -128,7 +129,7 @@ TenantSession::produceCycle(Tick now, const RoundDirectives &directives)
         // Back off until the verdict's retry-after (the round end):
         // nothing is pulled or pushed, and every cycle a due event
         // sat waiting is accounted as throttle time.
-        if (held || (stream.peek(&at, &row) && at <= now))
+        if (throttleAccrues(now))
             throttledTk += static_cast<std::uint64_t>(timing.tCk.value());
         return;
     }
@@ -188,10 +189,59 @@ TenantSession::consumeCycle(Tick now, std::uint64_t &budget_left)
     roundApplied.push_back(ev);
 }
 
+bool
+TenantSession::throttleAccrues(Tick now)
+{
+    Tick at{};
+    std::uint64_t row = 0;
+    return held || (stream.peek(&at, &row) && at <= now);
+}
+
+Tick
+TenantSession::producerEventTick(Tick now, const RoundDirectives &directives)
+{
+    Tick at{};
+    std::uint64_t row = 0;
+    const Tick head = stream.peek(&at, &row) ? at : kTickNever;
+    if (directives.throttled)
+        return throttleAccrues(now) ? kTickNever : head;
+    if (directives.shed || !held)
+        return head; // the next event to push or shed
+    // A held event enters the ring once it has room; without room it
+    // is dropped once it has outwaited the patience.
+    if (ring.size() < ring.capacity())
+        return now + Tick{1};
+    return holdSince + rc.dropPatience + Tick{1};
+}
+
+bool
+TenantSession::consumerRefused(Tick now, std::uint64_t budget_left) const
+{
+    WriteEvent ev;
+    return budget_left > 0 && ring.peek(&ev) && ev.at <= now &&
+           !loop.controller().accepts(sim::Request::Type::Write, false);
+}
+
+Tick
+TenantSession::consumerEventTick(Tick now, std::uint64_t budget_left) const
+{
+    WriteEvent ev;
+    if (budget_left == 0 || !ring.peek(&ev))
+        return kTickNever;
+    if (ev.at > now)
+        return ev.at;
+    // A due head applies next cycle, unless the controller refuses
+    // it; then it retries at the controller's next event.
+    return consumerRefused(now, budget_left) ? kTickNever : now + Tick{1};
+}
+
 RoundReport
 TenantSession::runRound(const RoundDirectives &directives, Tick round_start,
                         Tick round_end, const CancelToken *token)
 {
+    panic_if(loop.lastTick() != round_start,
+             "runRound: the module is at tick %llu, not at the round start",
+             static_cast<unsigned long long>(loop.lastTick().value()));
     applyDirectives(directives);
     roundApplied.clear();
 
@@ -199,15 +249,27 @@ TenantSession::runRound(const RoundDirectives &directives, Tick round_start,
     const std::uint64_t app0 = applied;
     std::uint64_t budget = directives.grant;
 
-    std::uint64_t cycle = 0;
-    for (Tick now = round_start + timing.tCk; now <= round_end;
-         now += timing.tCk) {
-        if (token && (++cycle & 0xfff) == 0)
+    sim::CycleDriver driver;
+    driver.beforeTick = [&](Tick now) {
+        // One poll per simulated cycle: a mostly idle round simulates
+        // few of its cycles.
+        if (token)
             token->throwIfCancelled();
         produceCycle(now, directives);
         consumeCycle(now, budget);
-        loop.tick(now);
-    }
+    };
+    driver.nextEventTick = [&](Tick now) {
+        return std::min(producerEventTick(now, directives),
+                        consumerEventTick(now, budget));
+    };
+    driver.skipCycles = [&](Tick now, std::uint64_t cycles) {
+        if (directives.throttled && throttleAccrues(now))
+            throttledTk +=
+                cycles * static_cast<std::uint64_t>(timing.tCk.value());
+        if (consumerRefused(now, budget))
+            loop.controller().recordRefusals(cycles);
+    };
+    loop.runUntil(round_end, driver);
 
     RoundReport report;
     report.generated = generated - gen0;
@@ -221,6 +283,10 @@ TenantSession::replayRound(const RoundDirectives &directives,
                            Tick round_start, Tick round_end,
                            const std::vector<WriteEvent> &events)
 {
+    panic_if(loop.lastTick() != round_start,
+             "replayRound: the module is at tick %llu, not at the round "
+             "start",
+             static_cast<unsigned long long>(loop.lastTick().value()));
     applyDirectives(directives);
     roundApplied.clear();
 
@@ -234,11 +300,16 @@ TenantSession::replayRound(const RoundDirectives &directives,
                  "replayRound: journal round exceeds the ring capacity");
 
     std::uint64_t budget = directives.grant;
-    for (Tick now = round_start + timing.tCk; now <= round_end;
-         now += timing.tCk) {
-        consumeCycle(now, budget);
-        loop.tick(now);
-    }
+    sim::CycleDriver driver;
+    driver.beforeTick = [&](Tick now) { consumeCycle(now, budget); };
+    driver.nextEventTick = [&](Tick now) {
+        return consumerEventTick(now, budget);
+    };
+    driver.skipCycles = [&](Tick now, std::uint64_t cycles) {
+        if (consumerRefused(now, budget))
+            loop.controller().recordRefusals(cycles);
+    };
+    loop.runUntil(round_end, driver);
 
     panic_if(!ring.empty(),
              "replayRound: %zu journaled events did not re-apply - the "

@@ -7,12 +7,16 @@
  * The session runs in fixed service rounds. Each round the service's
  * serial planner hands it a RoundDirectives (its admission grant, the
  * governor stage's shed/stretch knobs); the session then advances its
- * module cycle by cycle, moving due events from the generator into
- * the ring (producer side) and from the ring into the controller
- * (consumer side, paced by the grant). Backpressure is explicit: a
- * full ring makes the producer hold its event and retry each cycle,
- * dropping it - counted, never silent - only once it is older than
- * the drop patience. The accounting identity
+ * module through core::ClosedLoop::runUntil, moving due events from
+ * the generator into the ring (producer side) and from the ring into
+ * the controller (consumer side, paced by the grant). Only cycles in
+ * which the producer, the consumer, the controller or MEMCON can act
+ * are simulated; the rest are skipped with their throttle time and
+ * queue refusals credited in bulk, so every counter reads as if each
+ * cycle had run. Backpressure is explicit: a full ring makes the
+ * producer hold its event and retry each cycle, dropping it -
+ * counted, never silent - only once it is older than the drop
+ * patience. The accounting identity
  *
  *   generated = applied + droppedBackpressure + droppedShed
  *             + ringBacklog + held
@@ -143,8 +147,8 @@ class TenantSession
 
     /**
      * Advance one live service round over (round_start, round_end].
-     * @param token  optional watchdog cancel token, polled every few
-     *               thousand cycles; cancellation unwinds with
+     * @param token  optional watchdog cancel token, polled once per
+     *               simulated cycle; cancellation unwinds with
      *               TaskCancelled.
      */
     RoundReport runRound(const RoundDirectives &directives,
@@ -196,6 +200,12 @@ class TenantSession
     // --- mechanism telemetry ----------------------------------------
     core::OnlineMemcon &memcon() { return loop.memcon(); }
     const core::OnlineMemcon &memcon() const { return loop.memcon(); }
+
+    /** The module's controller (its stats count refused enqueues). */
+    const sim::MemoryController &controller() const
+    {
+        return loop.controller();
+    }
     std::uint32_t stateFingerprint() const
     {
         return loop.memcon().stateFingerprint();
@@ -228,6 +238,13 @@ class TenantSession
     void applyDirectives(const RoundDirectives &directives);
     void produceCycle(Tick now, const RoundDirectives &directives);
     void consumeCycle(Tick now, std::uint64_t &budget_left);
+
+    // Next-event bounds of the two sides (sim/cycle_loop.hh), and the
+    // per-cycle counters an idle cycle still bumps.
+    bool throttleAccrues(Tick now);
+    Tick producerEventTick(Tick now, const RoundDirectives &directives);
+    bool consumerRefused(Tick now, std::uint64_t budget_left) const;
+    Tick consumerEventTick(Tick now, std::uint64_t budget_left) const;
 
     TenantSpec tenantSpec;
     TenantRuntimeConfig rc;

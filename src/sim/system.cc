@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.hh"
+#include "sim/cycle_loop.hh"
 
 namespace memcon::sim
 {
@@ -125,12 +126,11 @@ System::run(InstCount insts_per_core, Tick max_ticks)
     std::vector<bool> finished(cfg.cores, false);
     unsigned finished_count = 0;
 
-    Tick now{};
+    // The cores act every cycle; the controller ticks ahead of them.
     std::uint64_t dram_cycle = 0;
-    while (finished_count < cfg.cores && now < max_ticks) {
-        now += timing.tCk;
+    CycleDriver driver;
+    driver.afterTick = [&](Tick now) {
         ++dram_cycle;
-        mc->tick(now);
         if (testSource)
             testSource->tick(now);
         // Rotate the service order so no core systematically wins
@@ -147,7 +147,12 @@ System::run(InstCount insts_per_core, Tick max_ticks)
                 result.ipc[i] = cores[i]->ipc();
             }
         }
-    }
+        return finished_count < cfg.cores;
+    };
+    const Tick now = cfg.cores == 0
+                         ? Tick{}
+                         : runCycles(*mc, driver, Tick{}, max_ticks,
+                                     timing.tCk);
 
     if (finished_count < cfg.cores) {
         warn("run hit the tick cap before all cores finished");
