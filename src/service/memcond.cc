@@ -386,7 +386,7 @@ Memcond::snapshotState() const
         t.throttledTicks = ses.throttledTicks();
         t.lastOffered = lastOffered[i];
         t.fingerprint = ses.stateFingerprint();
-        t.describe = ses.memcon().describeState();
+        t.describe = ses.memcon().describeState(t.fingerprint);
         t.residue = ses.ringResidue();
         t.hasHeld = ses.hasHeldEvent();
         t.held = ses.heldEvent();
