@@ -95,7 +95,6 @@ runOne(double transient_rate, Layer layer, std::uint64_t seed, bool quick)
     om_cfg.testIdle = usToTicks(10.0);
     om_cfg.retargetPeriod = usToTicks(10.0);
     om_cfg.testEngine.slots = 16;
-    om_cfg.testEngine.wordsPerRow = 64;
     om_cfg.resilience.enabled = layer != Layer::Off;
     om_cfg.resilience.retestBackoff = usToTicks(20.0);
     om_cfg.resilience.fallbackHold = usToTicks(60.0);

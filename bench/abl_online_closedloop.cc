@@ -46,7 +46,6 @@ runOne(const char *persona_name, bool with_memcon, std::uint64_t seed,
     om_cfg.testIdle = usToTicks(10.0);
     om_cfg.retargetPeriod = usToTicks(10.0);
     om_cfg.testEngine.slots = 16;
-    om_cfg.testEngine.wordsPerRow = 64;
     // The baseline arm runs a bare controller.
     std::unique_ptr<ClosedLoop> loop;
     std::unique_ptr<sim::MemoryController> bare;

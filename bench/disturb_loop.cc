@@ -88,7 +88,6 @@ runDisturbLoop(trace::HammerKind kind, bool lo_ref_enabled,
     om_cfg.testIdle = usToTicks(10.0);
     om_cfg.retargetPeriod = usToTicks(10.0);
     om_cfg.testEngine.slots = 16;
-    om_cfg.testEngine.wordsPerRow = 64;
     om_cfg.addressMap = map;
     om_cfg.loRefEnabled = lo_ref_enabled;
     om_cfg.resilience.enabled = true;

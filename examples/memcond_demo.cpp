@@ -60,14 +60,25 @@ demoConfig()
     return cfg;
 }
 
+/** A tenant with the default 8-event quota. */
+service::TenantSpec
+tenant(const char *name, unsigned priority, double rate_scale = 1.0)
+{
+    service::TenantSpec spec;
+    spec.name = name;
+    spec.priority = priority;
+    spec.rateScale = rate_scale;
+    return spec;
+}
+
 std::vector<service::TenantSpec>
 demoTenants()
 {
     return {
-        {"alice", /*priority=*/2, /*rateScale=*/1.0, /*quota=*/8},
-        {"bob", 2, 1.0, 8},
-        {"carol", 1, 1.0, 8},
-        {"mallory", 1, 8.0, 8}, // the antagonist: ~8x its quota
+        tenant("alice", 2),
+        tenant("bob", 2),
+        tenant("carol", 1),
+        tenant("mallory", 1, 8.0), // the antagonist: ~8x its quota
     };
 }
 

@@ -59,7 +59,6 @@ main()
     om_cfg.testIdle = usToTicks(10.0);
     om_cfg.retargetPeriod = usToTicks(10.0);
     om_cfg.testEngine.slots = 16;
-    om_cfg.testEngine.wordsPerRow = 64;
     om_cfg.resilience.retestBackoff = usToTicks(20.0);
     om_cfg.resilience.fallbackHold = usToTicks(60.0);
     om_cfg.resilience.scrubPeriod = usToTicks(60.0);

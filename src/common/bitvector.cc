@@ -88,15 +88,6 @@ BitVector::setBitsInto(std::vector<std::size_t> &out) const
 }
 
 void
-BitVector::orWith(const BitVector &src)
-{
-    panic_if(numBits != src.numBits,
-             "bitvector size mismatch (%zu vs %zu)", numBits,
-             src.numBits);
-    simd::orWords(words.data(), src.words.data(), words.size());
-}
-
-void
 BitVector::andNotWith(const BitVector &src)
 {
     panic_if(numBits != src.numBits,

@@ -79,12 +79,6 @@ class BitVector
                            std::forward<Fn>(fn));
     }
 
-    /**
-     * dst |= src over the word arrays. Sizes must match. Tail bits
-     * past size() stay zero because both operands keep them zero.
-     */
-    void orWith(const BitVector &src);
-
     /** dst &= ~src over the word arrays. Sizes must match. */
     void andNotWith(const BitVector &src);
 

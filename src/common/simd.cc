@@ -22,36 +22,6 @@ namespace memcon::simd
 namespace
 {
 
-bool
-scalarEqual(const std::uint64_t *a, const std::uint64_t *b,
-            std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i)
-        if (a[i] != b[i])
-            return false;
-    return true;
-}
-
-std::size_t
-scalarFirstMismatch(const std::uint64_t *a, const std::uint64_t *b,
-                    std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i)
-        if (a[i] != b[i])
-            return i;
-    return npos;
-}
-
-std::uint64_t
-scalarXorPopcount(const std::uint64_t *a, const std::uint64_t *b,
-                  std::size_t n)
-{
-    std::uint64_t total = 0;
-    for (std::size_t i = 0; i < n; ++i)
-        total += static_cast<std::uint64_t>(std::popcount(a[i] ^ b[i]));
-    return total;
-}
-
 std::uint64_t
 scalarPopcountWords(const std::uint64_t *a, std::size_t n)
 {
@@ -59,14 +29,6 @@ scalarPopcountWords(const std::uint64_t *a, std::size_t n)
     for (std::size_t i = 0; i < n; ++i)
         total += static_cast<std::uint64_t>(std::popcount(a[i]));
     return total;
-}
-
-void
-scalarOrWords(std::uint64_t *dst, const std::uint64_t *src,
-              std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i)
-        dst[i] |= src[i];
 }
 
 void
@@ -92,9 +54,10 @@ scalarVisitSetBits(const std::uint64_t *words, std::size_t n,
 }
 
 const KernelSet kScalar = {
-    "scalar-u64",    scalarEqual,   scalarFirstMismatch,
-    scalarXorPopcount, scalarPopcountWords, scalarOrWords,
-    scalarAndNotWords, scalarVisitSetBits,
+    "scalar-u64",
+    scalarPopcountWords,
+    scalarAndNotWords,
+    scalarVisitSetBits,
 };
 
 // --------------------------------------------------------------------
@@ -105,72 +68,6 @@ const KernelSet kScalar = {
 // --------------------------------------------------------------------
 
 #if MEMCON_SIMD_HAVE_AVX2
-
-__attribute__((target("avx2"))) bool
-avx2Equal(const std::uint64_t *a, const std::uint64_t *b, std::size_t n)
-{
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        __m256i va = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(a + i));
-        __m256i vb = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(b + i));
-        __m256i d = _mm256_xor_si256(va, vb);
-        if (!_mm256_testz_si256(d, d))
-            return false;
-    }
-    for (; i < n; ++i)
-        if (a[i] != b[i])
-            return false;
-    return true;
-}
-
-__attribute__((target("avx2"))) std::size_t
-avx2FirstMismatch(const std::uint64_t *a, const std::uint64_t *b,
-                  std::size_t n)
-{
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        __m256i va = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(a + i));
-        __m256i vb = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(b + i));
-        __m256i d = _mm256_xor_si256(va, vb);
-        if (!_mm256_testz_si256(d, d)) {
-            for (std::size_t j = i; j < i + 4; ++j)
-                if (a[j] != b[j])
-                    return j;
-        }
-    }
-    for (; i < n; ++i)
-        if (a[i] != b[i])
-            return i;
-    return npos;
-}
-
-__attribute__((target("avx2"))) std::uint64_t
-avx2XorPopcount(const std::uint64_t *a, const std::uint64_t *b,
-                std::size_t n)
-{
-    std::uint64_t total = 0;
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        __m256i va = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(a + i));
-        __m256i vb = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(b + i));
-        __m256i d = _mm256_xor_si256(va, vb);
-        alignas(32) std::uint64_t lane[4];
-        _mm256_store_si256(reinterpret_cast<__m256i *>(lane), d);
-        total += static_cast<std::uint64_t>(std::popcount(lane[0])) +
-                 static_cast<std::uint64_t>(std::popcount(lane[1])) +
-                 static_cast<std::uint64_t>(std::popcount(lane[2])) +
-                 static_cast<std::uint64_t>(std::popcount(lane[3]));
-    }
-    for (; i < n; ++i)
-        total += static_cast<std::uint64_t>(std::popcount(a[i] ^ b[i]));
-    return total;
-}
 
 __attribute__((target("avx2"))) std::uint64_t
 avx2PopcountWords(const std::uint64_t *a, std::size_t n)
@@ -190,22 +87,6 @@ avx2PopcountWords(const std::uint64_t *a, std::size_t n)
     for (; i < n; ++i)
         total += static_cast<std::uint64_t>(std::popcount(a[i]));
     return total;
-}
-
-__attribute__((target("avx2"))) void
-avx2OrWords(std::uint64_t *dst, const std::uint64_t *src, std::size_t n)
-{
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        __m256i vd = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(dst + i));
-        __m256i vs = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(src + i));
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(dst + i),
-                            _mm256_or_si256(vd, vs));
-    }
-    for (; i < n; ++i)
-        dst[i] |= src[i];
 }
 
 __attribute__((target("avx2"))) void
@@ -263,9 +144,10 @@ avx2VisitSetBits(const std::uint64_t *words, std::size_t n,
 }
 
 const KernelSet kAvx2 = {
-    "avx2",          avx2Equal,   avx2FirstMismatch,
-    avx2XorPopcount, avx2PopcountWords, avx2OrWords,
-    avx2AndNotWords, avx2VisitSetBits,
+    "avx2",
+    avx2PopcountWords,
+    avx2AndNotWords,
+    avx2VisitSetBits,
 };
 
 #endif // MEMCON_SIMD_HAVE_AVX2
@@ -300,12 +182,6 @@ scalarForced()
                std::strcmp(env, "0") != 0;
     }();
     return forced;
-}
-
-const KernelSet &
-scalarKernels()
-{
-    return kScalar;
 }
 
 const KernelSet &

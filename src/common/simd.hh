@@ -2,14 +2,12 @@
  * @file
  * Runtime-dispatched bit-parallel kernels over 64-bit word spans.
  *
- * The row test-and-compare hot path (DESIGN.md §19) reduces to a
- * handful of primitives on flat std::uint64_t buffers: whole-row
- * equality, first mismatching word, xor-popcount (failing-bit
- * counts), bulk or/andnot (pattern-battery union masks), and
- * visit-set-bits (PRIL candidate extraction). Each primitive exists
- * as a scalar-u64 kernel and, on x86-64, an AVX2 kernel; a
- * function-pointer table resolved once per process picks the widest
- * set the CPU supports.
+ * The bitmap hot paths reduce to three primitives on flat
+ * std::uint64_t buffers: popcount (set-bit counts), bulk andnot
+ * (PRIL's erased-row masks), and visit-set-bits (PRIL candidate
+ * extraction). Each primitive exists as a scalar-u64 kernel and, on
+ * x86-64, an AVX2 kernel; a function-pointer table resolved once per
+ * process picks the widest set the CPU supports.
  *
  * Determinism contract: every kernel computes an exact integer
  * function of its inputs, so the scalar and AVX2 variants are
@@ -34,9 +32,6 @@
 namespace memcon::simd
 {
 
-/** Returned by firstMismatch when the spans are identical. */
-inline constexpr std::size_t npos = static_cast<std::size_t>(-1);
-
 /**
  * One ISA level's implementations. All pointers are non-null; n is
  * a word count and may be zero (every kernel accepts empty spans).
@@ -45,24 +40,8 @@ struct KernelSet
 {
     const char *name;
 
-    /** a[0..n) == b[0..n). */
-    bool (*equal)(const std::uint64_t *a, const std::uint64_t *b,
-                  std::size_t n);
-
-    /** Index of the first word where a and b differ, or npos. */
-    std::size_t (*firstMismatch)(const std::uint64_t *a,
-                                 const std::uint64_t *b, std::size_t n);
-
-    /** popcount(a ^ b) over the span: the number of differing bits. */
-    std::uint64_t (*xorPopcount)(const std::uint64_t *a,
-                                 const std::uint64_t *b, std::size_t n);
-
     /** popcount over the span. */
     std::uint64_t (*popcountWords)(const std::uint64_t *a, std::size_t n);
-
-    /** dst[i] |= src[i]. */
-    void (*orWords)(std::uint64_t *dst, const std::uint64_t *src,
-                    std::size_t n);
 
     /** dst[i] &= ~src[i]. */
     void (*andNotWords)(std::uint64_t *dst, const std::uint64_t *src,
@@ -77,9 +56,6 @@ struct KernelSet
     void (*visitSetBits)(const std::uint64_t *words, std::size_t n,
                          void (*cb)(std::size_t, void *), void *ctx);
 };
-
-/** The portable scalar-u64 reference set; always available. */
-const KernelSet &scalarKernels();
 
 /**
  * The set the process dispatches to: the widest one the CPU
@@ -106,35 +82,10 @@ activeKernelSetName()
 
 // --- thin dispatching wrappers -------------------------------------
 
-inline bool
-rowsEqual(const std::uint64_t *a, const std::uint64_t *b, std::size_t n)
-{
-    return activeKernels().equal(a, b, n);
-}
-
-inline std::size_t
-firstMismatch(const std::uint64_t *a, const std::uint64_t *b,
-              std::size_t n)
-{
-    return activeKernels().firstMismatch(a, b, n);
-}
-
-inline std::uint64_t
-xorPopcount(const std::uint64_t *a, const std::uint64_t *b, std::size_t n)
-{
-    return activeKernels().xorPopcount(a, b, n);
-}
-
 inline std::uint64_t
 popcountWords(const std::uint64_t *a, std::size_t n)
 {
     return activeKernels().popcountWords(a, n);
-}
-
-inline void
-orWords(std::uint64_t *dst, const std::uint64_t *src, std::size_t n)
-{
-    activeKernels().orWords(dst, src, n);
 }
 
 inline void

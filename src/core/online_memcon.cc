@@ -4,30 +4,9 @@
 
 #include "common/checkpoint.hh"
 #include "common/logging.hh"
-#include "common/random.hh"
 
 namespace memcon::core
 {
-
-namespace
-{
-
-/**
- * Deterministic row content for the cycle-domain tests: stable
- * across reads, so an undisturbed row always compares clean. A row
- * the oracle condemns is perturbed in its first word at read-back,
- * which makes the comparison (data or ECC signature) fail through
- * the same machinery a real decayed cell would.
- */
-void
-syntheticFillRow(RowId row, std::uint64_t *dst, std::size_t n_words)
-{
-    const std::uint64_t base = row.value() * 0x9e3779b97f4a7c15ULL;
-    for (std::size_t w = 0; w < n_words; ++w)
-        dst[w] = hashMix64(base + w);
-}
-
-} // namespace
 
 OnlineMemcon::OnlineMemcon(const dram::Geometry &geometry,
                            sim::MemoryController &controller,
@@ -279,11 +258,7 @@ OnlineMemcon::beginRowTest(std::deque<RowId> &queue, bool is_scrub,
                            Tick now)
 {
     const RowId row = queue.front();
-    bool ok = engine.beginTest(
-        row, [](RowId r, std::uint64_t *dst, std::size_t n) {
-            syntheticFillRow(r, dst, n);
-        });
-    if (!ok)
+    if (!engine.beginTest(row))
         return false; // reserve region exhausted (Copy&Compare): retry
     queue.pop_front();
 
@@ -391,14 +366,10 @@ OnlineMemcon::completeDueTests(Tick now)
         }
         RowId row = it->row;
         bool is_scrub = it->isScrub;
-        bool decayed = oracle && oracle(row);
-        TestOutcome outcome = engine.completeTest(
-            row, [decayed](RowId r, std::uint64_t *dst, std::size_t n) {
-                syntheticFillRow(r, dst, n);
-                // A condemned row reads back with a flipped cell.
-                if (decayed && n > 0)
-                    dst[0] ^= 1;
-            });
+        // The oracle stands in for the read-back compare: a row it
+        // condemns reads back with at least one decayed cell.
+        TestOutcome outcome =
+            engine.completeTest(row, oracle && oracle(row));
         if (is_scrub) {
             // The row was LO throughout; a pass re-affirms it, a
             // failure means the certification went stale (VRT,

@@ -13,7 +13,9 @@
  *    traffic (two full read passes, plus a write pass in C&C mode)
  *    is injected as low-priority requests,
  *  - after the in-test idle period elapses and the read-back traffic
- *    has drained, the test completes: clean rows move to LO-REF,
+ *    has drained, the test completes with the failure oracle's
+ *    verdict (it stands in for the data or signature compare, which
+ *    is exact for a decayed cell): clean rows move to LO-REF,
  *    failing rows stay at HI-REF,
  *  - a demand write to an in-test row aborts the test; a write to a
  *    LO-REF row demotes it,
@@ -128,7 +130,8 @@ struct OnlineMemconConfig
 class OnlineMemcon
 {
   public:
-    /** Decides whether a row's current content fails at LO-REF. */
+    /** Decides whether a row's current content fails at LO-REF;
+     *  its answer is the completed test's verdict. */
     using RowFailureOracle = std::function<bool(RowId row)>;
 
     /**

@@ -5,7 +5,7 @@
  *
  * Testing a row for data-dependent failures means letting its cells
  * decay for a full refresh interval, which makes the row unreadable
- * in place. The TestEngine manages everything around that:
+ * in place. The TestEngine keeps the bookkeeping around that:
  *
  *  - a bounded number of concurrent in-test rows (test slots),
  *  - Read&Compare mode: the row is buffered inside the controller
@@ -13,13 +13,14 @@
  *    from the buffer,
  *  - Copy&Compare mode: the row is copied to a reserved DRAM region
  *    (512 rows per bank -> 1.56% of a 2 GB module, appendix) and the
- *    controller retains only the row's SECDED signature (1/8 of the
- *    data size); program reads are redirected to the copy,
- *  - a redirection table from in-test row -> buffer slot / reserve
- *    row consulted on every access,
- *  - completion: the decayed row is read back and compared (data
- *    compare in R&C, signature compare in C&C); any mismatch means
- *    the current content fails at the tested interval.
+ *    controller retains only the row's SECDED check bytes (1/8 of the
+ *    data size); program reads are redirected to the copy, so a test
+ *    also needs a free reserve row,
+ *  - completion: the caller supplies the read-back verdict. The
+ *    simulator does not model row content here; OnlineMemcon's
+ *    failure oracle decides whether the row decayed. Both compares
+ *    are exact for a single decayed cell: R&C compares the data, and
+ *    in C&C any 1- or 2-bit change to a word changes its check byte.
  *
  * A program *write* to an in-test row aborts the test: the content
  * is changing, so the result would be stale (the engine-level
@@ -30,14 +31,11 @@
 #define MEMCON_CORE_TEST_ENGINE_HH
 
 #include <cstdint>
-#include <functional>
-#include <optional>
-#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "common/strong_id.hh"
 #include "core/cost_model.hh"
-#include "dram/ecc.hh"
 
 namespace memcon::core
 {
@@ -50,13 +48,6 @@ enum class TestOutcome
     AbortedByWrite //!< program wrote the row mid-test
 };
 
-/** Where a redirected access should be served from. */
-struct Redirection
-{
-    bool inController = false; //!< served from the slot buffer (R&C)
-    std::uint64_t reserveRow = 0; //!< reserve-region row (C&C)
-};
-
 struct TestEngineConfig
 {
     TestMode mode = TestMode::ReadAndCompare;
@@ -64,7 +55,8 @@ struct TestEngineConfig
     /** Concurrent in-test rows (paper models 256-1024). */
     std::size_t slots = 256;
 
-    /** 64-bit words per row (8 KB row = 1024 words). */
+    /** 64-bit words per row (8 KB row = 1024 words); prices the
+     *  controller SRAM in controllerStorageBytes(). */
     std::size_t wordsPerRow = 1024;
 
     /** Reserve rows per bank for Copy&Compare (appendix: 512). */
@@ -75,14 +67,6 @@ struct TestEngineConfig
 class TestEngine
 {
   public:
-    /**
-     * Reads the whole row into dst[0..n_words) in one call - the
-     * bit-parallel form (DESIGN.md §19). The captured buffers are
-     * then compared through the dispatched simd kernels.
-     */
-    using BlockRowReader = std::function<void(
-        RowId row, std::uint64_t *dst, std::size_t n_words)>;
-
     explicit TestEngine(const TestEngineConfig &config);
 
     const TestEngineConfig &config() const { return cfg; }
@@ -94,20 +78,12 @@ class TestEngine
     bool isUnderTest(RowId row) const;
 
     /**
-     * Begin testing a row against its current content. Captures the
-     * row (full data in R&C; SECDED signature + reserve copy in
-     * C&C).
+     * Begin testing a row against its current content: takes a slot
+     * and, in C&C, a reserve row.
      *
      * @return false if no slot or (in C&C) no reserve row is free.
      */
-    bool beginTest(RowId row, const BlockRowReader &reader);
-
-    /**
-     * Where to serve a program access to this row from during the
-     * test; empty if the row is not under test (access the row
-     * normally).
-     */
-    std::optional<Redirection> redirect(RowId row) const;
+    bool beginTest(RowId row);
 
     /**
      * Notify a program write to the row. If it is under test, the
@@ -118,10 +94,10 @@ class TestEngine
     bool onWrite(RowId row);
 
     /**
-     * Finish the test: read the decayed row back and compare against
-     * the captured state.
+     * Finish the test with the read-back verdict: `decayed` means at
+     * least one cell of the row changed during the idle period.
      */
-    TestOutcome completeTest(RowId row, const BlockRowReader &reader);
+    TestOutcome completeTest(RowId row, bool decayed);
 
     /** Rows currently under test, ascending. */
     std::vector<RowId> rowsUnderTest() const;
@@ -141,31 +117,17 @@ class TestEngine
     std::uint64_t testsPassed() const { return passed; }
     std::uint64_t testsFailed() const { return failed; }
     std::uint64_t testsAborted() const { return aborted; }
-    std::uint64_t redirectedAccesses() const { return redirects; }
 
   private:
-    struct Session
-    {
-        std::size_t slot;
-        std::uint64_t reserveRow; //!< valid in Copy&Compare mode
-        std::vector<std::uint64_t> bufferedData; //!< R&C only
-        std::vector<std::uint8_t> signature;     //!< C&C only
-    };
-
-    void releaseSession(const Session &session);
-
     TestEngineConfig cfg;
-    /** Reused readback scratch for the C&C and completion paths. */
-    std::vector<std::uint64_t> readbackScratch;
-    std::unordered_map<RowId, Session> sessions;
-    std::vector<bool> slotBusy;
-    std::vector<std::uint64_t> freeReserveRows;
+    /** Concurrent tests the slots and (in C&C) reserve rows allow. */
+    std::size_t capacity;
+    std::unordered_set<RowId> inTest;
 
     std::uint64_t started = 0;
     std::uint64_t passed = 0;
     std::uint64_t failed = 0;
     std::uint64_t aborted = 0;
-    mutable std::uint64_t redirects = 0;
 };
 
 } // namespace memcon::core

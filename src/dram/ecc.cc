@@ -118,29 +118,4 @@ Secded64::decode(const EccWord &word)
     return out;
 }
 
-std::vector<std::uint8_t>
-Secded64::rowSignature(const std::vector<std::uint64_t> &row_words)
-{
-    std::vector<std::uint8_t> sig;
-    sig.reserve(row_words.size());
-    for (std::uint64_t w : row_words)
-        sig.push_back(encodeCheck(w));
-    return sig;
-}
-
-std::vector<std::size_t>
-Secded64::compareSignature(const std::vector<std::uint64_t> &row_words,
-                           const std::vector<std::uint8_t> &signature)
-{
-    panic_if(row_words.size() != signature.size(),
-             "signature length mismatch: %zu words vs %zu bytes",
-             row_words.size(), signature.size());
-    std::vector<std::size_t> mismatches;
-    for (std::size_t i = 0; i < row_words.size(); ++i) {
-        if (encodeCheck(row_words[i]) != signature[i])
-            mismatches.push_back(i);
-    }
-    return mismatches;
-}
-
 } // namespace memcon::dram

@@ -3,10 +3,13 @@
  * SECDED ECC over 64-bit words - the (72,64) Hamming-plus-parity code
  * used throughout server DRAM.
  *
- * MEMCON uses it in two places. In Copy&Compare mode the controller
- * keeps only the ECC signature of the in-test row (not the data) and
- * compares signatures after the idle period (Section 3.3). And ECC is
- * one of the mitigation mechanisms the paper positions MEMCON
+ * MEMCON relies on it in two places. In Copy&Compare mode the
+ * controller keeps only the check bytes (encodeCheck) of the in-test
+ * row's words, not the data, and compares them after the idle period
+ * (Section 3.3); any 1- or 2-bit change to a word changes its check
+ * byte, which is what makes that verdict sound. (The simulator takes
+ * test verdicts from its failure oracle - core/test_engine.hh.) And
+ * ECC is one of the mitigation mechanisms the paper positions MEMCON
  * against/alongside: a single data-dependent bit flip per word is
  * correctable, so rows whose content produces at most one failing
  * cell per 64-bit word could be tolerated without HI-REF.
@@ -20,7 +23,6 @@
 #define MEMCON_DRAM_ECC_HH
 
 #include <cstdint>
-#include <vector>
 
 namespace memcon::dram
 {
@@ -64,24 +66,6 @@ class Secded64
      * in data or check bits, flag double errors.
      */
     static EccDecode decode(const EccWord &word);
-
-    /**
-     * A whole-row signature: the concatenated check bytes of every
-     * word. This is what Copy&Compare retains in the controller -
-     * 1/8 of the row's size - to detect failures without buffering
-     * the data.
-     */
-    static std::vector<std::uint8_t>
-    rowSignature(const std::vector<std::uint64_t> &row_words);
-
-    /**
-     * @return indices of words whose current value no longer matches
-     * the retained signature (candidate failing words after the
-     * in-test idle period).
-     */
-    static std::vector<std::size_t>
-    compareSignature(const std::vector<std::uint64_t> &row_words,
-                     const std::vector<std::uint8_t> &signature);
 
   private:
     static std::uint64_t syndromeMask(unsigned check_bit);

@@ -17,12 +17,15 @@
  *    pointer-like words (which set the bit-transition density) - and
  *    an epoch index advances the content every "100 M instructions",
  *    as in the paper's methodology.
+ *
+ * wordAt is the one content API: the failure model reads the cells
+ * around each weak cell through it (via bit()), and the reference
+ * read-back oracle in tests/ fills whole rows from it.
  */
 
 #ifndef MEMCON_FAILURE_CONTENT_HH
 #define MEMCON_FAILURE_CONTENT_HH
 
-#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -39,18 +42,6 @@ class ContentProvider
     /** 64-bit word at the given logical row and word index. */
     virtual std::uint64_t wordAt(std::uint64_t row,
                                  std::uint64_t word_idx) const = 0;
-
-    /**
-     * Fill dst[0..n_words) with words 0..n_words of the row - the
-     * block form a whole-row readback compare starts from (DESIGN.md
-     * §19). Contract: fillRow(row, dst, n) leaves dst[w] ==
-     * wordAt(row, w) for every w; the property suite pins this for
-     * every provider. The default loops over the virtual wordAt;
-     * concrete providers override with bulk generation that hoists
-     * the per-row decisions out of the word loop.
-     */
-    virtual void fillRow(std::uint64_t row, std::uint64_t *dst,
-                         std::size_t n_words) const;
 
     /** A printable identifier for reports. */
     virtual std::string name() const = 0;
@@ -86,8 +77,6 @@ class PatternContent : public ContentProvider
 
     std::uint64_t wordAt(std::uint64_t row,
                          std::uint64_t word_idx) const override;
-    void fillRow(std::uint64_t row, std::uint64_t *dst,
-                 std::size_t n_words) const override;
     std::string name() const override;
 
     PatternKind kind() const { return patternKind; }
@@ -137,8 +126,6 @@ class ProgramContent : public ContentProvider
 
     std::uint64_t wordAt(std::uint64_t row,
                          std::uint64_t word_idx) const override;
-    void fillRow(std::uint64_t row, std::uint64_t *dst,
-                 std::size_t n_words) const override;
     std::string name() const override;
 
     const ContentPersona &persona() const { return personaDesc; }
@@ -151,14 +138,7 @@ class ProgramContent : public ContentProvider
     static constexpr double kEpochChurn = 0.35;
 
   private:
-    static constexpr std::uint64_t kSeedMul = 0x2545f4914f6cdd1dULL;
-
     std::uint64_t generateWord(std::uint64_t mix) const;
-
-    /** The word in `slot` (row * 4099 + word index) given
-     *  `seeded` = seed * kSeedMul; wordAt and fillRow both call it. */
-    inline std::uint64_t churnWord(std::uint64_t seeded,
-                                   std::uint64_t slot) const;
 
     ContentPersona personaDesc;
     std::uint64_t epochIdx;

@@ -87,8 +87,8 @@ struct ControllerConfig
     /**
      * Models the ECC decode of the data a completed demand read
      * returns (fault-injection hook). Absent means every read
-     * decodes clean. Test-traffic reads are not probed - their
-     * verdicts come from the TestEngine's compare.
+     * decodes clean. Test-traffic reads are not probed - a test's
+     * verdict comes from OnlineMemcon's failure oracle.
      */
     std::function<dram::EccStatus(std::uint64_t addr, Tick now)>
         eccProbe;

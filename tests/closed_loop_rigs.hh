@@ -55,7 +55,6 @@ struct InjectorDisturbRig
         om.testIdle = usToTicks(10.0);
         om.retargetPeriod = usToTicks(10.0);
         om.testEngine.slots = 8;
-        om.testEngine.wordsPerRow = 16;
         om.addressMap = map;
         om.resilience.maxCorrectedRetries = 1;
         om.resilience.retestBackoff = usToTicks(20.0);

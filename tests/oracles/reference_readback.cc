@@ -1,7 +1,9 @@
 #include "oracles/reference_readback.hh"
 
+#include <algorithm>
+#include <bit>
+
 #include "common/logging.hh"
-#include "common/simd.hh"
 
 namespace memcon::oracles
 {
@@ -23,6 +25,24 @@ rowWords(const failure::FailureModel &model)
     return static_cast<std::size_t>((model.cellsPerRow() + 63) / 64);
 }
 
+/** dst[w] = wordAt(row, w) for the first n_words words of the row. */
+void
+fillFromWords(const failure::ContentProvider &content, std::uint64_t row,
+              std::uint64_t *dst, std::size_t n_words)
+{
+    for (std::size_t w = 0; w < n_words; ++w)
+        dst[w] = content.wordAt(row, w);
+}
+
+std::uint64_t
+popcountSpan(const std::vector<std::uint64_t> &words)
+{
+    std::uint64_t total = 0;
+    for (std::uint64_t w : words)
+        total += static_cast<std::uint64_t>(std::popcount(w));
+    return total;
+}
+
 } // namespace
 
 void
@@ -33,7 +53,7 @@ referenceReadback(const failure::FailureModel &model, RowId physical_row,
 {
     std::uint64_t logical_row =
         model.scrambler().logicalRow(physical_row.value());
-    content.fillRow(logical_row, dst, n_words);
+    fillFromWords(content, logical_row, dst, n_words);
     std::vector<std::uint64_t> expected(dst, dst + n_words);
 
     for (const failure::CellFailure &f :
@@ -64,15 +84,16 @@ referenceTestWithContentBlock(const failure::FailureModel &model,
 
     std::vector<std::uint64_t> expected(n_words), readback(n_words);
     for (std::uint64_t r = 0; r < limit; ++r) {
-        content.fillRow(model.scrambler().logicalRow(r), expected.data(),
-                        n_words);
+        fillFromWords(content, model.scrambler().logicalRow(r),
+                      expected.data(), n_words);
         referenceReadback(model, RowId{r}, content, interval_ms,
                           readback.data(), n_words);
-        if (!simd::rowsEqual(expected.data(), readback.data(), n_words)) {
-            ++result.rowsFailing;
-            result.failingBits += simd::xorPopcount(
-                expected.data(), readback.data(), n_words);
-        }
+        if (std::equal(expected.begin(), expected.end(), readback.begin()))
+            continue;
+        ++result.rowsFailing;
+        for (std::size_t w = 0; w < n_words; ++w)
+            result.failingBits += static_cast<std::uint64_t>(
+                std::popcount(expected[w] ^ readback[w]));
     }
     return result;
 }
@@ -95,13 +116,13 @@ referenceBatteryFailingBitCounts(
     for (std::size_t i = 0; i < battery.size(); ++i) {
         const failure::PatternContent &pattern = battery[i];
         for (std::uint64_t r = 0; r < limit; ++r) {
-            pattern.fillRow(model.scrambler().logicalRow(r),
-                            expected.data(), n_words);
+            fillFromWords(pattern, model.scrambler().logicalRow(r),
+                          expected.data(), n_words);
             referenceReadback(model, RowId{r}, pattern, interval_ms,
                               readback.data(), n_words);
             for (std::size_t w = 0; w < n_words; ++w)
                 diff[w] = expected[w] ^ readback[w];
-            std::uint64_t bits = simd::popcountWords(diff.data(), n_words);
+            std::uint64_t bits = popcountSpan(diff);
             if (bits == 0)
                 continue;
             out[i].failingBits += bits;
@@ -109,11 +130,11 @@ referenceBatteryFailingBitCounts(
             // New bits = diff with everything already seen masked
             // off; then fold this pattern's diff into the row mask.
             std::uint64_t *row_seen = seen.data() + r * n_words;
-            fresh = diff;
-            simd::andNotWords(fresh.data(), row_seen, n_words);
-            out[i].newFailingBits +=
-                simd::popcountWords(fresh.data(), n_words);
-            simd::orWords(row_seen, diff.data(), n_words);
+            for (std::size_t w = 0; w < n_words; ++w) {
+                fresh[w] = diff[w] & ~row_seen[w];
+                row_seen[w] |= diff[w];
+            }
+            out[i].newFailingBits += popcountSpan(fresh);
         }
     }
     return out;

@@ -5,12 +5,13 @@
  * reproduce it.
  *
  * It runs Figure 4's experiment the literal way: fill the expected
- * row through ContentProvider::fillRow, build the read-back row the
- * memory controller would see, and compare the two through the
- * dispatched simd kernels (rowsEqual, xorPopcount, and the or/andnot
- * masks for the battery's per-row coverage). It shares no code with
- * src/failure/tester.cc, so a bug in the production projection of
- * visible failures cannot hide in both sides of a differential test.
+ * row word by word through ContentProvider::wordAt, build the
+ * read-back row the memory controller would see, and compare the two
+ * with plain loops (std::equal, std::popcount of the xor, and a dense
+ * per-row seen-mask for the battery's coverage). It shares no code
+ * with src/failure/tester.cc, so a bug in the production projection
+ * of visible failures cannot hide in both sides of a differential
+ * test.
  */
 
 #ifndef MEMCON_TESTS_ORACLES_REFERENCE_READBACK_HH
@@ -30,8 +31,8 @@ namespace memcon::oracles
 
 /**
  * The logical words read back from one physical row after it idles
- * for interval_ms with the content installed: fillRow of the
- * scrambled logical row, with each logically visible failing cell
+ * for interval_ms with the content installed: the scrambled logical
+ * row's words, with each logically visible failing cell
  * reading as its stored bit inverted. Failures at unused spare or
  * fused-off columns have no logical address and stay invisible.
  */

@@ -105,7 +105,7 @@ TEST(AnalyzeRegistry, EveryRuleRegisteredOnce)
         "random-device", "rand",        "wall-clock",
         "unordered-iter", "empty-catch", "lint-marker",
         "guarded-by",     "shard-local", "layering",
-        "unit-literal",   "content-wordat"};
+        "unit-literal"};
     const auto &reg = memcon::analyze::ruleRegistry();
     ASSERT_EQ(reg.size(), std::size(expected));
     for (const char *name : expected) {
@@ -837,66 +837,6 @@ TEST(AnalyzeUnits, AllowEscapeWorks)
 }
 
 // ---------------------------------------------------------------------
-// Hotpath pass
-// ---------------------------------------------------------------------
-
-TEST(AnalyzeHotpath, MemberWordAtCallFires)
-{
-    struct Fixture
-    {
-        const char *code;
-        unsigned line;
-    };
-    const Fixture firing[] = {
-        {"void f(const C &c) { sum += c.wordAt(row, w); }\n", 1},
-        {"void g(const C *c) {\n    sum += c->wordAt(row, w);\n}\n",
-         2},
-    };
-    for (const Fixture &f : firing) {
-        AnalyzeResult r = analyzeOne("src/core/engine.cc", f.code);
-        ASSERT_EQ(rulesOf(r),
-                  std::vector<std::string>{"content-wordat"})
-            << f.code << formatText(r);
-        EXPECT_EQ(r.violations[0].line, f.line) << f.code;
-    }
-}
-
-TEST(AnalyzeHotpath, DeclarationsAndOtherIdentifiersAreClean)
-{
-    const char *const clean[] = {
-        // Declaring or overriding the virtual is not a call.
-        "std::uint64_t wordAt(Row row, std::size_t w) const;\n",
-        "std::uint64_t wordAt(Row r, std::size_t w) const override\n"
-        "{ return 0; }\n",
-        // An unrelated identifier that merely contains the name.
-        "std::uint64_t rowWordAtOffset = base + w;\n",
-        // Mentioning it in a string or taking no call.
-        "auto fn = &ContentProvider::wordAt;\n",
-    };
-    for (const char *code : clean)
-        EXPECT_TRUE(
-            analyzeOne("src/core/engine.cc", code).violations.empty())
-            << code;
-}
-
-TEST(AnalyzeHotpath, ContentFilesAreExemptAndAllowEscapes)
-{
-    const std::string loop =
-        "void f(const C &c) { sum += c.wordAt(row, w); }\n";
-    // The providers and the sanctioned default-fillRow loop.
-    EXPECT_TRUE(analyzeOne("src/failure/content.cc", loop)
-                    .violations.empty());
-    EXPECT_TRUE(analyzeOne("src/failure/content.hh", loop)
-                    .violations.empty());
-    // Priced baselines suppress explicitly.
-    const std::string allowed =
-        "// lint:allow(content-wordat) - priced per-word baseline\n"
-        "sum += c.wordAt(row, w);\n";
-    EXPECT_TRUE(analyzeOne("bench/micro.cc", allowed)
-                    .violations.empty());
-}
-
-// ---------------------------------------------------------------------
 // The gate
 // ---------------------------------------------------------------------
 
@@ -976,7 +916,7 @@ TEST(AnalyzeAllowInventory, RuleSelectionFiltersTheInventory)
         {"f.cc",
          "// lint:allow(unit-literal) - one\n"
          "double a_ms = 1.0;\n"
-         "// lint:allow(content-wordat) - two\n"
+         "// lint:allow(guarded-by) - two\n"
          "int b;\n"},
     };
 
@@ -990,7 +930,7 @@ TEST(AnalyzeAllowInventory, RuleSelectionFiltersTheInventory)
     skip.skip = {"unit-literal"};
     sites = listAllowances(sources, skip);
     ASSERT_EQ(sites.size(), 1u);
-    EXPECT_EQ(sites[0].rule, "content-wordat");
+    EXPECT_EQ(sites[0].rule, "guarded-by");
 }
 
 TEST(AnalyzeAllowInventory, FormatsReportAndJson)

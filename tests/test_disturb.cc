@@ -713,7 +713,6 @@ struct DisturbLoopRig
         om_cfg.testIdle = usToTicks(10.0);
         om_cfg.retargetPeriod = usToTicks(10.0);
         om_cfg.testEngine.slots = 16;
-        om_cfg.testEngine.wordsPerRow = 16;
         om_cfg.addressMap = map;
         om_cfg.resilience.enabled = true;
         om_cfg.resilience.maxCorrectedRetries = 1;

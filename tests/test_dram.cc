@@ -507,28 +507,24 @@ TEST(SecdedEdge, TripleFlipsNeverDecodeOkButCanMiscorrect)
 
 TEST(SecdedEdge, SignatureCatchesOneAndTwoBitWordCorruption)
 {
-    // Copy&Compare keeps only the check bytes; any 1- or 2-bit decay
-    // in a word must change its check byte or the comparison would
-    // certify a failing row.
+    // Copy&Compare keeps only each word's check byte; any 1- or 2-bit
+    // decay in a word must change its check byte or the comparison
+    // would certify a failing row. Exhaustive over both flip counts.
     Rng rng(47);
-    std::vector<std::uint64_t> row(16);
-    for (std::uint64_t &w : row)
-        w = rng.next();
-    std::vector<std::uint8_t> sig = Secded64::rowSignature(row);
-    ASSERT_TRUE(Secded64::compareSignature(row, sig).empty());
-
-    for (int trial = 0; trial < 200; ++trial) {
-        std::vector<std::uint64_t> decayed = row;
-        std::size_t victim = rng.uniformInt(decayed.size());
-        unsigned flips = 1 + static_cast<unsigned>(rng.uniformInt(2));
-        std::uint64_t mask = 0;
-        while (std::popcount(mask) < static_cast<int>(flips))
-            mask |= std::uint64_t{1} << rng.uniformInt(64);
-        decayed[victim] ^= mask;
-        std::vector<std::size_t> bad =
-            Secded64::compareSignature(decayed, sig);
-        ASSERT_EQ(bad.size(), 1u);
-        EXPECT_EQ(bad[0], victim);
+    for (int trial = 0; trial < 16; ++trial) {
+        const std::uint64_t word = rng.next();
+        const std::uint8_t check = Secded64::encodeCheck(word);
+        for (unsigned a = 0; a < 64; ++a) {
+            const std::uint64_t one = word ^ (std::uint64_t{1} << a);
+            ASSERT_NE(Secded64::encodeCheck(one), check)
+                << std::hex << "word " << word << std::dec << " bit " << a;
+            for (unsigned b = a + 1; b < 64; ++b)
+                ASSERT_NE(Secded64::encodeCheck(
+                              one ^ (std::uint64_t{1} << b)),
+                          check)
+                    << std::hex << "word " << word << std::dec
+                    << " bits " << a << "," << b;
+        }
     }
 }
 

@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the extension substrates: SECDED ECC, the controller-
- * side TestEngine (reserved region, redirection, abort-on-write),
+ * side TestEngine (slots, reserved region, abort-on-write),
  * the DRAM energy model, trace file IO, variable retention time, and
  * the engine's silent-write optimization.
  */
@@ -98,23 +98,6 @@ TEST(Secded, DoubleBitFlipsDetected)
     EXPECT_GT(detected, trials / 2);
 }
 
-TEST(Secded, RowSignatureFlagsChangedWords)
-{
-    Rng rng(11);
-    std::vector<std::uint64_t> row(128);
-    for (auto &w : row)
-        w = rng.next();
-    auto sig = Secded64::rowSignature(row);
-    EXPECT_EQ(sig.size(), row.size());
-    EXPECT_TRUE(Secded64::compareSignature(row, sig).empty());
-
-    // Flip one bit in words 3 and 77.
-    row[3] ^= 1;
-    row[77] ^= std::uint64_t{1} << 63;
-    auto bad = Secded64::compareSignature(row, sig);
-    EXPECT_EQ(bad, (std::vector<std::size_t>{3, 77}));
-}
-
 // --------------------------------------------------------------------
 // TestEngine
 // --------------------------------------------------------------------
@@ -125,28 +108,10 @@ smallEngineCfg(core::TestMode mode)
     core::TestEngineConfig cfg;
     cfg.mode = mode;
     cfg.slots = 4;
-    cfg.wordsPerRow = 64;
     cfg.reserveRowsPerBank = 2;
     cfg.banks = 2;
     return cfg;
 }
-
-/** Content store for driving the engine: mutable fake DRAM. */
-struct FakeRows
-{
-    std::unordered_map<std::uint64_t, std::vector<std::uint64_t>> rows;
-
-    core::TestEngine::BlockRowReader
-    reader()
-    {
-        return [this](RowId row, std::uint64_t *dst, std::size_t n_words) {
-            auto &data = rows[row.value()];
-            for (std::size_t w = data.size(); w < n_words; ++w)
-                data.push_back(row.value() * 1000 + w);
-            std::copy_n(data.begin(), n_words, dst);
-        };
-    }
-};
 
 class TestEngineModes
     : public ::testing::TestWithParam<core::TestMode>
@@ -156,55 +121,55 @@ class TestEngineModes
 TEST_P(TestEngineModes, PassWhenContentStable)
 {
     core::TestEngine engine(smallEngineCfg(GetParam()));
-    FakeRows mem;
-    ASSERT_TRUE(engine.beginTest(RowId{7}, mem.reader()));
+    ASSERT_TRUE(engine.beginTest(RowId{7}));
     EXPECT_TRUE(engine.isUnderTest(RowId{7}));
-    EXPECT_EQ(engine.completeTest(RowId{7}, mem.reader()),
+    EXPECT_EQ(engine.completeTest(RowId{7}, false),
               core::TestOutcome::Pass);
     EXPECT_FALSE(engine.isUnderTest(RowId{7}));
     EXPECT_EQ(engine.testsPassed(), 1u);
+    EXPECT_EQ(engine.testsFailed(), 0u);
 }
 
 TEST_P(TestEngineModes, FailWhenCellDecays)
 {
     core::TestEngine engine(smallEngineCfg(GetParam()));
-    FakeRows mem;
-    ASSERT_TRUE(engine.beginTest(RowId{7}, mem.reader()));
-    // A cell decays during the idle period.
-    mem.rows[7][10] ^= 0x4;
-    EXPECT_EQ(engine.completeTest(RowId{7}, mem.reader()),
+    ASSERT_TRUE(engine.beginTest(RowId{7}));
+    // A cell decayed during the idle period.
+    EXPECT_EQ(engine.completeTest(RowId{7}, true),
               core::TestOutcome::Fail);
+    EXPECT_FALSE(engine.isUnderTest(RowId{7}));
     EXPECT_EQ(engine.testsFailed(), 1u);
+    EXPECT_EQ(engine.testsPassed(), 0u);
 }
 
 TEST_P(TestEngineModes, SlotExhaustionRejectsBeginTest)
 {
     auto cfg = smallEngineCfg(GetParam());
     core::TestEngine engine(cfg);
-    FakeRows mem;
     std::size_t capacity = GetParam() == core::TestMode::CopyAndCompare
                                ? std::min<std::size_t>(
                                      cfg.slots, cfg.reserveRowsPerBank *
                                                     cfg.banks)
                                : cfg.slots;
     for (std::uint64_t r = 0; r < capacity; ++r)
-        ASSERT_TRUE(engine.beginTest(RowId{r}, mem.reader()));
-    EXPECT_FALSE(engine.beginTest(RowId{99}, mem.reader()));
+        ASSERT_TRUE(engine.beginTest(RowId{r}));
+    EXPECT_FALSE(engine.beginTest(RowId{99}));
     EXPECT_EQ(engine.freeSlots(), cfg.slots - capacity);
+    EXPECT_EQ(engine.rowsUnderTest().size(), capacity);
     // Completing one frees capacity again.
-    EXPECT_EQ(engine.completeTest(RowId{0}, mem.reader()),
+    EXPECT_EQ(engine.completeTest(RowId{0}, false),
               core::TestOutcome::Pass);
-    EXPECT_TRUE(engine.beginTest(RowId{99}, mem.reader()));
+    EXPECT_TRUE(engine.beginTest(RowId{99}));
 }
 
 TEST_P(TestEngineModes, WriteAbortsInFlightTest)
 {
     core::TestEngine engine(smallEngineCfg(GetParam()));
-    FakeRows mem;
-    ASSERT_TRUE(engine.beginTest(RowId{3}, mem.reader()));
+    ASSERT_TRUE(engine.beginTest(RowId{3}));
     EXPECT_TRUE(engine.onWrite(RowId{3}));
     EXPECT_FALSE(engine.isUnderTest(RowId{3}));
     EXPECT_EQ(engine.testsAborted(), 1u);
+    EXPECT_EQ(engine.freeSlots(), engine.config().slots);
     // Writes to untested rows are a no-op.
     EXPECT_FALSE(engine.onWrite(RowId{5}));
 }
@@ -213,24 +178,6 @@ INSTANTIATE_TEST_SUITE_P(Modes, TestEngineModes,
                          ::testing::Values(
                              core::TestMode::ReadAndCompare,
                              core::TestMode::CopyAndCompare));
-
-TEST(TestEngine, RedirectionByMode)
-{
-    FakeRows mem;
-    core::TestEngine rc(smallEngineCfg(core::TestMode::ReadAndCompare));
-    ASSERT_TRUE(rc.beginTest(RowId{3}, mem.reader()));
-    auto r = rc.redirect(RowId{3});
-    ASSERT_TRUE(r.has_value());
-    EXPECT_TRUE(r->inController);
-    EXPECT_FALSE(rc.redirect(RowId{4}).has_value());
-
-    core::TestEngine cc(smallEngineCfg(core::TestMode::CopyAndCompare));
-    ASSERT_TRUE(cc.beginTest(RowId{3}, mem.reader()));
-    auto r2 = cc.redirect(RowId{3});
-    ASSERT_TRUE(r2.has_value());
-    EXPECT_FALSE(r2->inController);
-    EXPECT_EQ(cc.redirectedAccesses(), 1u);
-}
 
 TEST(TestEngine, StorageAccounting)
 {
@@ -258,15 +205,19 @@ TEST(TestEngine, ReserveRowsRecycled)
     auto cfg = smallEngineCfg(core::TestMode::CopyAndCompare);
     cfg.slots = 16; // slots ample; reserve rows (4) are the limit
     core::TestEngine engine(cfg);
-    FakeRows mem;
     for (int round = 0; round < 3; ++round) {
         for (std::uint64_t r = 0; r < 4; ++r)
-            ASSERT_TRUE(engine.beginTest(RowId{100 + r}, mem.reader()));
-        ASSERT_FALSE(engine.beginTest(RowId{200}, mem.reader()));
+            ASSERT_TRUE(engine.beginTest(RowId{100 + r}));
+        ASSERT_FALSE(engine.beginTest(RowId{200}));
         for (std::uint64_t r = 0; r < 4; ++r)
-            engine.completeTest(RowId{100 + r}, mem.reader());
+            engine.completeTest(RowId{100 + r}, r == 0);
+        // An abort returns its reserve row too.
+        ASSERT_TRUE(engine.beginTest(RowId{300}));
+        ASSERT_TRUE(engine.onWrite(RowId{300}));
     }
-    EXPECT_EQ(engine.testsStarted(), 12u);
+    EXPECT_EQ(engine.testsStarted(), 15u);
+    EXPECT_EQ(engine.testsFailed(), 3u);
+    EXPECT_EQ(engine.testsAborted(), 3u);
 }
 
 // --------------------------------------------------------------------

@@ -137,8 +137,9 @@ TEST(ColumnRemapper, FusedOffAndUnusedSparesAreUnmapped)
 {
     ColumnRemapper rm(1024, 32, 8, 99);
     for (std::uint64_t c = 0; c < 1024; ++c) {
-        if (rm.isRemapped(c))
+        if (rm.isRemapped(c)) {
             EXPECT_EQ(rm.addressedColumn(c), ColumnRemapper::kUnmapped);
+        }
     }
     unsigned unused = 0;
     for (std::uint64_t s = 1024; s < 1024 + 32; ++s)
@@ -329,8 +330,9 @@ TEST_F(FailureModelTest, ContentFailuresSubsetOfWorstCase)
     FailureModel m(params, kRows, kCols);
     ProgramContent content(ContentPersona::byName("lbm"), 0);
     for (std::uint64_t r = 0; r < 4096; ++r) {
-        if (m.physicalRowFails(RowId{r}, content, 64.0))
+        if (m.physicalRowFails(RowId{r}, content, 64.0)) {
             ASSERT_TRUE(m.physicalRowCanFail(RowId{r}, 64.0));
+        }
     }
 }
 

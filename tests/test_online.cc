@@ -49,7 +49,6 @@ struct Rig
         cfg.testIdle = usToTicks(20.0);
         cfg.retargetPeriod = usToTicks(25.0);
         cfg.testEngine.slots = 8;
-        cfg.testEngine.wordsPerRow = 16; // keep captures small
         return cfg;
     }
 

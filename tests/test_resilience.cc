@@ -72,7 +72,6 @@ struct Rig
         cfg.testIdle = usToTicks(20.0);
         cfg.retargetPeriod = usToTicks(25.0);
         cfg.testEngine.slots = 8;
-        cfg.testEngine.wordsPerRow = 16;
         cfg.resilience.retestBackoff = usToTicks(30.0);
         cfg.resilience.fallbackHold = usToTicks(80.0);
         return cfg;
@@ -173,7 +172,7 @@ TEST(ErrorEventHook, TestTrafficReadsAreNotProbed)
     ASSERT_TRUE(rig.spinUntil(
         [&] { return rig.memcon->testsPassed() >= 1; }));
     // The test's two read passes completed without touching the
-    // probe: verdicts come from the TestEngine compare, not ECC.
+    // probe: verdicts come from the failure oracle, not ECC.
     EXPECT_EQ(rig.probeCalls, 0u);
 }
 

@@ -177,7 +177,6 @@ TEST(OnlineMemconModes, CopyAndCompareClosedLoop)
     cfg.retargetPeriod = usToTicks(10.0);
     cfg.testEngine.mode = core::TestMode::CopyAndCompare;
     cfg.testEngine.slots = 4;
-    cfg.testEngine.wordsPerRow = 32;
     cfg.testEngine.reserveRowsPerBank = 2;
     cfg.testEngine.banks = 8;
     core::ClosedLoop loop(g, timing, cfg);
@@ -190,7 +189,7 @@ TEST(OnlineMemconModes, CopyAndCompareClosedLoop)
         loop.tick(now);
     }
     // Read-only identification tests the whole (tiny) module through
-    // the Copy&Compare path: copies written, signatures compared.
+    // the Copy&Compare path: copies written, read back, verdicts taken.
     EXPECT_GT(om.testsPassed(), 100u);
     EXPECT_GT(om.loRefFraction(), 0.8);
     EXPECT_GT(mc.stats().value("enq.write"), 0.0); // copy traffic

@@ -83,16 +83,24 @@ smallConfig(std::uint64_t seed, unsigned threads,
     return cfg;
 }
 
+/** A tenant with the default 8-event quota. */
+TenantSpec
+tenant(const char *name, unsigned priority, double rate_scale = 1.0)
+{
+    TenantSpec spec;
+    spec.name = name;
+    spec.priority = priority;
+    spec.rateScale = rate_scale;
+    return spec;
+}
+
 /** focus + calm (in quota, priority 2), meek + mallory (priority 1);
  *  mallory offers `antag_rate` times its quota. */
 std::vector<TenantSpec>
 fourTenants(double antag_rate = 6.0)
 {
-    TenantSpec focus{"focus", 2, 1.0, 8};
-    TenantSpec calm{"calm", 2, 1.0, 8};
-    TenantSpec meek{"meek", 1, 1.0, 8};
-    TenantSpec mallory{"mallory", 1, antag_rate, 8};
-    return {focus, calm, meek, mallory};
+    return {tenant("focus", 2), tenant("calm", 2), tenant("meek", 1),
+            tenant("mallory", 1, antag_rate)};
 }
 
 /** generated == applied + drops + backlog + held, per tenant. */
@@ -508,7 +516,7 @@ TEST(MemcondService, InQuotaTenantIsIsolatedFromAntagonist)
     // Solo reference: the focus tenant alone. Same service seed, so
     // its traffic is identical in the co-located run (tenant seeds
     // derive from the tenant index).
-    Memcond solo(smallConfig(5, 1, 16), {TenantSpec{"focus", 2, 1.0, 8}});
+    Memcond solo(smallConfig(5, 1, 16), {tenant("focus", 2)});
     solo.run();
     Memcond coloc(smallConfig(5, 1, 16), fourTenants(8.0));
     coloc.run();

@@ -140,7 +140,6 @@ struct SparseRig
         om.testEngine.slots = 4;
         om.testEngine.reserveRowsPerBank = 1;
         om.testEngine.banks = 2; // 2 reserve rows for 4 slots
-        om.testEngine.wordsPerRow = 16;
         om.resilience.scrubPeriod = usToTicks(30.0);
         loop = std::make_unique<core::ClosedLoop>(geom, timing, om);
     }
@@ -273,7 +272,6 @@ TEST(TimeAdvance, SimpleCoreDriverMatchesEveryCycle)
             om.testIdle = usToTicks(10.0);
             om.retargetPeriod = usToTicks(10.0);
             om.testEngine.slots = 8;
-            om.testEngine.wordsPerRow = 16;
             loop = std::make_unique<core::ClosedLoop>(geom, timing, om);
             cpu = std::make_unique<sim::SimpleCore>(
                 0,

@@ -77,8 +77,9 @@ TEST(PageWriteProcess, TimesSortedWithinDuration)
         for (std::size_t i = 0; i < times.size(); ++i) {
             ASSERT_GE(times[i], TimeMs{});
             ASSERT_LT(times[i].value(), p.durationSec * 1000.0);
-            if (i > 0)
+            if (i > 0) {
                 ASSERT_GT(times[i], times[i - 1]);
+            }
         }
     }
 }

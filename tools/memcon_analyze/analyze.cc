@@ -9,7 +9,6 @@
 #include <sstream>
 
 #include "concurrency.hh"
-#include "hotpath_pass.hh"
 #include "layering.hh"
 #include "lint.hh"
 #include "registry.hh"
@@ -155,8 +154,7 @@ run(const std::vector<std::pair<std::string, std::string>> &sources,
         std::vector<Violation> perFile = f.markerViolations;
         for (auto &&pass :
              {lint::determinismPass(f, companion),
-              concurrencyPass(f, companion), unitsPass(f),
-              hotpathPass(f)})
+              concurrencyPass(f, companion), unitsPass(f)})
             perFile.insert(perFile.end(), pass.begin(), pass.end());
         std::stable_sort(perFile.begin(), perFile.end(),
                          [](const Violation &a, const Violation &b) {

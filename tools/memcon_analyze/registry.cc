@@ -36,9 +36,6 @@ ruleRegistry()
         {"unit-literal", "units", "error",
          "raw numeric literal flows into a *_ms/*_ns/*_ticks name "
          "without a Tick/TimeMs constructor"},
-        {"content-wordat", "hotpath", "error",
-         "per-word ContentProvider::wordAt() call outside the "
-         "content providers; use the block fillRow() API"},
     };
     return rules;
 }

@@ -20,7 +20,7 @@ struct RuleInfo
 {
     std::string name;     //!< as named in a lint:allow marker
     std::string pass;     //!< determinism | markers | concurrency |
-                          //!< layering | units | hotpath
+                          //!< layering | units
     std::string severity; //!< all rules are "error" today; the field
                           //!< exists so a future advisory tier does
                           //!< not need a schema change
