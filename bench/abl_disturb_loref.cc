@@ -95,12 +95,10 @@ main(int argc, char **argv)
     note("512-row module, one aggressor persona hammering bank 0's "
          "cold band at 10-12 accesses/us beside benign demand "
          "traffic. Disturb windows compressed to 0.25/1.0 ms (HI/LO, "
-         "the real 4x ratio); per-row lognormal thresholds scaled so "
+         "the real 4x ratio); per-row log-normal thresholds scaled so "
          "each persona's floor splits its HI/LO accumulations.");
 
-    const std::vector<trace::HammerKind> kinds = {
-        trace::HammerKind::SingleSided, trace::HammerKind::DoubleSided,
-        trace::HammerKind::ManySided, trace::HammerKind::Fuzzed};
+    const std::vector<trace::HammerKind> kinds = trace::allHammerKinds();
     const std::vector<Arm> arms = {Arm::AllHi, Arm::LoRef,
                                    Arm::LoGuard};
     bench::SweepRunner runner("abl_disturb_loref", opts);

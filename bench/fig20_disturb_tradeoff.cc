@@ -92,9 +92,7 @@ main(int argc, char **argv)
     }
     std::printf("%s", t.render().c_str());
     note("The knee is where victim refreshes stop buying flips: past "
-         "it the guard only taxes the reduction. disturbHardenedPolicy"
-         "() (core/policies) folds the measured overhead and degraded-"
-         "bank fraction back into a policy-level reduction figure.");
+         "it the guard only taxes the reduction.");
     runner.finish();
     return 0;
 }

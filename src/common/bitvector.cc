@@ -72,21 +72,6 @@ BitVector::count() const
         simd::popcountWords(words.data(), words.size()));
 }
 
-std::vector<std::size_t>
-BitVector::setBits() const
-{
-    std::vector<std::size_t> out;
-    setBitsInto(out);
-    return out;
-}
-
-void
-BitVector::setBitsInto(std::vector<std::size_t> &out) const
-{
-    out.clear();
-    visitSetBits([&out](std::size_t bit) { out.push_back(bit); });
-}
-
 void
 BitVector::andNotWith(const BitVector &src)
 {

@@ -55,16 +55,6 @@ class BitVector
     /** @return the number of set bits. */
     std::size_t count() const;
 
-    /** @return indices of all set bits, ascending. */
-    std::vector<std::size_t> setBits() const;
-
-    /**
-     * Append the indices of all set bits, ascending, into out
-     * (cleared first; capacity retained). The allocation-free form
-     * of setBits() for per-quantum hot paths.
-     */
-    void setBitsInto(std::vector<std::size_t> &out) const;
-
     /**
      * Invoke fn(bit_index) for every set bit, ascending, through the
      * dispatched kernel. fn may clear the current or an earlier bit

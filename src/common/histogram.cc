@@ -38,17 +38,6 @@ LogHistogram::add(double value, double weight_value)
     weights[b] += weight_value;
     total += 1;
     totalW += weight_value;
-    sum += value;
-}
-
-void
-LogHistogram::reset()
-{
-    counts.assign(counts.size(), 0);
-    weights.assign(weights.size(), 0.0);
-    total = 0;
-    totalW = 0.0;
-    sum = 0.0;
 }
 
 double
@@ -65,51 +54,6 @@ LogHistogram::bucketHigh(std::size_t i) const
     if (i + 1 == counts.size())
         return std::numeric_limits<double>::infinity();
     return std::pow(2.0, static_cast<double>(i));
-}
-
-double
-LogHistogram::tailFraction(const std::vector<double> &mass,
-                           double mass_total, double threshold) const
-{
-    if (mass_total <= 0.0)
-        return 0.0;
-
-    double above = 0.0;
-    for (std::size_t i = 0; i < mass.size(); ++i) {
-        double lo = bucketLow(i);
-        double hi = bucketHigh(i);
-        if (lo >= threshold) {
-            above += mass[i];
-        } else if (hi > threshold && std::isfinite(hi)) {
-            // Straddling bucket: assume uniform density inside.
-            double frac = (hi - threshold) / (hi - lo);
-            above += mass[i] * frac;
-        } else if (!std::isfinite(hi) && threshold > lo) {
-            // Threshold inside the overflow bucket: all of it counts
-            // as above (we cannot do better without raw samples).
-            above += mass[i];
-        }
-    }
-    return above / mass_total;
-}
-
-double
-LogHistogram::fractionCountAtLeast(double threshold) const
-{
-    std::vector<double> mass(counts.begin(), counts.end());
-    return tailFraction(mass, static_cast<double>(total), threshold);
-}
-
-double
-LogHistogram::fractionWeightAtLeast(double threshold) const
-{
-    return tailFraction(weights, totalW, threshold);
-}
-
-double
-LogHistogram::mean() const
-{
-    return total == 0 ? 0.0 : sum / static_cast<double>(total);
 }
 
 std::string

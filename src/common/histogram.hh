@@ -33,9 +33,6 @@ class LogHistogram
     /** Add a sample; its weight defaults to 1 (a pure count). */
     void add(double value, double weight = 1.0);
 
-    /** Remove all samples. */
-    void reset();
-
     /** Number of buckets including the [0,1) and overflow buckets. */
     std::size_t numBuckets() const { return counts.size(); }
 
@@ -57,33 +54,17 @@ class LogHistogram
     /** Total accumulated weight. */
     double totalWeight() const { return totalW; }
 
-    /**
-     * Fraction of samples at or above the threshold. Exact when the
-     * threshold is a bucket edge; otherwise the straddling bucket is
-     * split by linear interpolation.
-     */
-    double fractionCountAtLeast(double threshold) const;
-
-    /** Fraction of weight in samples at or above the threshold. */
-    double fractionWeightAtLeast(double threshold) const;
-
-    /** Mean of the raw samples (tracked exactly, outside buckets). */
-    double mean() const;
-
     /** Render "low count pct weight-pct" rows for inspection. */
     std::string format(const std::string &unit) const;
 
   private:
     std::size_t bucketFor(double value) const;
-    double tailFraction(const std::vector<double> &mass, double mass_total,
-                        double threshold) const;
 
     unsigned maxExponent;
     std::vector<std::uint64_t> counts;
     std::vector<double> weights;
     std::uint64_t total = 0;
     double totalW = 0.0;
-    double sum = 0.0;
 };
 
 } // namespace memcon

@@ -99,16 +99,4 @@ warn(const char *fmt, ...)
     std::fprintf(stderr, "warn: %s\n", msg.c_str());
 }
 
-void
-inform(const char *fmt, ...)
-{
-    if (quietFlag)
-        return;
-    va_list ap;
-    va_start(ap, fmt);
-    std::string msg = vstrprintf(fmt, ap);
-    va_end(ap);
-    std::fprintf(stdout, "info: %s\n", msg.c_str());
-}
-
 } // namespace memcon

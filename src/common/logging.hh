@@ -5,7 +5,6 @@
  * panic()  - an internal invariant was violated (a library bug); aborts.
  * fatal()  - the caller supplied an impossible configuration; exits(1).
  * warn()   - something is suspicious but the run can continue.
- * inform() - plain status output for the user.
  */
 
 #ifndef MEMCON_COMMON_LOGGING_HH
@@ -28,13 +27,10 @@ namespace memcon
 /** Print "warn: <msg>" to stderr and continue. */
 void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
-/** Print an informational message to stdout. */
-void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Suppress warn()/inform() output (used by quiet test runs). */
+/** Suppress warn() output (used by quiet test runs). */
 void setQuiet(bool quiet);
 
-/** @return true when warn()/inform() output is suppressed. */
+/** @return true when warn() output is suppressed. */
 bool isQuiet();
 
 /** Format a printf-style message into a std::string. */

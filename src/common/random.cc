@@ -143,12 +143,6 @@ Rng::gaussian(double mean, double sigma)
     return mean + sigma * gaussian();
 }
 
-double
-Rng::lognormal(double mu, double sigma)
-{
-    return std::exp(gaussian(mu, sigma));
-}
-
 std::uint64_t
 Rng::poisson(double lambda)
 {

@@ -81,12 +81,6 @@ class Rng
     /** Sample a normal variate with given mean and standard deviation. */
     double gaussian(double mean, double sigma);
 
-    /**
-     * Sample a lognormal variate; mu/sigma are the parameters of the
-     * underlying normal (used for DRAM cell retention times).
-     */
-    double lognormal(double mu, double sigma);
-
     /** Sample a Poisson variate with the given rate (Knuth/normal). */
     std::uint64_t poisson(double lambda);
 

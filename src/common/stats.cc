@@ -32,19 +32,6 @@ StatGroup::value(const std::string &stat) const
     return sit == scalars.end() ? 0.0 : sit->second;
 }
 
-bool
-StatGroup::has(const std::string &stat) const
-{
-    return scalars.count(stat) != 0;
-}
-
-void
-StatGroup::reset()
-{
-    for (auto &kv : scalars)
-        kv.second = 0.0;
-}
-
 std::string
 StatGroup::dump() const
 {

@@ -36,12 +36,6 @@ class StatGroup
     /** @return the current value of the named stat (0 if absent). */
     double value(const std::string &stat) const;
 
-    /** @return true if the stat exists. */
-    bool has(const std::string &stat) const;
-
-    /** Reset all counters and scalars to zero. */
-    void reset();
-
     /** Render "name value" lines, sorted by name. */
     std::string dump() const;
 

@@ -51,13 +51,6 @@ ThreadPool::submit(std::function<void()> task)
 }
 
 void
-ThreadPool::waitIdle()
-{
-    std::unique_lock<std::mutex> lock(mtx);
-    idle.wait(lock, [this] { return queue.empty() && inFlight == 0; });
-}
-
-void
 ThreadPool::workerLoop()
 {
     for (;;) {
@@ -72,16 +65,9 @@ ThreadPool::workerLoop()
                 return;
             task = std::move(queue.front());
             queue.pop_front();
-            ++inFlight;
         }
         notFull.notify_one();
         task(); // exceptions land in the future, not here
-        {
-            std::unique_lock<std::mutex> lock(mtx);
-            --inFlight;
-            if (queue.empty() && inFlight == 0)
-                idle.notify_all();
-        }
     }
 }
 

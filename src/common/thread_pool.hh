@@ -100,9 +100,6 @@ class ThreadPool
      */
     std::future<void> submit(std::function<void()> task);
 
-    /** Block until every task submitted so far has finished. */
-    void waitIdle();
-
     unsigned threadCount() const
     {
         return static_cast<unsigned>(workers.size());
@@ -119,9 +116,7 @@ class ThreadPool
     mutable std::mutex mtx;
     std::condition_variable notEmpty; //!< queue gained work / stopping
     std::condition_variable notFull;  //!< queue lost work
-    std::condition_variable idle;     //!< all work drained
-    std::size_t inFlight = 0; // memcon:guarded_by(mtx) popped, unfinished
-    bool stopping = false;    // memcon:guarded_by(mtx)
+    bool stopping = false; // memcon:guarded_by(mtx)
     std::vector<std::thread> workers;
 };
 

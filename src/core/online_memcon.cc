@@ -26,16 +26,6 @@ OnlineMemcon::OnlineMemcon(const dram::Geometry &geometry,
     fatal_if(cfg.testIdle == Tick{}, "test idle period must be positive");
     fatal_if(cfg.hiRefMs <= 0.0 || cfg.loRefMs <= cfg.hiRefMs,
              "need 0 < hiRefMs < loRefMs");
-
-    const std::uint64_t shards = cfg.addressMap.numShards();
-    rowsPerShard.assign(shards, 0);
-    loPerShard.assign(shards, 0);
-    if (shards == 1) {
-        rowsPerShard[0] = geom.totalRows();
-    } else {
-        for (std::uint64_t r = 0; r < geom.totalRows(); ++r)
-            ++rowsPerShard[cfg.addressMap.shardOf(r)];
-    }
 }
 
 void
@@ -99,7 +89,6 @@ OnlineMemcon::demoteRow(RowId row, const char *cause)
         return;
     loRows.clear(row.value());
     --loCount;
-    --loPerShard[cfg.addressMap.shardOf(row.value())];
     ++demotionCount;
     statGroup.inc(cause);
 }
@@ -394,7 +383,6 @@ OnlineMemcon::completeDueTests(Tick now)
             } else {
                 loRows.set(row.value());
                 ++loCount;
-                ++loPerShard[cfg.addressMap.shardOf(row.value())];
             }
         }
         it = activeTests.erase(it);
@@ -495,19 +483,6 @@ OnlineMemcon::loRefFraction() const
 {
     return static_cast<double>(loCount) /
            static_cast<double>(geom.totalRows());
-}
-
-double
-OnlineMemcon::loRefFraction(std::uint64_t shard) const
-{
-    fatal_if(shard >= rowsPerShard.size(),
-             "shard %llu out of range (map '%s' has %zu shards)",
-             static_cast<unsigned long long>(shard),
-             cfg.addressMap.name().c_str(), rowsPerShard.size());
-    if (rowsPerShard[shard] == 0)
-        return 0.0;
-    return static_cast<double>(loPerShard[shard]) /
-           static_cast<double>(rowsPerShard[shard]);
 }
 
 double

@@ -118,11 +118,10 @@ struct OnlineMemconConfig
     std::function<void(RowId victim, Tick now)> victimRefresher;
 
     /**
-     * Bank decomposition of the module's flat row space, for per-bank
-     * LO-REF accounting (loRefFraction(shard)). The identity map
-     * keeps a single bucket; a multi-shard map adds bookkeeping only
-     * - the control flow, the fingerprint, and every decision are
-     * unchanged.
+     * Bank decomposition of the module's flat row space: the disturb
+     * guard's adjacency and per-bank degradation, and the queue of
+     * promotions a degraded bank held back. The identity map keeps a
+     * single bank.
      */
     dram::AddressMap addressMap{};
 };
@@ -185,13 +184,6 @@ class OnlineMemcon
 
     /** Fraction of rows currently at LO-REF. */
     double loRefFraction() const;
-
-    /**
-     * LO-REF fraction of one bank of cfg.addressMap (a per-bank view
-     * of the same counters; 0.0 for a bank that owns no rows). Under
-     * the identity map shard 0 is the whole module.
-     */
-    double loRefFraction(std::uint64_t shard) const;
 
     /** @return true if the row currently sits at LO-REF. */
     bool isLoRef(RowId row) const { return loRows.test(row.value()); }
@@ -317,12 +309,6 @@ class OnlineMemcon
     BitVector everWritten;
     std::uint64_t loCount = 0;
     unsigned quantaSeen = 0;
-
-    // Per-bank LO-REF bookkeeping (cfg.addressMap decomposition).
-    // Derived from loRows, so it is NOT part of the fingerprint: a
-    // restore rebuilds it from the restored LO set.
-    std::vector<std::uint64_t> rowsPerShard;
-    std::vector<std::uint64_t> loPerShard;
 
     // Overload-governor state (service mode; defaults preserve the
     // standalone behavior exactly).

@@ -1,7 +1,5 @@
 #include "core/policies.hh"
 
-#include <algorithm>
-
 #include "common/logging.hh"
 
 namespace memcon::core
@@ -34,13 +32,6 @@ raidrPolicy(double hi_fraction, double hi_ms, double lo_ms,
     return p;
 }
 
-double
-raidrProfileHiFraction(const failure::FailureModel &model, double lo_ms,
-                       std::uint64_t row_limit)
-{
-    return model.worstCaseRowFraction(lo_ms, row_limit);
-}
-
 RefreshPolicy
 memconPolicy(double measured_reduction)
 {
@@ -49,25 +40,6 @@ memconPolicy(double measured_reduction)
     RefreshPolicy p;
     p.name = "MEMCON";
     p.reduction = measured_reduction;
-    return p;
-}
-
-RefreshPolicy
-disturbHardenedPolicy(double measured_reduction,
-                      double victim_refresh_overhead,
-                      double degraded_bank_fraction)
-{
-    fatal_if(measured_reduction < 0.0 || measured_reduction >= 1.0,
-             "reduction must lie in [0, 1)");
-    fatal_if(victim_refresh_overhead < 0.0,
-             "victim-refresh overhead must be non-negative");
-    fatal_if(degraded_bank_fraction < 0.0 || degraded_bank_fraction > 1.0,
-             "degraded-bank fraction must lie in [0, 1]");
-    RefreshPolicy p;
-    p.name = "MEMCON+victim-refresh";
-    double net = measured_reduction * (1.0 - degraded_bank_fraction) -
-                 victim_refresh_overhead;
-    p.reduction = std::max(0.0, net);
     return p;
 }
 

@@ -20,8 +20,6 @@
 
 #include <string>
 
-#include "failure/model.hh"
-
 namespace memcon::core
 {
 
@@ -47,31 +45,8 @@ RefreshPolicy fixedRefreshPolicy(double interval_ms,
 RefreshPolicy raidrPolicy(double hi_fraction, double hi_ms, double lo_ms,
                           double baseline_interval_ms);
 
-/**
- * Derive RAIDR's HI-REF row fraction from a failure-model profile:
- * the rows that could fail with any content at the LO-REF interval
- * (what RAIDR's boot-time profiling marks for frequent refresh).
- */
-double raidrProfileHiFraction(const failure::FailureModel &model,
-                              double lo_ms, std::uint64_t row_limit = 0);
-
 /** MEMCON as a policy, from a measured refresh reduction. */
 RefreshPolicy memconPolicy(double measured_reduction);
-
-/**
- * MEMCON hardened against read-disturb: victim refreshes spend
- * refresh operations the demotion saved, and banks degraded to
- * blanket HI-REF contribute no reduction at all while degraded.
- *
- * @param measured_reduction the un-hardened mechanism's reduction
- * @param victim_refresh_overhead victim refreshes issued, as a
- *        fraction of the baseline's refresh operations
- * @param degraded_bank_fraction time-weighted fraction of banks held
- *        in HI-REF degradation
- */
-RefreshPolicy disturbHardenedPolicy(double measured_reduction,
-                                    double victim_refresh_overhead,
-                                    double degraded_bank_fraction);
 
 } // namespace memcon::core
 

@@ -237,16 +237,6 @@ DisturbGuard::bankDegraded(RowId row, Tick now) const
 }
 
 std::vector<std::uint64_t>
-DisturbGuard::degradedBanks(Tick now) const
-{
-    std::vector<std::uint64_t> out;
-    for (std::size_t i = 0; i < banks.size(); ++i)
-        if (banks[i].degraded && now < banks[i].degradedUntil)
-            out.push_back(i);
-    return out;
-}
-
-std::vector<std::uint64_t>
 DisturbGuard::recoveredBanks(Tick now)
 {
     std::vector<std::uint64_t> out;

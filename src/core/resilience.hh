@@ -285,9 +285,6 @@ class DisturbGuard
     /** Is the bank holding this row currently degraded to HI-REF? */
     bool bankDegraded(RowId row, Tick now) const;
 
-    /** Shard (bank) indices currently degraded, in ascending order. */
-    std::vector<std::uint64_t> degradedBanks(Tick now) const;
-
     /** Banks whose degradation hold expired since the last call;
      * the caller re-arms LO-REF promotion for them. */
     std::vector<std::uint64_t> recoveredBanks(Tick now);

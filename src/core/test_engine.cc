@@ -77,25 +77,4 @@ TestEngine::rowsUnderTest() const
     return ordered::sortedKeys(inTest);
 }
 
-std::size_t
-TestEngine::controllerStorageBytes() const
-{
-    if (cfg.mode == TestMode::ReadAndCompare) {
-        // Full row data per slot.
-        return cfg.slots * cfg.wordsPerRow * sizeof(std::uint64_t);
-    }
-    // One check byte per word per slot.
-    return cfg.slots * cfg.wordsPerRow;
-}
-
-double
-TestEngine::reserveCapacityFraction(std::uint64_t module_rows) const
-{
-    if (cfg.mode == TestMode::ReadAndCompare)
-        return 0.0;
-    fatal_if(module_rows == 0, "module must have rows");
-    return static_cast<double>(cfg.reserveRowsPerBank) * cfg.banks /
-           static_cast<double>(module_rows);
-}
-
 } // namespace memcon::core

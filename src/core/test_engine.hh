@@ -55,8 +55,8 @@ struct TestEngineConfig
     /** Concurrent in-test rows (paper models 256-1024). */
     std::size_t slots = 256;
 
-    /** 64-bit words per row (8 KB row = 1024 words); prices the
-     *  controller SRAM in controllerStorageBytes(). */
+    /** 64-bit words per row (8 KB row = 1024 words). Only checked
+     *  and recorded in memcond's snapshot fingerprint. */
     std::size_t wordsPerRow = 1024;
 
     /** Reserve rows per bank for Copy&Compare (appendix: 512). */
@@ -101,16 +101,6 @@ class TestEngine
 
     /** Rows currently under test, ascending. */
     std::vector<RowId> rowsUnderTest() const;
-
-    /**
-     * Controller SRAM this configuration costs: slot buffers for
-     * R&C (full rows), signatures only for C&C.
-     */
-    std::size_t controllerStorageBytes() const;
-
-    /** DRAM capacity consumed by the reserve region, as a fraction
-     * of a module with the given total rows. */
-    double reserveCapacityFraction(std::uint64_t module_rows) const;
 
     // Statistics.
     std::uint64_t testsStarted() const { return started; }

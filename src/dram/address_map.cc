@@ -59,34 +59,6 @@ AddressMap::pageOf(std::uint64_t shard, std::uint64_t local_row) const
     return (((high << totalShardBits) | window) << cfg.shardShift) | low;
 }
 
-ShardCoord
-AddressMap::shardCoord(std::uint64_t shard) const
-{
-    panic_if(shard > shardMask, "shard %llu out of range",
-             static_cast<unsigned long long>(shard));
-    ShardCoord c;
-    c.bank = static_cast<unsigned>(
-        shard & ((std::uint64_t{1} << cfg.bankBits) - 1));
-    shard >>= cfg.bankBits;
-    c.rank = static_cast<unsigned>(
-        shard & ((std::uint64_t{1} << cfg.rankBits) - 1));
-    shard >>= cfg.rankBits;
-    c.channel = static_cast<unsigned>(shard);
-    return c;
-}
-
-std::uint64_t
-AddressMap::shardIndex(const ShardCoord &coord) const
-{
-    panic_if(coord.channel >= (1u << cfg.channelBits) ||
-                 coord.rank >= (1u << cfg.rankBits) ||
-                 coord.bank >= (1u << cfg.bankBits),
-             "shard coordinate out of range");
-    return (((std::uint64_t{coord.channel} << cfg.rankBits) | coord.rank)
-            << cfg.bankBits) |
-           coord.bank;
-}
-
 std::optional<std::uint64_t>
 AddressMap::rowNeighbor(std::uint64_t page, int delta,
                         std::uint64_t num_pages) const
@@ -199,13 +171,6 @@ AddressMap::preset(const std::string &name)
     fatal("unknown address map preset '%s' (have: identity, "
           "paper-ddr3-8bank, paper-4ch8bank, zen-ddr4-64bank)",
           name.c_str());
-}
-
-std::vector<std::string>
-AddressMap::presetNames()
-{
-    return {"identity", "paper-ddr3-8bank", "paper-4ch8bank",
-            "zen-ddr4-64bank"};
 }
 
 } // namespace memcon::dram

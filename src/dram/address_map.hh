@@ -42,16 +42,6 @@
 namespace memcon::dram
 {
 
-/** Channel/rank/bank decomposition of one shard index. */
-struct ShardCoord
-{
-    unsigned channel = 0;
-    unsigned rank = 0;
-    unsigned bank = 0;
-
-    bool operator==(const ShardCoord &) const = default;
-};
-
 /** How a page index splits into (shard, local row). */
 struct AddressMapConfig
 {
@@ -129,9 +119,6 @@ class AddressMap
      */
     static AddressMap preset(const std::string &name);
 
-    /** The CLI names preset() accepts, for --help text. */
-    static std::vector<std::string> presetNames();
-
     // --- queries ----------------------------------------------------
 
     const AddressMapConfig &config() const { return cfg; }
@@ -159,12 +146,6 @@ class AddressMap
 
     /** Inverse of (shardOf, localRowOf); exact for all inputs. */
     std::uint64_t pageOf(std::uint64_t shard, std::uint64_t local_row) const;
-
-    /** Split a shard index into channel/rank/bank coordinates. */
-    ShardCoord shardCoord(std::uint64_t shard) const;
-
-    /** Rebuild a shard index from its coordinates. */
-    std::uint64_t shardIndex(const ShardCoord &coord) const;
 
     /**
      * The physically adjacent row `delta` rows away in the same

@@ -66,14 +66,6 @@ Channel::isRowOpen(unsigned rank, unsigned bank_idx) const
     return bank(rank, bank_idx).rowOpen;
 }
 
-RowId
-Channel::openRow(unsigned rank, unsigned bank_idx) const
-{
-    const BankState &b = bank(rank, bank_idx);
-    panic_if(!b.rowOpen, "openRow queried on a precharged bank");
-    return b.openRow;
-}
-
 bool
 Channel::allBanksPrecharged(unsigned rank) const
 {

@@ -71,9 +71,6 @@ class Channel
     /** @return true if the bank has a row open. */
     bool isRowOpen(unsigned rank, unsigned bank) const;
 
-    /** @return the open row (valid only when isRowOpen). */
-    RowId openRow(unsigned rank, unsigned bank) const;
-
     /**
      * @return true if `row` is the bank's open row. Unchecked: for
      * coordinates the geometry decomposed (the scheduler's row-hit

@@ -7,20 +7,6 @@
 namespace memcon::dram
 {
 
-std::string
-toString(AddressMapping mapping)
-{
-    switch (mapping) {
-      case AddressMapping::RoBaRaCoCh:
-        return "RoBaRaCoCh";
-      case AddressMapping::RoRaBaCoCh:
-        return "RoRaBaCoCh";
-      case AddressMapping::RoCoBaRaCh:
-        return "RoCoBaRaCh";
-    }
-    panic("unknown address mapping");
-}
-
 namespace
 {
 
@@ -166,19 +152,6 @@ Geometry::dimm8GB()
     g.ranks = 1;
     g.banks = 8;
     g.rowsPerBank = 1 << 17; // 131072 rows x 8 KB x 8 banks = 8 GB
-    g.columnsPerRow = 128;
-    g.blockBytes = 64;
-    return g;
-}
-
-Geometry
-Geometry::module2GB()
-{
-    Geometry g;
-    g.channels = 1;
-    g.ranks = 1;
-    g.banks = 8;
-    g.rowsPerBank = 1 << 15; // 32768 rows per bank (appendix)
     g.columnsPerRow = 128;
     g.blockBytes = 64;
     return g;

@@ -14,7 +14,6 @@
 #define MEMCON_DRAM_ORGANIZATION_HH
 
 #include <cstdint>
-#include <string>
 
 #include "common/strong_id.hh"
 #include "common/units.hh"
@@ -42,8 +41,6 @@ enum class AddressMapping
     RoRaBaCoCh, //!< row : rank : bank : column : channel
     RoCoBaRaCh, //!< row : column : bank : rank : channel (bank-interleaved)
 };
-
-std::string toString(AddressMapping mapping);
 
 /**
  * Geometry of one memory system. Sizes are powers of two; the module
@@ -103,12 +100,6 @@ struct Geometry
      * 8 banks, 8 KB rows.
      */
     static Geometry dimm8GB();
-
-    /**
-     * The 2 GB module used in the FPGA experiments (appendix):
-     * 32768 rows per bank, 8 banks.
-     */
-    static Geometry module2GB();
 
     /** Validate invariants (power-of-two fields); fatal on error. */
     void validate() const;

@@ -23,22 +23,6 @@ toString(Density density)
     panic("unknown density");
 }
 
-std::uint64_t
-densityBits(Density density)
-{
-    switch (density) {
-      case Density::Gb8:
-        return 8ULL * Gbit * 8;
-      case Density::Gb16:
-        return 16ULL * Gbit * 8;
-      case Density::Gb32:
-        return 32ULL * Gbit * 8;
-      case Density::Gb64:
-        return 64ULL * Gbit * 8;
-    }
-    panic("unknown density");
-}
-
 double
 densityTrfcNs(Density density)
 {

@@ -41,9 +41,6 @@ enum class Density
 /** @return a printable name such as "8Gb". */
 std::string toString(Density density);
 
-/** @return chip capacity in bits. */
-std::uint64_t densityBits(Density density);
-
 /**
  * Cycle-domain DDR3 timing parameters. All fields are in DRAM clock
  * cycles except tCk (the cycle time in ticks); helpers convert to

@@ -21,7 +21,7 @@
  * HI-REF module tolerates flips bits once its victims are demoted.
  *
  * Per-row flip thresholds are drawn from a seeded DiscoRD-style
- * lognormal around a median with a hard floor (the weakest row a
+ * log-normal around a median with a hard floor (the weakest row a
  * module ships with); everything is a pure function of (seed, row),
  * so campaigns replay bit-identically. Crossing the threshold flips
  * one bit (SECDED-correctable); crossing it again in the same
@@ -62,7 +62,7 @@ struct DisturbParams
      */
     std::uint64_t medianThreshold = 50000;
 
-    /** Log-space sigma of the lognormal threshold spread. */
+    /** Log-space sigma of the log-normal threshold spread. */
     double thresholdSigma = 0.25;
 
     /** Hard floor under the distribution: the weakest row shipped. */

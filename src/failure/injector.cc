@@ -18,16 +18,6 @@ FaultInjector::FaultInjector(const FaultInjectorConfig &config,
              "LO-REF interval must be positive");
 }
 
-void
-FaultInjector::attachContent(const FailureModel *model,
-                             const ContentProvider *content)
-{
-    fatal_if((model == nullptr) != (content == nullptr),
-             "content source needs both a model and a provider");
-    contentModel = model;
-    installedContent = content;
-}
-
 FaultInjector::RowFaults &
 FaultInjector::rowState(RowId row) const
 {
@@ -90,12 +80,6 @@ FaultInjector::retentionFails(RowId row, TimeMs now_ms,
             if (++perWord[cell.column / 64] >= 2)
                 uncorrectable = true;
         }
-    }
-    if (!fails && contentModel &&
-        contentModel->logicalRowFails(row, *installedContent,
-                                      cfg.loRefIntervalMs)) {
-        // Coupling failures are sparse; treat as single-bit.
-        fails = true;
     }
     return fails;
 }

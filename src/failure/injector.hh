@@ -6,11 +6,9 @@
  * under this content at this interval?"; the online mechanism needs
  * the complementary question: "what does a *read* of this row observe
  * right now, given everything that can go wrong at once?". The
- * FaultInjector composes four fault sources into a single
+ * FaultInjector composes three fault sources into a single
  * per-(row, tick) query:
  *
- *  - the content-dependent coupling model (rows whose current data
- *    fails at the LO-REF interval),
  *  - VRT telegraph cells (a certified row whose cell dropped into its
  *    leaky state after the test - the AVATAR hazard),
  *  - transient upsets (particle strikes), a per-row Poisson process
@@ -18,13 +16,14 @@
  *  - read-disturb flips accumulated by the DisturbModel (aggressor
  *    activations crossing a victim's threshold - RowHammer).
  *
- * Retention-based sources only bite while the row actually sits at
- * LO-REF (HI-REF is safe by construction); transients strike
- * regardless of refresh rate, and disturb flips depend on the access
- * stream, with LO-REF widening the accumulation window. Each query folds the pending faults
- * into the SECDED verdict a controller-side decode would produce:
- * one bad bit per word is CorrectedData, two in the same word is
- * Uncorrectable.
+ * VRT leaks only bite while the row actually sits at LO-REF (HI-REF
+ * is safe by construction); transients strike regardless of refresh
+ * rate, and disturb flips depend on the access stream, with LO-REF
+ * widening the accumulation window. Each query folds the pending
+ * faults into the SECDED verdict a controller-side decode would
+ * produce: one bad bit per word is CorrectedData, two or more in the
+ * same word is Uncorrectable (pessimistic at three or more, where a
+ * real decoder can miscorrect).
  *
  * Everything is deterministically seeded - a campaign replays
  * bit-identically - and an optional fault budget caps the number of
@@ -42,9 +41,7 @@
 #include "common/stats.hh"
 #include "common/units.hh"
 #include "dram/ecc.hh"
-#include "failure/content.hh"
 #include "failure/disturb.hh"
-#include "failure/model.hh"
 #include "failure/vrt.hh"
 
 namespace memcon::failure
@@ -92,11 +89,6 @@ class FaultInjector
      */
     void attachDisturb(DisturbModel *disturb) { disturbModel = disturb; }
     DisturbModel *disturb() const { return disturbModel; }
-
-    /** Attach the content-dependent model + the content installed in
-     * the module (optional source). */
-    void attachContent(const FailureModel *model,
-                       const ContentProvider *content);
 
     const FaultInjectorConfig &config() const { return cfg; }
 
@@ -151,8 +143,6 @@ class FaultInjector
     std::uint64_t rows;
     const VrtPopulation *vrtPop = nullptr;
     DisturbModel *disturbModel = nullptr;
-    const FailureModel *contentModel = nullptr;
-    const ContentProvider *installedContent = nullptr;
 
     mutable std::unordered_map<RowId, RowFaults> transients;
     mutable std::uint64_t budgetSpent = 0;

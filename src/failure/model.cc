@@ -92,12 +92,6 @@ FailureModel::cellsOfRow(RowId physical_row) const
     return population(physical_row).vulnerable;
 }
 
-const std::vector<WeakCell> &
-FailureModel::weakCellsOfRow(RowId physical_row) const
-{
-    return population(physical_row).weak;
-}
-
 bool
 FailureModel::rowPolarity(RowId physical_row) const
 {
@@ -198,33 +192,6 @@ FailureModel::physicalRowCanFail(RowId physical_row,
             return true;
     }
     return false;
-}
-
-double
-FailureModel::failingRowFraction(const ContentProvider &content,
-                                 double interval_ms,
-                                 std::uint64_t row_limit) const
-{
-    std::uint64_t limit = row_limit == 0 ? rows : row_limit;
-    panic_if(limit > rows, "row limit exceeds module size");
-    std::uint64_t failing = 0;
-    for (std::uint64_t r = 0; r < limit; ++r)
-        if (physicalRowFails(RowId{r}, content, interval_ms))
-            ++failing;
-    return static_cast<double>(failing) / static_cast<double>(limit);
-}
-
-double
-FailureModel::worstCaseRowFraction(double interval_ms,
-                                   std::uint64_t row_limit) const
-{
-    std::uint64_t limit = row_limit == 0 ? rows : row_limit;
-    panic_if(limit > rows, "row limit exceeds module size");
-    std::uint64_t failing = 0;
-    for (std::uint64_t r = 0; r < limit; ++r)
-        if (physicalRowCanFail(RowId{r}, interval_ms))
-            ++failing;
-    return static_cast<double>(failing) / static_cast<double>(limit);
 }
 
 } // namespace memcon::failure

@@ -145,10 +145,6 @@ class FailureModel
     const std::vector<VulnerableCell> &
     cellsOfRow(RowId physical_row) const;
 
-    /** Deterministic weak-cell population of a physical row. */
-    const std::vector<WeakCell> &
-    weakCellsOfRow(RowId physical_row) const;
-
     /** True/anti polarity of a physical row (true = charged on 1). */
     bool rowPolarity(RowId physical_row) const;
 
@@ -186,16 +182,6 @@ class FailureModel
      */
     bool physicalRowCanFail(RowId physical_row,
                             double interval_ms) const;
-
-    /**
-     * Fraction of rows in [0, limit) that fail with the content /
-     * that could fail with any content.
-     */
-    double failingRowFraction(const ContentProvider &content,
-                              double interval_ms,
-                              std::uint64_t row_limit = 0) const;
-    double worstCaseRowFraction(double interval_ms,
-                                std::uint64_t row_limit = 0) const;
 
     /**
      * The charge state ("charged" = capacitor holds charge) of the

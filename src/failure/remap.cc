@@ -33,17 +33,6 @@ ColumnRemapper::ColumnRemapper(std::uint64_t data_columns,
 }
 
 std::uint64_t
-ColumnRemapper::storageColumn(std::uint64_t addressed_col) const
-{
-    panic_if(addressed_col >= dataColumns,
-             "addressed column out of range");
-    auto it = faultyToSpare.find(addressed_col);
-    if (it == faultyToSpare.end())
-        return addressed_col;
-    return dataColumns + it->second;
-}
-
-std::uint64_t
 ColumnRemapper::addressedColumn(std::uint64_t storage_col) const
 {
     panic_if(storage_col >= totalColumns(), "storage column out of range");
@@ -54,12 +43,6 @@ ColumnRemapper::addressedColumn(std::uint64_t storage_col) const
     if (faultyToSpare.count(storage_col))
         return kUnmapped;
     return storage_col;
-}
-
-bool
-ColumnRemapper::isRemapped(std::uint64_t addressed_col) const
-{
-    return faultyToSpare.count(addressed_col) != 0;
 }
 
 } // namespace memcon::failure

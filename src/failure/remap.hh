@@ -38,12 +38,6 @@ class ColumnRemapper
                    std::uint64_t num_faulty, std::uint64_t seed);
 
     /**
-     * Where the data for an addressable column is actually stored.
-     * Faulty columns land in [dataColumns, dataColumns+redundant).
-     */
-    std::uint64_t storageColumn(std::uint64_t addressed_col) const;
-
-    /**
      * The addressable column whose data lives at a storage position,
      * or kUnmapped when the position holds no data (an unused spare
      * or a disabled faulty column).
@@ -58,9 +52,6 @@ class ColumnRemapper
 
     std::uint64_t numDataColumns() const { return dataColumns; }
     std::uint64_t numRemapped() const { return faultyToSpare.size(); }
-
-    /** @return true if the addressable column was repaired. */
-    bool isRemapped(std::uint64_t addressed_col) const;
 
     static constexpr std::uint64_t kUnmapped = ~std::uint64_t{0};
 

@@ -91,12 +91,6 @@ AddressScrambler::logicalRow(std::uint64_t physical_row) const
 }
 
 std::uint64_t
-AddressScrambler::physicalColumn(std::uint64_t logical_col) const
-{
-    return enabled() ? colPerm.forward(logical_col) : logical_col;
-}
-
-std::uint64_t
 AddressScrambler::logicalColumn(std::uint64_t physical_col) const
 {
     return enabled() ? colPerm.inverse(physical_col) : physical_col;

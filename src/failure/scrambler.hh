@@ -73,7 +73,6 @@ class AddressScrambler
 
     std::uint64_t physicalRow(std::uint64_t logical_row) const;
     std::uint64_t logicalRow(std::uint64_t physical_row) const;
-    std::uint64_t physicalColumn(std::uint64_t logical_col) const;
     std::uint64_t logicalColumn(std::uint64_t physical_col) const;
 
     std::uint64_t numRows() const { return rowPerm.size(); }

@@ -69,16 +69,4 @@ VrtPopulation::rowFailsAt(RowId row, double interval_ms,
     return false;
 }
 
-double
-VrtPopulation::failingRowFraction(double interval_ms, TimeMs time_ms,
-                                  std::uint64_t row_limit) const
-{
-    std::uint64_t limit = row_limit == 0 ? rows : row_limit;
-    panic_if(limit > rows, "row limit exceeds population");
-    std::uint64_t failing = 0;
-    for (std::uint64_t r = 0; r < limit; ++r)
-        failing += rowFailsAt(RowId{r}, interval_ms, time_ms);
-    return static_cast<double>(failing) / static_cast<double>(limit);
-}
-
 } // namespace memcon::failure

@@ -83,13 +83,6 @@ class VrtPopulation
     bool rowFailsAt(RowId row, double interval_ms,
                     TimeMs time_ms) const;
 
-    /**
-     * Probability-style helper for experiments: the fraction of rows
-     * in [0, row_limit) failing at the instant.
-     */
-    double failingRowFraction(double interval_ms, TimeMs time_ms,
-                              std::uint64_t row_limit = 0) const;
-
   private:
     VrtParams vrtParams;
     std::uint64_t rows;

@@ -8,20 +8,6 @@
 namespace memcon::service
 {
 
-const char *
-toString(VerdictKind kind)
-{
-    switch (kind) {
-    case VerdictKind::Admit:
-        return "admit";
-    case VerdictKind::Throttle:
-        return "throttle";
-    case VerdictKind::Reject:
-        return "reject";
-    }
-    return "?";
-}
-
 AdmissionController::AdmissionController(const AdmissionConfig &config)
     : cfg(config)
 {
@@ -58,13 +44,6 @@ AdmissionController::openSession(const std::string &name,
     v.kind = VerdictKind::Admit;
     v.grant = quota;
     return v;
-}
-
-void
-AdmissionController::closeSession()
-{
-    panic_if(sessions == 0, "closeSession() without an open session");
-    --sessions;
 }
 
 std::vector<Verdict>

@@ -42,8 +42,6 @@ enum class VerdictKind
     Reject,
 };
 
-const char *toString(VerdictKind kind);
-
 /** One admission decision; fields beyond `kind` depend on it. */
 struct Verdict
 {
@@ -90,9 +88,6 @@ class AdmissionController
 
     /** May this tenant join? Admit or Reject{reason}. */
     Verdict openSession(const std::string &name, std::uint64_t quota);
-
-    /** A session ended; frees its slot. */
-    void closeSession();
 
     /**
      * Plan one round over the active tenants (indexed positionally).

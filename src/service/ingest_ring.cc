@@ -62,15 +62,6 @@ IngestRing::popFront()
     head.store(h + 1, std::memory_order_release);
 }
 
-bool
-IngestRing::tryPop(WriteEvent *out)
-{
-    if (!peek(out))
-        return false;
-    popFront();
-    return true;
-}
-
 // memcon:shard_scope - quiescent-only snapshot reader
 std::vector<WriteEvent>
 IngestRing::contents() const

@@ -69,9 +69,6 @@ class IngestRing
     /** Consumer side: drop the head peek() exposed. */
     void popFront();
 
-    /** Consumer side: peek-and-pop in one step. */
-    bool tryPop(WriteEvent *out);
-
     /**
      * Entries currently queued. Exact from either endpoint's own
      * thread; a racing observer sees a value that was true at some

@@ -24,17 +24,6 @@ hammerKindName(HammerKind kind)
     panic("unknown hammer kind %d", static_cast<int>(kind));
 }
 
-HammerKind
-hammerKindFromName(const std::string &name)
-{
-    for (HammerKind kind : allHammerKinds())
-        if (name == hammerKindName(kind))
-            return kind;
-    fatal("unknown hammer persona '%s' (want single-sided, "
-          "double-sided, many-sided, or fuzzed)",
-          name.c_str());
-}
-
 std::vector<HammerKind>
 allHammerKinds()
 {

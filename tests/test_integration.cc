@@ -13,6 +13,7 @@
 #include "failure/content.hh"
 #include "failure/model.hh"
 #include "failure/tester.hh"
+#include "oracles/row_fractions.hh"
 #include "sim/system.hh"
 #include "trace/analyzer.hh"
 
@@ -95,7 +96,7 @@ TEST(FullStack, RaidrRefreshesMoreRowsAggressivelyThanMemcon)
     params.nominalIntervalMs = 64.0;
     failure::FailureModel model(params, 1 << 12, 1 << 16);
 
-    double hi_frac = core::raidrProfileHiFraction(model, 64.0);
+    double hi_frac = oracles::worstCaseRowFraction(model, 64.0);
     // The profile matches the calibrated ALL-FAIL fraction.
     EXPECT_NEAR(hi_frac, 0.135, 0.02);
 

@@ -71,11 +71,13 @@ makeEngineSweep(unsigned threads, std::uint64_t campaign_seed)
 
 TEST(ThreadPool, RunsEveryTask)
 {
-    ThreadPool pool(4);
     std::atomic<int> ran{0};
-    for (int i = 0; i < 100; ++i)
-        pool.submit([&ran] { ++ran; });
-    pool.waitIdle();
+    {
+        // The destructor completes every submitted task.
+        ThreadPool pool(4);
+        for (int i = 0; i < 100; ++i)
+            pool.submit([&ran] { ++ran; });
+    }
     EXPECT_EQ(ran.load(), 100);
 }
 
