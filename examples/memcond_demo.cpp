@@ -14,8 +14,8 @@
  *     shed tenants) escalating under pressure and cooling back down,
  *   - crash-safe snapshots: the run seals a CRC-sealed snapshot every
  *     8 rounds, and a second service instance then resumes from disk
- *     by replaying the ingest journal - the demo checks the resumed
- *     digest is bit-identical to the live one.
+ *     by restoring every tenant's saved state - the demo checks the
+ *     resumed digest is bit-identical to the live one.
  *
  * Build and run:
  *   cmake --preset default && cmake --build --preset default
@@ -135,9 +135,8 @@ main()
     const std::string live_digest = live.digest();
     std::printf("\nlive digest:    %s\n", live_digest.c_str());
 
-    // Crash-restore: a second instance rebuilds everything from the
-    // sealed snapshot + ingest journal and must land on the same
-    // bits.
+    // Crash-restore: a second instance restores everything from the
+    // sealed snapshot and must land on the same bits.
     std::printf("== resuming a second instance from the snapshot ==\n");
     service::Memcond restored(demoConfig(), tenants);
     try {

@@ -15,7 +15,7 @@
  *
  *  * The sealed-file format - every durable record file (the
  *    campaign checkpoint "MEMCON-CKPT v2" and the memcond snapshot
- *    "MEMCOND-SVC v2") is CRC32-sealed lines: a "<MAGIC> v2"
+ *    "MEMCOND-SVC v3") is CRC32-sealed lines: a "<MAGIC> v<N>"
  *    fingerprint header binding the file to (artifact, seed, point
  *    count, quick flag, label CRC), the record lines, and an
  *    "END count=<lines above> total=<crc of those bytes>" footer.
@@ -122,13 +122,14 @@ bool readFile(const std::string &path, std::string *out,
 
 /**
  * Builds one sealed file in a single append pass: the
- * "<magic> v2 <fingerprint>" header, then add()ed record payloads,
- * each sealLine()d, then - from finish() - the END footer.
+ * "<format> <fingerprint>" header, then add()ed record payloads,
+ * each sealLine()d, then - from finish() - the END footer. `format`
+ * is the file's magic and version, e.g. "MEMCON-CKPT v2".
  */
 class SealedWriter
 {
   public:
-    SealedWriter(const std::string &magic, const CampaignFingerprint &fp);
+    SealedWriter(const std::string &format, const CampaignFingerprint &fp);
 
     void add(const std::string &payload);
 
@@ -150,13 +151,13 @@ struct SealedRecords
 /**
  * The one strict reader of SealedWriter output. Checks, in order:
  * the file is non-empty and ends in a newline; every line unseals;
- * line 1 is exactly the "<magic> v2" header of some fingerprint; the
+ * line 1 is exactly the "<format>" header of some fingerprint; the
  * last line is exactly an END footer whose count equals the lines
  * above it (header included) and whose total is the CRC-32 of their
  * bytes; no earlier line is a footer. Returns false with a reason on
  * any deviation.
  */
-bool readSealedFile(const std::string &content, const std::string &magic,
+bool readSealedFile(const std::string &content, const std::string &format,
                     SealedRecords *out, std::string *reason = nullptr);
 
 /** One completed task: its index and canonical metrics line

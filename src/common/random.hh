@@ -12,6 +12,7 @@
 #ifndef MEMCON_COMMON_RANDOM_HH
 #define MEMCON_COMMON_RANDOM_HH
 
+#include <array>
 #include <cstdint>
 
 namespace memcon
@@ -89,6 +90,21 @@ class Rng
      * for page-popularity skew in trace generation.
      */
     std::uint64_t zipf(std::uint64_t n, double s);
+
+    /** The four state words, so a generator can be saved mid-stream. */
+    std::array<std::uint64_t, 4>
+    state() const
+    {
+        return {s_[0], s_[1], s_[2], s_[3]};
+    }
+
+    /** Resume from state() words. */
+    void
+    setState(const std::array<std::uint64_t, 4> &words)
+    {
+        for (int i = 0; i < 4; ++i)
+            s_[i] = words[i];
+    }
 
   private:
     std::uint64_t s_[4];

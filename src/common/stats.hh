@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <utility>
 
 namespace memcon
 {
@@ -40,6 +41,15 @@ class StatGroup
     std::string dump() const;
 
     const std::string &name() const { return groupName; }
+
+    /** Every counter, by name (state records save them). */
+    const std::map<std::string, double> &entries() const { return scalars; }
+
+    /** Replace every counter (state records restore them). */
+    void assign(std::map<std::string, double> values)
+    {
+        scalars = std::move(values);
+    }
 
   private:
     std::string groupName;

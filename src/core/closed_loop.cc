@@ -1,6 +1,7 @@
 #include "core/closed_loop.hh"
 
 #include "common/logging.hh"
+#include "common/state_io.hh"
 
 namespace memcon::core
 {
@@ -92,6 +93,24 @@ RowId
 ClosedLoop::rowOf(std::uint64_t addr) const
 {
     return geom.flatRowIndex(geom.decompose(addr));
+}
+
+void
+ClosedLoop::saveState(StateWriter &out) const
+{
+    out.line("loop");
+    out.tick("now", current);
+    mc.saveState(out);
+    om.saveState(out);
+}
+
+void
+ClosedLoop::loadState(StateReader &in)
+{
+    in.line("loop");
+    current = in.tick("now");
+    mc.loadState(in);
+    om.loadState(in);
 }
 
 } // namespace memcon::core

@@ -40,6 +40,12 @@
 #include "sim/controller.hh"
 #include "sim/cycle_loop.hh"
 
+namespace memcon
+{
+class StateReader;
+class StateWriter;
+} // namespace memcon
+
 namespace memcon::core
 {
 
@@ -118,6 +124,15 @@ class ClosedLoop
         mc.skipCycles(now, cycles);
         om.skipCycles(cycles);
     }
+
+    /**
+     * Save the loop's tick, the controller and MEMCON as state record
+     * lines (common/state_io.hh); loadState restores them into a loop
+     * built with the same geometry, timing and config. A fault
+     * injector's own state is not part of the loop's.
+     */
+    void saveState(StateWriter &out) const;
+    void loadState(StateReader &in);
 
     sim::MemoryController &controller() { return mc; }
     const sim::MemoryController &controller() const { return mc; }

@@ -71,6 +71,12 @@
 #include "dram/address_map.hh"
 #include "sim/controller.hh"
 
+namespace memcon
+{
+class StateReader;
+class StateWriter;
+} // namespace memcon
+
 namespace memcon::core
 {
 
@@ -232,10 +238,22 @@ class OnlineMemcon
      * CRC over the mechanism's visible state: PRIL, refresh states
      * (LO-REF/ever-written maps), queued and in-flight tests, quantum
      * phase, and the stat counters. The service snapshot records it
-     * per tenant; after a journal-replay restore the recomputed value
-     * must match bit-for-bit or the resume is rejected.
+     * per tenant; after a restore the recomputed value must match
+     * bit-for-bit or the resume is rejected.
      */
     std::uint32_t stateFingerprint() const;
+
+    /**
+     * Save the mechanism's complete state as state record lines
+     * (common/state_io.hh): PRIL, the refresh-state maps, every queue
+     * and in-flight test, the test slots, the resilience ladder, the
+     * disturb guard, the counters, and the cached next-event bound.
+     * loadState reads them back into an OnlineMemcon built with the
+     * same geometry and config; it does not touch the controller,
+     * which saves its own state.
+     */
+    void saveState(StateWriter &out) const;
+    void loadState(StateReader &in);
 
     /** Human-readable fingerprint context for mismatch diagnostics. */
     std::string describeState() const

@@ -4,6 +4,7 @@
 
 #include "common/checkpoint.hh"
 #include "common/logging.hh"
+#include "common/state_io.hh"
 
 namespace memcon::core
 {
@@ -151,6 +152,44 @@ PrilPredictor::stateFingerprint() const
         mix(0x5A5A5A5Aull);
     }
     return c;
+}
+
+void
+PrilPredictor::saveState(StateWriter &out) const
+{
+    out.line("pril");
+    out.u64("cur", current);
+    out.u64("drops", drops);
+    out.u64("peak", peakOccupancy);
+    out.bits("map0", writeMap[0]);
+    out.bits("gone0", erasedMap[0]);
+    out.bits("map1", writeMap[1]);
+    out.bits("gone1", erasedMap[1]);
+}
+
+void
+PrilPredictor::loadState(StateReader &in)
+{
+    in.line("pril");
+    current = static_cast<unsigned>(in.u64("cur", 2));
+    drops = in.u64("drops");
+    peakOccupancy = in.u64("peak", capacity + 1);
+    for (unsigned side = 0; side < 2; ++side) {
+        in.bits(side == 0 ? "map0" : "map1", writeMap[side]);
+        in.bits(side == 0 ? "gone0" : "gone1", erasedMap[side]);
+        // Membership is exactly {map set, erased clear}; an erased bit
+        // outside the map breaks that invariant.
+        BitVector stray = erasedMap[side];
+        stray.andNotWith(writeMap[side]);
+        in.check(stray.count() == 0, "PRIL erased map leaves its write map");
+        BitVector members = writeMap[side];
+        members.andNotWith(erasedMap[side]);
+        in.check(members.count() <= capacity,
+                 "PRIL write buffer over its capacity");
+        writeBuffer[side].clearAll();
+        members.visitSetBits(
+            [this, side](std::size_t page) { writeBuffer[side].insert(page); });
+    }
 }
 
 } // namespace memcon::core

@@ -49,6 +49,12 @@
 #include "common/strong_id.hh"
 #include "common/units.hh"
 
+namespace memcon
+{
+class StateReader;
+class StateWriter;
+} // namespace memcon
+
 namespace memcon::core
 {
 
@@ -96,12 +102,22 @@ class PrilPredictor
      * CRC over the complete predictor state (maps, buffers, swap
      * phase, drop/peak counters). Two predictors in equal logical
      * states fingerprint identically regardless of how they reached
-     * them; the service layer uses this to prove a journal-replayed
-     * restore reconverged. Buffer members are mixed in ascending
+     * them; the service layer uses this to prove a restored tenant
+     * matches its snapshot. Buffer members are mixed in ascending
      * page order, recovered for free from the derived erased map
      * (`map ANDNOT erased`), so no sorting pass is needed.
      */
     std::uint32_t stateFingerprint() const;
+
+    /**
+     * Save the predictor as a state record line: swap phase, counters,
+     * and per side the write map and the erased map (buffer membership
+     * is `map ANDNOT erased`, so the flat sets' history-dependent slot
+     * layout is never written). loadState rebuilds the buffers from
+     * the maps.
+     */
+    void saveState(StateWriter &out) const;
+    void loadState(StateReader &in);
 
   private:
     std::uint64_t pages;
@@ -117,8 +133,8 @@ class PrilPredictor
     // every page that set its map bit but then left the buffer
     // (re-write), was evicted from the previous buffer (write in the
     // following quantum), or was refused entry (drop). Maintained on
-    // the rare leave/drop paths only; rebuilt for free on restore
-    // because restore replays the write journal through onWrite().
+    // the rare leave/drop paths only; saved and restored with the
+    // maps.
     BitVector erasedMap[2];
 
     // Per-quantum extraction scratch (capacity retained across

@@ -5,6 +5,7 @@
 #include "common/logging.hh"
 #include "common/ordered.hh"
 #include "common/random.hh"
+#include "common/state_io.hh"
 
 namespace memcon::core
 {
@@ -278,6 +279,112 @@ DisturbGuard::fingerprint() const
                        (bank.degraded ? bank.degradedUntil.value() : 0));
     }
     return fp;
+}
+
+namespace
+{
+
+/** A row-keyed counter map as ascending (row, count) pairs. */
+template <typename Count>
+std::vector<std::uint64_t>
+rowCounts(const std::unordered_map<RowId, Count> &counts)
+{
+    std::vector<std::uint64_t> out;
+    for (const auto &[row, n] : ordered::sortedItems(counts))
+        out.insert(out.end(), {row.value(), std::uint64_t{n}});
+    return out;
+}
+
+template <typename Count>
+void
+loadRowCounts(StateReader &in, const char *key, std::uint64_t rows,
+              std::uint64_t limit, std::unordered_map<RowId, Count> &out)
+{
+    const std::vector<std::uint64_t> v = in.tuples(key, 2);
+    out.clear();
+    for (std::size_t i = 0; i < v.size(); i += 2) {
+        in.check(v[i] < rows && v[i + 1] < limit &&
+                     (i == 0 || v[i - 2] < v[i]),
+                 std::string("'") + key + "' holds a bad row count");
+        out.emplace(RowId{v[i]}, static_cast<Count>(v[i + 1]));
+    }
+}
+
+} // namespace
+
+void
+ResilienceManager::saveState(StateWriter &out) const
+{
+    out.line("res");
+    out.tuples("episodes", rowCounts(correctedEpisodes), 2);
+    out.bits("pinned", pinned);
+    std::vector<std::uint64_t> retests;
+    for (const auto &[at, row] : retestQueue)
+        retests.insert(retests.end(), {at.value(), row.value()});
+    out.tuples("retest", retests, 2);
+    out.flag("fallback", fallback);
+    out.tick("until", fallbackUntil);
+    out.tick("scrub", nextScrub);
+    out.u64("cursor", scrubCursor);
+}
+
+void
+ResilienceManager::loadState(StateReader &in)
+{
+    in.line("res");
+    loadRowCounts(in, "episodes", rows, 1ull << 32, correctedEpisodes);
+    in.bits("pinned", pinned);
+    const std::vector<std::uint64_t> retests = in.tuples("retest", 2);
+    retestQueue.clear();
+    for (std::size_t i = 0; i < retests.size(); i += 2) {
+        in.check(retests[i + 1] < rows &&
+                     (i == 0 || retests[i - 2] <= retests[i]),
+                 "holds a bad re-test entry");
+        // Equal ticks keep their saved (insertion) order.
+        retestQueue.emplace_hint(retestQueue.end(), Tick{retests[i]},
+                                 RowId{retests[i + 1]});
+    }
+    fallback = in.flag("fallback");
+    fallbackUntil = in.tick("until");
+    nextScrub = in.tick("scrub");
+    scrubCursor = in.u64("cursor", rows);
+}
+
+void
+DisturbGuard::saveState(StateWriter &out) const
+{
+    out.line("guard");
+    out.u64("crossings", crossingCount);
+    out.tuples("acts", rowCounts(aggressorActs), 2);
+    out.tuples("victims", rowCounts(victimEpisodes), 2);
+    std::vector<std::uint64_t> states;
+    for (const BankState &bank : banks)
+        states.insert(states.end(),
+                      {bank.crossingsInWindow, bank.windowStart.value(),
+                       bank.degraded ? 1u : 0u, bank.degradedUntil.value()});
+    out.tuples("banks", states, 4);
+}
+
+void
+DisturbGuard::loadState(StateReader &in)
+{
+    in.line("guard");
+    crossingCount = in.u64("crossings");
+    loadRowCounts(in, "acts", rows, ~0ull, aggressorActs);
+    loadRowCounts(in, "victims", rows, 1ull << 32, victimEpisodes);
+    const std::vector<std::uint64_t> states = in.tuples("banks", 4);
+    in.check(states.size() == banks.size() * 4,
+             "does not hold one state per bank");
+    degradedCount = 0;
+    for (std::size_t i = 0; i < banks.size(); ++i) {
+        const std::uint64_t *v = &states[i * 4];
+        in.check(v[2] <= 1, "holds a bad bank degradation flag");
+        banks[i].crossingsInWindow = v[0];
+        banks[i].windowStart = Tick{v[1]};
+        banks[i].degraded = v[2] != 0;
+        banks[i].degradedUntil = Tick{v[3]};
+        degradedCount += v[2];
+    }
 }
 
 } // namespace memcon::core

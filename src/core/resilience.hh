@@ -58,6 +58,12 @@
 #include "dram/address_map.hh"
 #include "dram/ecc.hh"
 
+namespace memcon
+{
+class StateReader;
+class StateWriter;
+} // namespace memcon
+
 namespace memcon::core
 {
 
@@ -174,6 +180,12 @@ class ResilienceManager
     std::vector<RowId>
     nextScrubRows(Tick now, const BitVector &lo_rows,
                   const std::function<bool(RowId)> &skip);
+
+    /** Save the episode counts, pin set, re-test queue, fallback and
+     * scrub state as a state record line (the counters live in the
+     * owner's StatGroup); loadState reads it back. */
+    void saveState(StateWriter &out) const;
+    void loadState(StateReader &in);
 
   private:
     /** One corrected-ladder episode on a row: schedule a backoff
@@ -301,6 +313,11 @@ class DisturbGuard
 
     /** Deterministic digest of the guard state (fingerprints). */
     std::uint64_t fingerprint() const;
+
+    /** Save the aggressor and victim counters (by row) and the bank
+     * states as a state record line; loadState reads it back. */
+    void saveState(StateWriter &out) const;
+    void loadState(StateReader &in);
 
   private:
     struct BankState

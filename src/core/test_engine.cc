@@ -4,6 +4,7 @@
 
 #include "common/logging.hh"
 #include "common/ordered.hh"
+#include "common/state_io.hh"
 
 namespace memcon::core
 {
@@ -75,6 +76,36 @@ TestEngine::rowsUnderTest() const
     // Session bookkeeping is hash-keyed; the public view is sorted
     // so downstream stats and logs stay deterministic.
     return ordered::sortedKeys(inTest);
+}
+
+void
+TestEngine::saveState(StateWriter &out) const
+{
+    out.line("test");
+    out.u64("started", started);
+    out.u64("passed", passed);
+    out.u64("failed", failed);
+    out.u64("aborted", aborted);
+    std::vector<std::uint64_t> rows;
+    for (RowId row : rowsUnderTest())
+        rows.push_back(row.value());
+    out.tuples("rows", rows);
+}
+
+void
+TestEngine::loadState(StateReader &in, std::uint64_t num_rows)
+{
+    in.line("test");
+    started = in.u64("started");
+    passed = in.u64("passed");
+    failed = in.u64("failed");
+    aborted = in.u64("aborted");
+    const std::vector<std::uint64_t> rows = in.tuples("rows", 1, num_rows);
+    in.check(rows.size() <= capacity, "holds more tests than slots");
+    inTest.clear();
+    for (std::uint64_t row : rows)
+        in.check(inTest.insert(RowId{row}).second,
+                 "holds a row under test twice");
 }
 
 } // namespace memcon::core

@@ -37,6 +37,12 @@
 #include "common/strong_id.hh"
 #include "core/cost_model.hh"
 
+namespace memcon
+{
+class StateReader;
+class StateWriter;
+} // namespace memcon
+
 namespace memcon::core
 {
 
@@ -101,6 +107,12 @@ class TestEngine
 
     /** Rows currently under test, ascending. */
     std::vector<RowId> rowsUnderTest() const;
+
+    /** Save the rows under test (ascending) and the counters as a
+     * state record line; loadState checks each row against
+     * `num_rows` and the slot capacity. */
+    void saveState(StateWriter &out) const;
+    void loadState(StateReader &in, std::uint64_t num_rows);
 
     // Statistics.
     std::uint64_t testsStarted() const { return started; }

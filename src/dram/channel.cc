@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.hh"
+#include "common/state_io.hh"
 
 namespace memcon::dram
 {
@@ -256,6 +257,72 @@ Channel::issue(Command cmd, unsigned rank, unsigned bank_idx,
       }
     }
     panic("unknown command");
+}
+
+void
+Channel::saveState(StateWriter &out) const
+{
+    out.line("chan");
+    out.tick("rd", nextReadGlobal);
+    out.tick("wr", nextWriteGlobal);
+    for (const RankState &r : rankState) {
+        out.line("rank");
+        out.tick("act", r.nextAct);
+        out.tick("refok", r.nextRefOk);
+        std::vector<std::uint64_t> acts;
+        for (Tick t : r.actTimes)
+            acts.push_back(t.value());
+        out.tuples("faw", acts);
+    }
+    // A closed bank's stale row is unobservable; it saves as 0.
+    std::vector<std::uint64_t> banks;
+    for (const BankState &b : bankState)
+        banks.insert(banks.end(),
+                     {b.rowOpen ? 1u : 0u, b.rowOpen ? b.openRow.value() : 0,
+                      b.nextAct.value(), b.nextPre.value(),
+                      b.nextRead.value(), b.nextWrite.value(),
+                      b.rowHitStreak});
+    out.line("banks");
+    out.tuples("b", banks, 7);
+    out.line("chanstats");
+    out.stats(statGroup);
+}
+
+void
+Channel::loadState(StateReader &in)
+{
+    in.line("chan");
+    nextReadGlobal = in.tick("rd");
+    nextWriteGlobal = in.tick("wr");
+    for (RankState &r : rankState) {
+        in.line("rank");
+        r.nextAct = in.tick("act");
+        r.nextRefOk = in.tick("refok");
+        const std::vector<std::uint64_t> acts = in.tuples("faw");
+        in.check(acts.size() <= 4, "holds more than four tFAW ACTs");
+        r.actTimes.clear();
+        for (std::uint64_t t : acts)
+            r.actTimes.push_back(Tick{t});
+    }
+    in.line("banks");
+    const std::vector<std::uint64_t> banks = in.tuples("b", 7);
+    in.check(banks.size() == bankState.size() * 7,
+             "does not hold one tuple per bank");
+    for (std::size_t i = 0; i < bankState.size(); ++i) {
+        const std::uint64_t *v = &banks[i * 7];
+        BankState &b = bankState[i];
+        in.check(v[0] <= 1 && v[1] < geom.rowsPerBank,
+                 "holds a bank with a bad open row");
+        b.rowOpen = v[0] != 0;
+        b.openRow = RowId{v[1]};
+        b.nextAct = Tick{v[2]};
+        b.nextPre = Tick{v[3]};
+        b.nextRead = Tick{v[4]};
+        b.nextWrite = Tick{v[5]};
+        b.rowHitStreak = v[6];
+    }
+    in.line("chanstats");
+    in.stats(statGroup);
 }
 
 } // namespace memcon::dram

@@ -26,6 +26,12 @@
 #include "dram/organization.hh"
 #include "dram/timing.hh"
 
+namespace memcon
+{
+class StateReader;
+class StateWriter;
+} // namespace memcon
+
 namespace memcon::dram
 {
 
@@ -88,6 +94,14 @@ class Channel
 
     const Geometry &geometry() const { return geom; }
     const TimingParams &timing() const { return params; }
+
+    /**
+     * Save the bank, rank and bus timing state and the command
+     * counters as state record lines (common/state_io.hh); loadState
+     * reads them back into a channel of the same geometry.
+     */
+    void saveState(StateWriter &out) const;
+    void loadState(StateReader &in);
 
     /** Command counts and row hit/miss/conflict statistics. */
     const StatGroup &stats() const { return statGroup; }

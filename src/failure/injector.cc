@@ -65,20 +65,30 @@ FaultInjector::retentionFails(RowId row, TimeMs now_ms,
                               bool &uncorrectable) const
 {
     uncorrectable = false;
+    if (!vrtPop ||
+        cfg.loRefIntervalMs < vrtPop->params().leakyFailIntervalMs)
+        return false;
+    // Leaky cells grouped per 64-bit word: two distinct cells in one
+    // word defeat SECDED. Two population members at one column are one
+    // cell, which flips once. `seen` marks the words holding a leaky
+    // cell and `column` names that cell (valid only where seen).
+    constexpr std::uint64_t kWords = kVrtColumnsPerRow / 64;
+    std::uint64_t seen[kWords / 64] = {};
+    std::uint8_t column[kWords];
     bool fails = false;
-    if (vrtPop) {
-        // Leaky cells grouped per 64-bit word: two in one word defeat
-        // SECDED.
-        std::unordered_map<std::uint64_t, unsigned> perWord;
-        for (const VrtCell &cell : vrtPop->cellsOfRow(row)) {
-            if (!vrtPop->isLeakyAt(cell, now_ms))
-                continue;
-            if (cfg.loRefIntervalMs <
-                vrtPop->params().leakyFailIntervalMs)
-                continue;
-            fails = true;
-            if (++perWord[cell.column / 64] >= 2)
-                uncorrectable = true;
+    for (const VrtCell &cell : vrtPop->cellsOfRow(row)) {
+        if (!vrtPop->isLeakyAt(cell, now_ms))
+            continue;
+        fails = true;
+        const std::uint64_t word = cell.column / 64;
+        const auto bit = static_cast<std::uint8_t>(cell.column % 64);
+        const std::uint64_t mask = std::uint64_t{1} << (word % 64);
+        if (!(seen[word / 64] & mask)) {
+            seen[word / 64] |= mask;
+            column[word] = bit;
+        } else if (column[word] != bit) {
+            uncorrectable = true;
+            break;
         }
     }
     return fails;

@@ -31,7 +31,7 @@ VrtPopulation::cellsOfRow(RowId row) const
     std::uint64_t n = rng.poisson(vrtParams.vrtCellsPerRow);
     cells.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i)
-        cells.push_back({rng.uniformInt(1 << 16), rng.next()});
+        cells.push_back({rng.uniformInt(kVrtColumnsPerRow), rng.next()});
 
     auto [ins, ok] = cache.emplace(row, std::move(cells));
     (void)ok;

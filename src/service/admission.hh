@@ -65,7 +65,7 @@ struct AdmissionConfig
     /**
      * Per-tenant grant ceiling per round; bounds how much leftover
      * budget one tenant can absorb (and keeps any round's grant
-     * within the ingest ring, which the crash-restore replay relies
+     * within the ingest ring, which the journal replay oracle relies
      * on). 0 means "no ceiling beyond the global budget".
      */
     std::uint64_t maxGrantPerRound = 0;

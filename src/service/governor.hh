@@ -29,7 +29,7 @@
  * exit threshold sits below the entry threshold so the ladder cannot
  * flap). Pure integer/double state updated once per round in the
  * serial planning phase, so the stage sequence is deterministic and
- * journals cleanly.
+ * run-length encodes cleanly into the snapshot.
  */
 
 #ifndef MEMCON_SERVICE_GOVERNOR_HH

@@ -7,6 +7,7 @@
 
 #include "common/checkpoint.hh"
 #include "common/logging.hh"
+#include "common/state_io.hh"
 #include "common/supervisor.hh"
 
 namespace memcon::service
@@ -64,7 +65,7 @@ Memcond::fingerprint() const
 {
     // Everything that shapes the deterministic run goes into the
     // label CRC; a snapshot from any differently-configured service
-    // is rejected before any replay work happens.
+    // is rejected before any tenant is restored.
     std::string labels;
     for (const TenantSpec &t : specs) {
         labels += strprintf("tenant=%s prio=%u rate=%.17g quota=%llu",
@@ -257,21 +258,9 @@ Memcond::runRounds()
             }
         }
 
-        // Serial reduce, tenant order: reports, journal, telemetry.
-        RoundRecord rec;
-        rec.stage = governor.stage();
-        rec.grant.resize(n);
-        rec.scansShed.resize(n);
-        rec.quantumStretch.resize(n);
-        rec.applied.resize(n);
-        for (std::size_t i = 0; i < n; ++i) {
-            rec.grant[i] = dirs[i].grant;
-            rec.scansShed[i] = dirs[i].scansShed;
-            rec.quantumStretch[i] = dirs[i].quantumStretch;
-            rec.applied[i] = sessions[i]->lastRoundApplied();
+        // Serial reduce, tenant order: next-round demand, stage history.
+        for (std::size_t i = 0; i < n; ++i)
             lastOffered[i] = reports[i].generated;
-        }
-        journal.push_back(std::move(rec));
         stages.push_back(governor.stage());
         ++done;
 
@@ -286,47 +275,38 @@ Memcond::runRounds()
 
 // memcon:shard_scope - single-threaded resume path
 void
-Memcond::replaySnapshot(const ServiceSnapshot &snap)
+Memcond::restoreSnapshot(const ServiceSnapshot &snap)
 {
     ckpt::requireFingerprintMatch(snap.fingerprint, fingerprint());
+    if (snap.roundsDone > cfg.rounds)
+        throw ServiceError(strprintf(
+            "snapshot is at round %llu, past the service's %llu rounds",
+            (unsigned long long)snap.roundsDone,
+            (unsigned long long)cfg.rounds));
 
     const std::size_t n = sessions.size();
-    for (std::uint64_t r = 0; r < snap.roundsDone; ++r) {
-        const RoundRecord &rec = snap.journal[r];
-        const Tick start = cfg.roundTicks * r;
-        const Tick end = cfg.roundTicks * (r + 1);
-
-        std::vector<std::future<void>> futures;
-        futures.reserve(n);
-        for (std::size_t i = 0; i < n; ++i) {
-            futures.push_back(pool.submit([this, &rec, i, start, end] {
-                RoundDirectives d;
-                d.scansShed = rec.scansShed[i];
-                d.quantumStretch = rec.quantumStretch[i];
-                d.grant = rec.grant[i];
-                sessions[i]->replayRound(d, start, end, rec.applied[i]);
-            }));
-        }
-        for (auto &f : futures)
-            f.get();
-    }
-
     for (std::size_t i = 0; i < n; ++i) {
         const TenantSnapshotRecord &t = snap.tenants[i];
-        sessions[i]->restoreProducer(t.generated, t.droppedBackpressure,
-                                     t.droppedShed, t.throttledTicks,
-                                     t.residue, t.hasHeld, t.held,
-                                     t.heldSince);
+        if (t.name != specs[i].name)
+            throw ServiceError(strprintf(
+                "snapshot tenant %zu is '%s', the service's is '%s'", i,
+                t.name.c_str(), specs[i].name.c_str()));
+        try {
+            sessions[i]->restore(t, cfg.roundTicks * snap.roundsDone);
+        } catch (const StateError &e) {
+            throw ServiceError(strprintf("tenant '%s' does not restore: %s",
+                                         specs[i].name.c_str(), e.what()));
+        }
         lastOffered[i] = t.lastOffered;
     }
 
-    // The gate: every rebuilt mechanism must match the snapshot
+    // The gate: every restored mechanism must match the snapshot
     // bit-for-bit, or the resume is refused with both sides named.
     for (std::size_t i = 0; i < n; ++i) {
         const std::uint32_t found = sessions[i]->stateFingerprint();
         if (found != snap.tenants[i].fingerprint)
             throw ServiceError(strprintf(
-                "tenant '%s' diverged during journal replay\n"
+                "tenant '%s' diverged from its snapshot on restore\n"
                 "  found:    %s\n"
                 "  expected: fp=%08x %s",
                 specs[i].name.c_str(),
@@ -339,10 +319,9 @@ Memcond::replaySnapshot(const ServiceSnapshot &snap)
                      snap.relaxations);
     admission.restoreCounters(snap.admits, snap.throttles, snap.rejects);
 
-    journal = snap.journal;
     stages.clear();
-    for (const RoundRecord &rec : journal)
-        stages.push_back(rec.stage);
+    for (const StageRun &run : snap.stageRuns)
+        stages.insert(stages.end(), run.rounds, run.stage);
     done = snap.roundsDone;
     didResume = true;
 }
@@ -355,7 +334,7 @@ Memcond::run(bool resume)
         if (cfg.snapshotPath.empty())
             throw ServiceError("resume requested but the service has no "
                                "snapshot path");
-        replaySnapshot(loadServiceSnapshot(cfg.snapshotPath));
+        restoreSnapshot(loadServiceSnapshot(cfg.snapshotPath));
     }
     runRounds();
 }
@@ -391,8 +370,13 @@ Memcond::snapshotState() const
         t.hasHeld = ses.hasHeldEvent();
         t.held = ses.heldEvent();
         t.heldSince = ses.heldSince();
+        t.state = ses.saveState();
     }
-    s.journal = journal;
+    for (GovernorStage stage : stages) {
+        if (s.stageRuns.empty() || s.stageRuns.back().stage != stage)
+            s.stageRuns.push_back(StageRun{stage, 0});
+        ++s.stageRuns.back().rounds;
+    }
     return s;
 }
 

@@ -17,15 +17,15 @@
  *      pool - sessions share nothing, so any thread count yields the
  *      same bits;
  *   3. serial reduce, in tenant-index order: round reports are
- *      collected and the round is appended to the ingest journal.
+ *      collected and the round's governor stage is recorded.
  *
  * Crash safety: every snapshotEveryRounds rounds the full service
- * state (per-tenant counters + OnlineMemcon fingerprints + ring
- * residue + the ingest journal) is sealed to disk via
- * common/checkpoint's atomic-write discipline. run(resume=true)
- * rebuilds a SIGKILL'd service by replaying the journal through the
- * real consumer code path and refuses to continue unless every
- * rebuilt tenant fingerprint matches the snapshot bit-for-bit.
+ * state (governor and admission state, the stage history, and every
+ * tenant's complete state record - service/snapshot.hh) is sealed to
+ * disk via common/checkpoint's atomic-write discipline.
+ * run(resume=true) loads the snapshot, restores every tenant in place
+ * (no round is re-simulated), and refuses to continue unless every
+ * restored tenant fingerprint matches the snapshot bit-for-bit.
  *
  * An optional hung-round watchdog reuses common/supervisor: tenant
  * round tasks register with a CancelToken and a stuck task unwinds
@@ -48,6 +48,11 @@
 #include "service/governor.hh"
 #include "service/snapshot.hh"
 #include "service/tenant.hh"
+
+namespace memcon::oracles
+{
+class JournalReplay;
+} // namespace memcon::oracles
 
 namespace memcon::service
 {
@@ -90,6 +95,10 @@ struct MemcondConfig
 
 class Memcond
 {
+    // The test oracle that rebuilds a service by replaying the applied
+    // events of every round from round 0 (tests/oracles).
+    friend class oracles::JournalReplay;
+
   public:
     /**
      * Opens one session per spec through the admission controller;
@@ -104,11 +113,11 @@ class Memcond
 
     /**
      * Run the service to cfg.rounds. With resume=true the snapshot
-     * at cfg.snapshotPath is loaded first, the journal is replayed,
-     * and execution continues from the recorded round; throws
-     * ServiceError (or ckpt::FingerprintMismatch) if the snapshot is
-     * missing, malformed, from a different configuration, or the
-     * replayed state does not match it bit-for-bit.
+     * at cfg.snapshotPath is loaded and restored first, and execution
+     * continues from the recorded round; throws ServiceError (or
+     * ckpt::FingerprintMismatch) if the snapshot is missing,
+     * malformed, from a different configuration, or the restored
+     * state does not match its recorded fingerprints.
      */
     void run(bool resume = false);
 
@@ -145,13 +154,13 @@ class Memcond
     /** The snapshot the service would seal right now. */
     ServiceSnapshot snapshotState() const;
 
-    /** True once run(resume=true) rebuilt state from disk. */
+    /** True once run(resume=true) restored state from disk. */
     bool resumed() const { return didResume; }
 
   private:
     void planRound(std::uint64_t round, std::vector<RoundDirectives> *out);
     void runRounds();
-    void replaySnapshot(const ServiceSnapshot &snap);
+    void restoreSnapshot(const ServiceSnapshot &snap);
     ckpt::CampaignFingerprint fingerprint() const;
 
     MemcondConfig cfg;
@@ -170,7 +179,6 @@ class Memcond
     bool didResume = false;
     std::vector<std::uint64_t> lastOffered; //!< per tenant, last round
     std::vector<GovernorStage> stages;      //!< one per completed round
-    std::vector<RoundRecord> journal;       //!< ditto
 };
 
 } // namespace memcon::service

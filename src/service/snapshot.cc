@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "common/logging.hh"
+#include "common/state_io.hh"
 
 namespace memcon::service
 {
@@ -13,7 +14,7 @@ namespace memcon::service
 namespace
 {
 
-const char kSnapshotMagic[] = "MEMCOND-SVC";
+const char kSnapshotFormat[] = "MEMCOND-SVC v3";
 
 [[noreturn]] void
 malformed(const char *fmt, ...)
@@ -73,18 +74,32 @@ parseStage(unsigned raw, const char *line_tag)
 std::string
 encodeServiceSnapshot(const ServiceSnapshot &s)
 {
-    panic_if(s.journal.size() != s.roundsDone,
-             "service snapshot journal (%zu rounds) disagrees with "
-             "roundsDone=%" PRIu64,
-             s.journal.size(), s.roundsDone);
+    std::uint64_t rounds = 0;
+    std::vector<std::uint64_t> runs;
+    for (std::size_t i = 0; i < s.stageRuns.size(); ++i) {
+        const StageRun &run = s.stageRuns[i];
+        panic_if(run.rounds == 0 ||
+                     (i > 0 && s.stageRuns[i - 1].stage == run.stage),
+                 "stage history run %zu is not run-length encoded", i);
+        runs.insert(runs.end(),
+                    {static_cast<std::uint64_t>(run.stage), run.rounds});
+        rounds += run.rounds;
+    }
+    panic_if(rounds != s.roundsDone,
+             "stage history covers %" PRIu64 " rounds, not roundsDone=%" PRIu64,
+             rounds, s.roundsDone);
 
-    ckpt::SealedWriter file(kSnapshotMagic, s.fingerprint);
+    ckpt::SealedWriter file(kSnapshotFormat, s.fingerprint);
     file.add(strprintf("G rounds=%" PRIu64 " stage=%u calm=%u esc=%" PRIu64
                        " relax=%" PRIu64 " admit=%" PRIu64
                        " throttle=%" PRIu64 " reject=%" PRIu64,
                        s.roundsDone, static_cast<unsigned>(s.stage),
                        s.calmStreak, s.escalations, s.relaxations,
                        s.admits, s.throttles, s.rejects));
+    StateWriter history;
+    history.line("P");
+    history.tuples("runs", runs, 2);
+    file.add(std::move(history).take().front());
 
     for (std::size_t i = 0; i < s.tenants.size(); ++i) {
         const TenantSnapshotRecord &t = s.tenants[i];
@@ -105,25 +120,14 @@ encodeServiceSnapshot(const ServiceSnapshot &s)
                                " since=%" PRIu64,
                                i, t.held.at.value(), t.held.row,
                                t.heldSince.value()));
-    }
-
-    for (std::size_t r = 0; r < s.journal.size(); ++r) {
-        const RoundRecord &round = s.journal[r];
-        panic_if(round.grant.size() != s.tenants.size() ||
-                     round.scansShed.size() != s.tenants.size() ||
-                     round.quantumStretch.size() != s.tenants.size() ||
-                     round.applied.size() != s.tenants.size(),
-                 "journal round %zu does not cover every tenant", r);
-        file.add(strprintf("J round=%zu stage=%u", r,
-                           static_cast<unsigned>(round.stage)));
-        for (std::size_t i = 0; i < s.tenants.size(); ++i)
-            file.add(strprintf("D round=%zu idx=%zu grant=%" PRIu64
-                               " scans=%d stretch=%u n=%zu",
-                               r, i, round.grant[i],
-                               round.scansShed[i] ? 1 : 0,
-                               round.quantumStretch[i],
-                               round.applied[i].size()) +
-                     eventList(round.applied[i]));
+        file.add(strprintf("S idx=%zu lines=%zu", i, t.state.size()));
+        for (const std::string &line : t.state) {
+            panic_if(line.size() < 2 || line[1] == ' ' ||
+                         line.find('\n') != std::string::npos,
+                     "state line '%s' would read as a framing line",
+                     line.c_str());
+            file.add(line);
+        }
     }
 
     return std::move(file).finish();
@@ -134,7 +138,7 @@ decodeServiceSnapshot(const std::string &content)
 {
     ckpt::SealedRecords file;
     std::string reason;
-    if (!ckpt::readSealedFile(content, kSnapshotMagic, &file, &reason))
+    if (!ckpt::readSealedFile(content, kSnapshotFormat, &file, &reason))
         malformed("%s", reason.c_str());
 
     // Records are read in exactly the order the encoder writes them.
@@ -168,12 +172,40 @@ decodeServiceSnapshot(const std::string &content)
         malformed("bad governor line '%s'", g.c_str());
     s.stage = parseStage(stage_raw, "G");
 
+    const std::string &p = take('P');
+    try {
+        const std::vector<std::string> one{p};
+        StateReader history(one);
+        history.line("P");
+        const std::vector<std::uint64_t> runs = history.tuples("runs", 2);
+        history.finish();
+        std::uint64_t rounds = 0;
+        for (std::size_t i = 0; i < runs.size(); i += 2) {
+            const GovernorStage stage = parseStage(
+                static_cast<unsigned>(std::min<std::uint64_t>(runs[i], ~0u)),
+                "P");
+            if (runs[i + 1] == 0 || runs[i + 1] > s.roundsDone - rounds ||
+                (i > 0 && runs[i - 2] == runs[i]))
+                malformed("stage history run %zu is not a run of the %" PRIu64
+                          " rounds done",
+                          i / 2, s.roundsDone);
+            rounds += runs[i + 1];
+            s.stageRuns.push_back(StageRun{stage, runs[i + 1]});
+        }
+        if (rounds != s.roundsDone)
+            malformed("stage history covers %" PRIu64 " of %" PRIu64
+                      " rounds",
+                      rounds, s.roundsDone);
+    } catch (const StateError &e) {
+        malformed("bad stage history line: %s", e.what());
+    }
+
     for (std::size_t i = 0; i < s.fingerprint.pointCount; ++i) {
         TenantSnapshotRecord t;
-        const std::string &p = take('T');
+        const std::string &tl = take('T');
         std::size_t idx = 0;
         char name[128] = {0};
-        if (std::sscanf(p.c_str(),
+        if (std::sscanf(tl.c_str(),
                         "T idx=%zu name=%127s gen=%" SCNu64 " dbp=%" SCNu64
                         " dsh=%" SCNu64 " thr=%" SCNu64 " loff=%" SCNu64
                         " fp=%8x",
@@ -181,12 +213,12 @@ decodeServiceSnapshot(const std::string &content)
                         &t.droppedShed, &t.throttledTicks, &t.lastOffered,
                         &t.fingerprint) != 8 ||
             idx != i)
-            malformed("bad tenant line '%s'", p.c_str());
-        std::size_t desc = p.find(" desc=");
+            malformed("bad tenant line '%s'", tl.c_str());
+        std::size_t desc = tl.find(" desc=");
         if (desc == std::string::npos)
             malformed("tenant line misses its desc field");
         t.name = name;
-        t.describe = p.substr(desc + 6);
+        t.describe = tl.substr(desc + 6);
 
         const std::string &r = take('R');
         std::size_t n = 0;
@@ -211,45 +243,28 @@ decodeServiceSnapshot(const std::string &content)
             t.held = WriteEvent{Tick{ev_at}, row};
             t.heldSince = Tick{since};
         }
+
+        const std::string &sl = take('S');
+        std::size_t count = 0;
+        char tail = 0;
+        if (std::sscanf(sl.c_str(), "S idx=%zu lines=%zu%c", &idx, &count,
+                        &tail) != 2 ||
+            idx != i || sl != strprintf("S idx=%zu lines=%zu", idx, count))
+            malformed("bad state header line '%s'", sl.c_str());
+        // The count only says how many lines to take; each one must be
+        // there before it is copied.
+        for (std::size_t k = 0; k < count; ++k) {
+            if (next >= lines.size() || lines[next].size() < 2 ||
+                lines[next][1] == ' ')
+                malformed("tenant %zu state record ends after %zu of %zu "
+                          "lines",
+                          i, k, count);
+            t.state.push_back(lines[next++]);
+        }
         s.tenants.push_back(std::move(t));
     }
-
-    for (std::size_t r = 0; r < s.roundsDone; ++r) {
-        RoundRecord round;
-        const std::string &j = take('J');
-        std::size_t round_idx = 0;
-        if (std::sscanf(j.c_str(), "J round=%zu stage=%u", &round_idx,
-                        &stage_raw) != 2 ||
-            round_idx != r)
-            malformed("bad journal line '%s'", j.c_str());
-        round.stage = parseStage(stage_raw, "J");
-        for (std::size_t i = 0; i < s.tenants.size(); ++i) {
-            const std::string &d = take('D');
-            std::size_t idx = 0, n = 0;
-            std::uint64_t grant = 0;
-            int scans = 0, used = 0;
-            unsigned stretch = 1;
-            if (std::sscanf(d.c_str(),
-                            "D round=%zu idx=%zu grant=%" SCNu64
-                            " scans=%d stretch=%u n=%zu%n",
-                            &round_idx, &idx, &grant, &scans, &stretch, &n,
-                            &used) != 6 ||
-                round_idx != r || idx != i)
-                malformed("bad journal-detail line '%s'", d.c_str());
-            if (stretch == 0)
-                malformed("journal detail round=%zu idx=%zu has zero "
-                          "quantum stretch",
-                          r, i);
-            round.grant.push_back(grant);
-            round.scansShed.push_back(scans != 0);
-            round.quantumStretch.push_back(stretch);
-            std::istringstream events(d.substr(used));
-            round.applied.push_back(parseEvents(events, n, "D"));
-        }
-        s.journal.push_back(std::move(round));
-    }
     if (next != lines.size())
-        malformed("line %zu follows the last journal round", next + 2);
+        malformed("line %zu follows the last tenant record", next + 2);
     return s;
 }
 

@@ -3,7 +3,7 @@
  * The crash-safe service snapshot: everything memcond needs to resume
  * a SIGKILL'd daemon with bit-identical per-tenant state.
  *
- * The file is a "MEMCOND-SVC v2" sealed file (DESIGN.md §15):
+ * The file is a "MEMCOND-SVC v3" sealed file (DESIGN.md §15):
  * ckpt::SealedWriter writes it and ckpt::readSealedFile() owns the
  * framing - the per-line CRC seal, the CampaignFingerprint header
  * binding the snapshot to one service configuration, and the END
@@ -21,18 +21,21 @@
  *     count as points=, config CRC as the label CRC)
  *   - G: governor + admission cumulative state (rounds done, ladder
  *     stage, calm streak, escalation counters, verdict counters)
+ *   - P: the governor's per-round stage history, run-length encoded,
+ *     so the file grows with stage changes, not with rounds
  *   - per tenant: T (producer counters + the OnlineMemcon state
  *     fingerprint), R (ring residue events), H (the held event, if
- *     any, with its hold-since tick)
- *   - per round: J (the governor stage that round ran under) and one
- *     D line per tenant (its grant and the events it applied, in
- *     apply order) - the ingest journal the restore path replays
- *     through the real consumer code
+ *     any, with its hold-since tick), and S followed by the tenant's
+ *     state record lines (common/state_io.hh): the controller's queues
+ *     and bank timing, OnlineMemcon's PRIL maps, queues, test slots,
+ *     resilience ladder and disturb guard, the ingest counters and
+ *     latency histogram, and the write stream's cursor
  *
- * The journal makes the restore *semantic*, not a memory dump: resume
- * re-runs every recorded round against freshly constructed tenants,
- * then checks each rebuilt OnlineMemcon fingerprint against the
- * recorded one.
+ * A snapshot is a full state record, not a log: resume loads it and
+ * restores every tenant in place, then checks each restored
+ * OnlineMemcon fingerprint against the recorded one. The state lines
+ * are history-independent, so the file's size depends on the state,
+ * not on how many rounds produced it.
  */
 
 #ifndef MEMCON_SERVICE_SNAPSHOT_HH
@@ -86,24 +89,20 @@ struct TenantSnapshotRecord
     bool hasHeld = false;
     WriteEvent held{};
     Tick heldSince{};
+
+    /** The session's state record lines (TenantSession::saveState).
+     * The file format carries them as they are; restoring a session
+     * reads and checks them. */
+    std::vector<std::string> state;
 };
 
-/** One completed service round, as the journal recorded it. */
-struct RoundRecord
+/** Consecutive rounds the governor spent at one stage. */
+struct StageRun
 {
     GovernorStage stage = GovernorStage::Normal;
+    std::uint64_t rounds = 0;
 
-    /** Per-tenant apply budget that round (admission grant). */
-    std::vector<std::uint64_t> grant;
-
-    /** Per-tenant governor knobs: the scan-shed and quantum-stretch
-     * stages target over-quota tenants, so the journal must record
-     * who they actually hit, not just the ladder stage. */
-    std::vector<bool> scansShed;
-    std::vector<unsigned> quantumStretch;
-
-    /** Per-tenant applied events, in apply order. */
-    std::vector<std::vector<WriteEvent>> applied;
+    bool operator==(const StageRun &) const = default;
 };
 
 struct ServiceSnapshot
@@ -125,8 +124,9 @@ struct ServiceSnapshot
 
     std::vector<TenantSnapshotRecord> tenants;
 
-    /** journal.size() == roundsDone always. */
-    std::vector<RoundRecord> journal;
+    /** The stage each round ran under, run-length encoded: adjacent
+     * runs differ in stage and the rounds sum to roundsDone. */
+    std::vector<StageRun> stageRuns;
 };
 
 /** Serialize to the sealed-line format (no I/O). */

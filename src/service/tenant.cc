@@ -5,6 +5,7 @@
 
 #include "common/logging.hh"
 #include "common/random.hh"
+#include "common/state_io.hh"
 
 namespace memcon::service
 {
@@ -165,7 +166,7 @@ TenantSession::consumeCycle(Tick now, std::uint64_t &budget_left)
 {
     // At most one apply per cycle. This is not a throughput limit in
     // practice (grants are far below the cycles per round); it is
-    // what makes the crash-restore replay exact: a replayed event -
+    // what makes the journal replay oracle exact: a replayed event -
     // pre-pushed at round start instead of mid-round - can never
     // reach the controller on an earlier cycle than it did live,
     // because pops are paced one per cycle on both paths.
@@ -255,6 +256,7 @@ TenantSession::runRound(const RoundDirectives &directives, Tick round_start,
         // few of its cycles.
         if (token)
             token->throwIfCancelled();
+        ++simulated;
         produceCycle(now, directives);
         consumeCycle(now, budget);
     };
@@ -276,45 +278,6 @@ TenantSession::runRound(const RoundDirectives &directives, Tick round_start,
     report.applied = applied - app0;
     report.backlog = ring.size() + (held ? 1 : 0);
     return report;
-}
-
-void
-TenantSession::replayRound(const RoundDirectives &directives,
-                           Tick round_start, Tick round_end,
-                           const std::vector<WriteEvent> &events)
-{
-    panic_if(loop.lastTick() != round_start,
-             "replayRound: the module is at tick %llu, not at the round "
-             "start",
-             static_cast<unsigned long long>(loop.lastTick().value()));
-    applyDirectives(directives);
-    roundApplied.clear();
-
-    // The journal's applied events are, by FIFO, a prefix of the live
-    // ring order; pre-pushing them reconstructs exactly the slice of
-    // the ring the round consumed.
-    panic_if(!ring.empty(),
-             "replayRound: ring not drained before round replay");
-    for (const WriteEvent &ev : events)
-        panic_if(ring.tryPush(ev) != PushResult::Ok,
-                 "replayRound: journal round exceeds the ring capacity");
-
-    std::uint64_t budget = directives.grant;
-    sim::CycleDriver driver;
-    driver.beforeTick = [&](Tick now) { consumeCycle(now, budget); };
-    driver.nextEventTick = [&](Tick now) {
-        return consumerEventTick(now, budget);
-    };
-    driver.skipCycles = [&](Tick now, std::uint64_t cycles) {
-        if (consumerRefused(now, budget))
-            loop.controller().recordRefusals(cycles);
-    };
-    loop.runUntil(round_end, driver);
-
-    panic_if(!ring.empty(),
-             "replayRound: %zu journaled events did not re-apply - the "
-             "snapshot and the service code disagree",
-             ring.size());
 }
 
 double
@@ -359,28 +322,74 @@ TenantSession::metricsLine() const
         (unsigned long long)om.pinnedRows(), p99IngestTicks());
 }
 
-void
-TenantSession::restoreProducer(std::uint64_t generated_count,
-                               std::uint64_t dropped_bp,
-                               std::uint64_t dropped_shed,
-                               std::uint64_t throttled_ticks,
-                               const std::vector<WriteEvent> &residue,
-                               bool has_held, const WriteEvent &held_event,
-                               Tick hold_since)
+std::vector<std::string>
+TenantSession::saveState() const
 {
-    panic_if(!ring.empty(),
-             "restoreProducer: replay left events in the ring");
-    stream.fastForward(generated_count);
-    generated = generated_count;
-    droppedBp = dropped_bp;
-    droppedShedEv = dropped_shed;
-    throttledTk = throttled_ticks;
-    for (const WriteEvent &ev : residue)
-        panic_if(ring.tryPush(ev) != PushResult::Ok,
-                 "restoreProducer: snapshot residue exceeds the ring");
-    held = has_held;
-    heldEv = held_event;
-    holdSince = hold_since;
+    StateWriter out;
+    loop.saveState(out);
+    out.line("ingest");
+    out.u64("applied", applied);
+    std::vector<std::uint64_t> counts;
+    std::vector<double> weights;
+    for (std::size_t i = 0; i < latency.numBuckets(); ++i) {
+        counts.push_back(latency.count(i));
+        weights.push_back(latency.weight(i));
+    }
+    out.tuples("lat", counts);
+    out.reals("latw", weights);
+    out.u64("n", latency.totalCount());
+    out.f64("w", latency.totalWeight());
+    stream.saveState(out);
+    return std::move(out).take();
+}
+
+void
+TenantSession::restore(const TenantSnapshotRecord &rec, Tick round_end)
+{
+    panic_if(generated != 0 || loop.lastTick() != Tick{},
+             "restore() needs a freshly constructed session");
+    StateReader in(rec.state);
+    loop.loadState(in);
+    in.check(loop.lastTick() == round_end,
+             "holds a module that is not at its round's end");
+    in.line("ingest");
+    applied = in.u64("applied");
+    std::vector<std::uint64_t> counts = in.tuples("lat");
+    std::vector<double> weights = in.reals("latw");
+    const std::uint64_t total = in.u64("n");
+    const double total_weight = in.f64("w");
+    std::uint64_t sum = 0;
+    for (std::uint64_t c : counts)
+        sum += c;
+    in.check(counts.size() == latency.numBuckets() &&
+                 weights.size() == latency.numBuckets() && sum == total,
+             "holds a malformed latency histogram");
+    latency.assign(std::move(counts), std::move(weights), total,
+                   total_weight);
+    stream.loadState(in);
+    in.finish();
+
+    in.check(stream.generated() == rec.generated,
+             "holds a stream cursor at another event than its tenant line");
+    generated = rec.generated;
+    droppedBp = rec.droppedBackpressure;
+    droppedShedEv = rec.droppedShed;
+    throttledTk = rec.throttledTicks;
+    for (const WriteEvent &ev : rec.residue)
+        in.check(ring.tryPush(ev) == PushResult::Ok,
+                 "holds more ring residue than the ring holds");
+    held = rec.hasHeld;
+    heldEv = rec.held;
+    holdSince = rec.heldSince;
+    for (const WriteEvent &ev : rec.residue)
+        in.check(ev.row < geom.totalRows(), "holds a residue row past the "
+                                            "module");
+    in.check(!held || heldEv.row < geom.totalRows(),
+             "holds a held row past the module");
+    // The accounting identity holds at every round boundary.
+    in.check(generated == applied + droppedBp + droppedShedEv +
+                              rec.residue.size() + (held ? 1 : 0),
+             "breaks generated = applied + drops + backlog + held");
 }
 
 } // namespace memcon::service

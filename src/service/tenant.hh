@@ -24,14 +24,15 @@
  * holds at every round boundary and is what the reconciliation tests
  * assert.
  *
- * replayRound() is the crash-restore path: the round's recorded
- * applied events are pre-pushed into the ring and the same consumer
- * loop runs with the producer disabled. Because the consumer only
- * applies events once due (event tick <= now) and the controller's
- * acceptance is a deterministic function of replayed state, the
- * module re-reaches the exact pre-crash state; the per-tenant
- * OnlineMemcon fingerprint recorded in the snapshot is then checked
- * bit-for-bit.
+ * Crash restore is a load, not a replay: saveState() writes the
+ * session's complete state as state record lines (common/state_io.hh)
+ * - the controller's queues, in-flight reads and bank timing,
+ * OnlineMemcon's PRIL maps, queues, test slots, resilience ladder and
+ * disturb guard, the ingest counters and latency histogram, and the
+ * write stream's per-row cursor - and restore() puts a freshly built
+ * session back into exactly that state from a snapshot record,
+ * simulating no cycle and drawing no event. The service then checks
+ * the restored OnlineMemcon fingerprint against the recorded one.
  */
 
 #ifndef MEMCON_SERVICE_TENANT_HH
@@ -49,8 +50,14 @@
 #include "dram/organization.hh"
 #include "dram/timing.hh"
 #include "service/ingest_ring.hh"
+#include "service/snapshot.hh"
 #include "sim/controller.hh"
 #include "trace/tenant_stream.hh"
+
+namespace memcon::oracles
+{
+class JournalReplay;
+} // namespace memcon::oracles
 
 namespace memcon::service
 {
@@ -138,6 +145,10 @@ struct RoundReport
 
 class TenantSession
 {
+    // The test oracle that rebuilds sessions by replaying the applied
+    // events of every round from round 0 (tests/oracles).
+    friend class oracles::JournalReplay;
+
   public:
     TenantSession(const TenantSpec &spec, const TenantRuntimeConfig &rc,
                   std::size_t tenant_index);
@@ -154,18 +165,6 @@ class TenantSession
     RoundReport runRound(const RoundDirectives &directives,
                          Tick round_start, Tick round_end,
                          const CancelToken *token = nullptr);
-
-    /**
-     * Re-run a recorded round: `applied` (the journal's event list
-     * for this tenant and round, in apply order) is pre-pushed into
-     * the ring and the consumer replays it against the rebuilt module
-     * state; the producer stays off. Panics if the ring cannot drain
-     * the recorded events by round end - that means the snapshot and
-     * the code disagree.
-     */
-    void replayRound(const RoundDirectives &directives, Tick round_start,
-                     Tick round_end,
-                     const std::vector<WriteEvent> &applied);
 
     const TenantSpec &spec() const { return tenantSpec; }
 
@@ -187,8 +186,8 @@ class TenantSession
      * residue capture; the events stay queued). */
     std::vector<WriteEvent> ringResidue() const { return ring.contents(); }
 
-    /** The events this tenant applied in the last (re)run round, in
-     * apply order - the journal's per-round record. */
+    /** The events this tenant applied in its last round, in apply
+     * order. */
     const std::vector<WriteEvent> &lastRoundApplied() const
     {
         return roundApplied;
@@ -218,21 +217,28 @@ class TenantSession
      */
     std::string metricsLine() const;
 
-    // --- crash-restore hooks ----------------------------------------
+    // --- work counters -----------------------------------------------
+    // Work this session object did, not state: a restored session
+    // starts them at zero, and no snapshot or digest reads them.
+
+    /** Cycles this session simulated (skipped cycles excluded). */
+    std::uint64_t cyclesSimulated() const { return simulated; }
+
+    /** Events the write stream drew since it was built or restored. */
+    std::uint64_t streamEventsDrawn() const { return stream.eventsDrawn(); }
+
+    // --- crash restore ------------------------------------------------
+    /** The state record lines of the session (everything a snapshot
+     * record's T, R and H lines do not carry). */
+    std::vector<std::string> saveState() const;
+
     /**
-     * Re-seat the producer-side state from a service snapshot, after
-     * the journal replay rebuilt the consumer side: fast-forwards the
-     * generator to the recorded position, re-parks the recorded ring
-     * residue and held event, and restores the drop/throttle
-     * counters the replay (producer off) could not re-accumulate.
+     * Put a freshly constructed session into the state `record` holds
+     * (its T/R/H fields and its state lines), saved at the end of the
+     * round that ends at `round_end`. Throws StateError on a malformed
+     * or inconsistent record; the session is then unusable.
      */
-    void restoreProducer(std::uint64_t generated_count,
-                         std::uint64_t dropped_bp,
-                         std::uint64_t dropped_shed,
-                         std::uint64_t throttled_ticks,
-                         const std::vector<WriteEvent> &residue,
-                         bool has_held, const WriteEvent &held_event,
-                         Tick hold_since);
+    void restore(const TenantSnapshotRecord &record, Tick round_end);
 
   private:
     void applyDirectives(const RoundDirectives &directives);
@@ -268,6 +274,8 @@ class TenantSession
     std::uint64_t applied = 0;
     LogHistogram latency;
     std::vector<WriteEvent> roundApplied;
+
+    std::uint64_t simulated = 0;
 };
 
 } // namespace memcon::service

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.hh"
+#include "common/state_io.hh"
 
 namespace memcon::sim
 {
@@ -392,6 +393,122 @@ MemoryController::eventBound(Tick now, Tick read_event,
     if (!refresh_due)
         next = std::min({next, read_event, write_event});
     return std::max(next, now + Tick{1});
+}
+
+namespace
+{
+
+constexpr std::size_t kRequestArity = 5;
+
+/** (type, addr, arrival, coreId + 1, isTest) of a plain-data request. */
+void
+appendRequest(std::vector<std::uint64_t> &out, const Request &r)
+{
+    panic_if(static_cast<bool>(r.onComplete),
+             "a queued request with a completion callback cannot be "
+             "saved");
+    panic_if(r.coreId < -1, "request core id %d out of range", r.coreId);
+    out.insert(out.end(),
+               {r.type == Request::Type::Write ? 1u : 0u, r.addr,
+                r.arrival.value(),
+                static_cast<std::uint64_t>(r.coreId + 1),
+                r.isTest ? 1u : 0u});
+}
+
+Request
+requestFrom(const dram::Geometry &geom, const std::uint64_t *v,
+            StateReader &in)
+{
+    in.check(v[0] <= 1 && v[4] <= 1 && v[3] <= 1u << 30 &&
+                 v[1] < geom.capacityBytes() && v[1] % geom.blockBytes == 0,
+             "holds a malformed request");
+    Request r;
+    r.type = v[0] != 0 ? Request::Type::Write : Request::Type::Read;
+    r.addr = v[1];
+    r.coords = geom.decompose(r.addr);
+    r.arrival = Tick{v[2]};
+    r.coreId = static_cast<int>(v[3]) - 1;
+    r.isTest = v[4] != 0;
+    return r;
+}
+
+} // namespace
+
+void
+MemoryController::saveState(StateWriter &out) const
+{
+    out.line("mc");
+    out.flag("drain", drainingWrites);
+    out.f64("red", cfg.refreshReduction);
+    out.tick("trefi", effectiveTrefi);
+    out.tick("cached", cachedNext);
+    std::vector<std::uint64_t> next;
+    for (Tick t : nextRefresh)
+        next.push_back(t.value());
+    out.tuples("next", next);
+
+    std::vector<std::uint64_t> reads, writes, inflights;
+    for (const Request &r : readQueue.entries)
+        appendRequest(reads, r);
+    for (const Request &r : writeQueue.entries)
+        appendRequest(writes, r);
+    for (const Pending &p : inflight) {
+        appendRequest(inflights, p.req);
+        inflights.push_back(p.dataDone.value());
+    }
+    out.line("mcq");
+    out.tuples("read", reads, kRequestArity);
+    out.tuples("write", writes, kRequestArity);
+    out.tuples("inflight", inflights, kRequestArity + 1);
+    out.line("mcstats");
+    out.stats(statGroup);
+    chan.saveState(out);
+}
+
+void
+MemoryController::loadState(StateReader &in)
+{
+    in.line("mc");
+    drainingWrites = in.flag("drain");
+    const double reduction = in.f64("red");
+    in.check(reduction >= 0.0 && reduction < 1.0,
+             "holds a refresh reduction outside [0, 1)");
+    cfg.refreshReduction = reduction;
+    effectiveTrefi = in.tick("trefi");
+    in.check(effectiveTrefi > Tick{}, "holds a zero refresh interval");
+    cachedNext = in.tick("cached");
+    const std::vector<std::uint64_t> next = in.tuples("next");
+    in.check(next.size() == nextRefresh.size(),
+             "does not hold one refresh deadline per rank");
+    for (std::size_t r = 0; r < next.size(); ++r)
+        nextRefresh[r] = Tick{next[r]};
+
+    in.line("mcq");
+    auto load_queue = [&](const char *key, RequestQueue &queue,
+                          std::size_t capacity) {
+        const std::vector<std::uint64_t> v = in.tuples(key, kRequestArity);
+        in.check(v.size() / kRequestArity <= capacity,
+                 "holds a queue past its capacity");
+        queue.entries.clear();
+        queue.demands = 0;
+        for (std::size_t i = 0; i < v.size(); i += kRequestArity) {
+            queue.entries.push_back(requestFrom(geom, &v[i], in));
+            queue.demands += queue.entries.back().isTest ? 0 : 1;
+        }
+    };
+    load_queue("read", readQueue, cfg.readQueueCapacity);
+    load_queue("write", writeQueue, cfg.writeQueueCapacity);
+    const std::vector<std::uint64_t> v =
+        in.tuples("inflight", kRequestArity + 1);
+    in.check(v.size() / (kRequestArity + 1) <= cfg.readQueueCapacity,
+             "holds more in-flight reads than the read queue holds");
+    inflight.clear();
+    for (std::size_t i = 0; i < v.size(); i += kRequestArity + 1)
+        inflight.push_back(
+            {requestFrom(geom, &v[i], in), Tick{v[i + kRequestArity]}});
+    in.line("mcstats");
+    in.stats(statGroup);
+    chan.loadState(in);
 }
 
 } // namespace memcon::sim

@@ -36,6 +36,12 @@
 #include "dram/ecc.hh"
 #include "sim/request.hh"
 
+namespace memcon
+{
+class StateReader;
+class StateWriter;
+} // namespace memcon
+
 namespace memcon::sim
 {
 
@@ -160,6 +166,17 @@ class MemoryController
     const StatGroup &stats() const { return statGroup; }
     StatGroup &stats() { return statGroup; }
     const dram::Channel &channel() const { return chan; }
+
+    /**
+     * Save the queues, in-flight reads, drain and refresh state, the
+     * next-event cache, the counters and the channel's timing as state
+     * record lines (common/state_io.hh). Queued requests must carry no
+     * completion callback: a closure cannot be saved, so a controller
+     * that holds one panics here. loadState reads the lines back into
+     * a controller built with the same geometry, timing and config.
+     */
+    void saveState(StateWriter &out) const;
+    void loadState(StateReader &in);
 
   private:
     struct Pending

@@ -36,6 +36,7 @@
 #ifndef MEMCON_TRACE_APP_MODEL_HH
 #define MEMCON_TRACE_APP_MODEL_HH
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -109,6 +110,23 @@ class PageWriteProcess
      */
     std::vector<TimeMs> writeTimes();
 
+    /** Where the process stands: its RNG words and burst position
+     * (the page class is a function of the page id). */
+    struct State
+    {
+        std::array<std::uint64_t, 4> rng{};
+        std::uint64_t burstRemaining = 0;
+    };
+
+    State state() const { return {rng.state(), burstRemaining}; }
+
+    void
+    restore(const State &state)
+    {
+        rng.setState(state.rng);
+        burstRemaining = state.burstRemaining;
+    }
+
   private:
     TimeMs truncatedParetoMs(double x_min, double alpha);
 
@@ -146,6 +164,27 @@ class PageWriteStream
      * the first time at or past the trace end, and forever after.
      */
     bool next(double &out_ms);
+
+    /** Where the stream stands, so it can resume mid-trace without
+     * regenerating what it already yielded. */
+    struct State
+    {
+        PageWriteProcess::State proc;
+        double t = 0.0; //!< the last time drawn
+        bool started = false;
+        bool done = false;
+    };
+
+    State state() const { return {proc.state(), t, started, done}; }
+
+    void
+    restore(const State &state)
+    {
+        proc.restore(state.proc);
+        t = state.t;
+        started = state.started;
+        done = state.done;
+    }
 
   private:
     PageWriteProcess proc;

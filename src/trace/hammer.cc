@@ -186,11 +186,10 @@ HammerStream::pop()
 }
 
 void
-HammerStream::fastForward(std::uint64_t count)
+HammerStream::restoreCursor(std::uint64_t count)
 {
-    panic_if(popped != 0, "fastForward() on a used stream");
     panic_if(count > total,
-             "fastForward past the end of the hammer stream "
+             "hammer cursor restored past the end of the stream "
              "(%llu of %llu accesses)",
              static_cast<unsigned long long>(count),
              static_cast<unsigned long long>(total));

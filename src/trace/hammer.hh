@@ -20,7 +20,7 @@
  *    of patterns instead of one hand-built loop.
  *
  * A HammerStream exposes the same cursor interface as
- * TenantWriteStream (peek/pop/generated/fastForward), so an attacker
+ * TenantWriteStream (peek/pop/generated), so an attacker
  * co-runs with benign tenants through memcond's ingest machinery
  * unchanged, and the closed-loop benches drive it as demand traffic.
  * Aggressor rows are chosen in *local* (bank) row space and mapped to
@@ -130,8 +130,10 @@ class HammerStream
     /** Accesses consumed so far (the producer's durable position). */
     std::uint64_t generated() const { return popped; }
 
-    /** Re-position a fresh stream at access index `count`. */
-    void fastForward(std::uint64_t count);
+    /** Set the cursor to access index `count`: an access is a pure
+     * function of its index, so the index is the cursor's whole
+     * state. Panics past totalAccesses(). */
+    void restoreCursor(std::uint64_t count);
 
     /** The pattern's aggressor rows (physical), in access order with
      * amplitudes expanded - one entry per slot of the loop. */

@@ -15,12 +15,19 @@
  *                       for round K is durable on disk (the kill/
  *                       resume test: die mid-service, then --resume
  *                       must reproduce the uninterrupted digest)
- *   --resume            load the snapshot, replay the journal, and
- *                       continue to --rounds
+ *   --resume            load the snapshot, restore every tenant from
+ *                       it, and continue to --rounds
+ *   --oracle            rebuild the service at the snapshot's round
+ *                       the retired way instead - journal a live run
+ *                       to that round in-process and replay it from
+ *                       round 0 (tests/oracles/journal_replay.hh) -
+ *                       require every rebuilt tenant to save exactly
+ *                       the snapshot's state lines, then continue to
+ *                       --rounds
  *
  * Prints "DIGEST <8 hex> resumed=<rounds>" so the tests compare
  * service outcomes across process boundaries. Service-mode failures
- * (malformed snapshot, replay divergence) exit 1 with the typed
+ * (malformed snapshot, restore divergence) exit 1 with the typed
  * error's text on stderr; a watchdog cancellation exits with the
  * symbolic kWatchdogExitCode like a real daemon would.
  */
@@ -36,6 +43,7 @@
 #include "common/checkpoint.hh"
 #include "common/logging.hh"
 #include "common/supervisor.hh"
+#include "oracles/journal_replay.hh"
 #include "service/memcond.hh"
 
 using namespace memcon;
@@ -47,7 +55,7 @@ main(int argc, char **argv)
     unsigned tenants = 4, threads = 1;
     std::uint64_t seed = 1, rounds = 16, snapshot_every = 4;
     long kill_at = -1;
-    bool resume = false;
+    bool resume = false, oracle = false;
     std::string snapshot_path;
 
     for (int i = 1; i < argc; ++i) {
@@ -71,6 +79,8 @@ main(int argc, char **argv)
             kill_at = std::strtol(value(), nullptr, 10);
         else if (std::strcmp(argv[i], "--resume") == 0)
             resume = true;
+        else if (std::strcmp(argv[i], "--oracle") == 0)
+            oracle = true;
         else
             fatal("unknown argument '%s'", argv[i]);
     }
@@ -118,6 +128,37 @@ main(int argc, char **argv)
     }
 
     try {
+        if (oracle) {
+            const ServiceSnapshot snap = loadServiceSnapshot(snapshot_path);
+            MemcondConfig plain = cfg;
+            plain.snapshotPath.clear();
+            plain.snapshotHook = nullptr;
+            const oracles::Recording rec = oracles::JournalReplay::record(
+                plain, specs, snap.roundsDone, snapshot_path + ".journal");
+            if (encodeServiceSnapshot(rec.snapshot) !=
+                encodeServiceSnapshot(snap)) {
+                std::fprintf(stderr, "oracle: the in-process recording "
+                                     "disagrees with the snapshot\n");
+                return 1;
+            }
+            Memcond svc(plain, specs);
+            oracles::JournalReplay::replay(svc, rec.journal, snap);
+            for (std::size_t i = 0; i < svc.tenantCount(); ++i) {
+                if (svc.tenant(i).saveState() != snap.tenants[i].state ||
+                    svc.tenant(i).stateFingerprint() !=
+                        snap.tenants[i].fingerprint) {
+                    std::fprintf(stderr,
+                                 "oracle: tenant %zu replays to another "
+                                 "state than its snapshot record\n",
+                                 i);
+                    return 1;
+                }
+            }
+            oracles::JournalReplay::run(svc);
+            std::printf("DIGEST %s resumed=%llu\n", svc.digest().c_str(),
+                        (unsigned long long)snap.roundsDone);
+            return 0;
+        }
         std::uint64_t resumed_rounds = 0;
         if (resume)
             resumed_rounds = loadServiceSnapshot(snapshot_path).roundsDone;

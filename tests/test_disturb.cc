@@ -384,11 +384,11 @@ TEST(HammerPersona, CursorIsMonotoneAndReplayable)
     EXPECT_EQ(consumed.size(), a.totalAccesses());
     EXPECT_EQ(a.generated(), a.totalAccesses());
 
-    // fastForward re-positions a fresh stream exactly: the tail after
-    // the skip matches the popped stream access for access.
+    // A restored cursor re-positions a fresh stream exactly: the tail
+    // after the skip matches the popped stream access for access.
     HammerStream b(hs, map, 512);
     const std::uint64_t skip = consumed.size() / 2;
-    b.fastForward(skip);
+    b.restoreCursor(skip);
     for (std::uint64_t i = skip; i < consumed.size(); ++i) {
         ASSERT_TRUE(b.peek(&at, &row));
         EXPECT_EQ(row, consumed[i]);
@@ -435,8 +435,8 @@ TEST(HammerPersona, AntagonistTenantSpeaksTheSameCursorProtocol)
 {
     // The service-mode antagonist: a TenantWriteStream in hammer mode
     // is the HammerStream behind the tenant cursor interface, so
-    // memcond's ingest (and its crash-restore fastForward) drive an
-    // attacker exactly like a benign tenant.
+    // memcond's ingest (and its crash restore) drive an attacker
+    // exactly like a benign tenant.
     trace::TenantTrafficConfig cfg;
     cfg.addressMap = AddressMap::blocked(3, 6);
     cfg.physicalRowLimit = 512;

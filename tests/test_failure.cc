@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <vector>
 
@@ -524,9 +525,8 @@ TEST(DramTester, RowLimitBounds)
 // per word the two must agree exactly. At three or more the injector
 // is deliberately pessimistic (Uncorrectable), where a real SECDED
 // decoder may miscorrect into CorrectedData; the oracle then only
-// promises the decode is never Ok. Rows where two population members
-// draw the same column are skipped: the injector counts both, while
-// a single flipped cell flips its bit once (pessimistic as well).
+// promises the decode is never Ok. Two population members that drew
+// the same column are one cell: leaky, it flips its bit once.
 
 dram::EccStatus
 worstDecode(const VrtPopulation &pop, RowId row, TimeMs now_ms,
@@ -540,7 +540,7 @@ worstDecode(const VrtPopulation &pop, RowId row, TimeMs now_ms,
         w = rng.next();
     for (const VrtCell &cell : pop.cellsOfRow(row))
         if (pop.isLeakyAt(cell, now_ms))
-            flips[cell.column / 64] ^= std::uint64_t{1}
+            flips[cell.column / 64] |= std::uint64_t{1}
                                        << (cell.column % 64);
 
     dram::EccStatus worst = dram::EccStatus::Ok;
@@ -562,7 +562,7 @@ TEST(SecdedOracle, InjectorVerdictMatchesDecodeUpToTwoFlipsPerWord)
     FaultInjectorConfig icfg;
     icfg.loRefIntervalMs = 64.0; // past the 48 ms leaky threshold
     unsigned by_max_flips[4] = {0, 0, 0, 0};
-    unsigned skipped = 0;
+    unsigned shared_columns = 0;
     for (double density : {2.0, 100.0}) {
         VrtParams params;
         params.vrtCellsPerRow = density;
@@ -579,18 +579,16 @@ TEST(SecdedOracle, InjectorVerdictMatchesDecodeUpToTwoFlipsPerWord)
                 const RowId row{r};
                 std::set<std::uint64_t> columns;
                 std::vector<unsigned> per_word((1u << 16) / 64, 0);
-                bool duplicate = false;
                 unsigned max_flips = 0;
                 for (const VrtCell &cell : pop.cellsOfRow(row)) {
                     if (!pop.isLeakyAt(cell, now_ms))
                         continue;
-                    duplicate |= !columns.insert(cell.column).second;
+                    if (!columns.insert(cell.column).second) {
+                        ++shared_columns; // the same cell again
+                        continue;
+                    }
                     max_flips = std::max(max_flips,
                                          ++per_word[cell.column / 64]);
-                }
-                if (duplicate) {
-                    ++skipped;
-                    continue;
                 }
                 const dram::EccStatus injected =
                     injector.onRead(row, timeMsToTicks(now_ms),
@@ -610,11 +608,55 @@ TEST(SecdedOracle, InjectorVerdictMatchesDecodeUpToTwoFlipsPerWord)
         }
     }
     // The sweep reaches every agreement case: clean rows, single
-    // flips, and double flips in one word.
+    // flips, double flips in one word, and leaky columns two
+    // population members share.
     EXPECT_GT(by_max_flips[0], 0u);
     EXPECT_GT(by_max_flips[1], 0u);
     EXPECT_GT(by_max_flips[2], 0u);
-    EXPECT_LT(skipped, 3u * 2u * 128u / 2u);
+    EXPECT_GT(shared_columns, 0u);
+}
+
+TEST(SecdedOracle, SharedLeakyColumnFlipsOnce)
+{
+    // Two population members at one column are one cell. Find a row
+    // whose only repeated leaky column is alone in its word and whose
+    // other leaky cells sit one to a word: physically every word holds
+    // at most one flip, so the read is corrected, not uncorrectable.
+    FaultInjectorConfig icfg;
+    icfg.loRefIntervalMs = 64.0;
+    VrtParams params;
+    params.vrtCellsPerRow = 60.0;
+    params.dwellHighMs = 1000.0;
+    params.dwellLowMs = 1000.0;
+    params.seed = 11;
+    VrtPopulation pop(params, 2048);
+    FaultInjector injector(icfg, pop.numRows());
+    injector.attachVrt(&pop);
+    const TimeMs now_ms{10000.0};
+    unsigned found = 0;
+    for (std::uint64_t r = 0; r < pop.numRows() && found < 2; ++r) {
+        std::map<std::uint64_t, std::set<std::uint64_t>> words;
+        bool shared = false;
+        std::set<std::uint64_t> columns;
+        for (const VrtCell &cell : pop.cellsOfRow(RowId{r})) {
+            if (!pop.isLeakyAt(cell, now_ms))
+                continue;
+            shared |= !columns.insert(cell.column).second;
+            words[cell.column / 64].insert(cell.column);
+        }
+        bool one_per_word = true;
+        for (const auto &[word, cols] : words)
+            one_per_word &= cols.size() == 1;
+        if (!shared || !one_per_word)
+            continue;
+        ++found;
+        EXPECT_EQ(injector.onRead(RowId{r}, timeMsToTicks(now_ms), true),
+                  dram::EccStatus::CorrectedData)
+            << "row " << r;
+        EXPECT_EQ(worstDecode(pop, RowId{r}, now_ms, r),
+                  dram::EccStatus::CorrectedData);
+    }
+    EXPECT_GT(found, 0u) << "no row with a lone shared leaky column";
 }
 
 } // namespace
