@@ -13,14 +13,32 @@ namespace memcon::core
 // PrilPredictor: flat-set buffers, batched candidate extraction.
 // --------------------------------------------------------------------
 
-PrilPredictor::PrilPredictor(std::uint64_t num_pages,
-                             std::size_t buffer_capacity)
-    : pages(num_pages), capacity(buffer_capacity),
-      writeBuffer{FlatPageSet(buffer_capacity),
-                  FlatPageSet(buffer_capacity)}
+namespace
+{
+
+/**
+ * Entries a write buffer's flat set must hold. Membership never
+ * exceeds the page count, so a logical capacity above it would only
+ * allocate slots that can never fill; the logical capacity still
+ * drives drops, storage accounting and loadState's bound.
+ */
+std::size_t
+bufferEntries(std::uint64_t num_pages, std::size_t buffer_capacity)
 {
     fatal_if(num_pages == 0, "tracker needs at least one page");
     fatal_if(buffer_capacity == 0, "write buffer cannot be empty");
+    return static_cast<std::size_t>(
+        std::min<std::uint64_t>(buffer_capacity, num_pages));
+}
+
+} // namespace
+
+PrilPredictor::PrilPredictor(std::uint64_t num_pages,
+                             std::size_t buffer_capacity)
+    : pages(num_pages), capacity(buffer_capacity),
+      writeBuffer{FlatPageSet(bufferEntries(num_pages, buffer_capacity)),
+                  FlatPageSet(bufferEntries(num_pages, buffer_capacity))}
+{
     writeMap[0].resizeAndClear(num_pages);
     writeMap[1].resizeAndClear(num_pages);
     erasedMap[0].resizeAndClear(num_pages);

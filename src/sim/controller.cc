@@ -1,6 +1,7 @@
 #include "sim/controller.hh"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/logging.hh"
 #include "common/state_io.hh"
@@ -49,18 +50,20 @@ MemoryController::accepts(Request::Type type, bool is_test) const
     return (is_read ? readQueue : writeQueue).size() < capacity;
 }
 
-void
-MemoryController::recordRefusals(std::uint64_t n)
+StatGroup
+MemoryController::stats() const
 {
-    if (n > 0)
-        statGroup.inc("queueFull", n);
+    StatGroup group = statGroup;
+    if (queueFullCount > 0)
+        group.inc("queueFull", queueFullCount);
+    return group;
 }
 
 bool
 MemoryController::enqueue(Request request, Tick now)
 {
     if (!accepts(request.type, request.isTest)) {
-        statGroup.inc("queueFull");
+        ++queueFullCount;
         return false;
     }
     bool is_read = request.type == Request::Type::Read;
@@ -461,7 +464,7 @@ MemoryController::saveState(StateWriter &out) const
     out.tuples("write", writes, kRequestArity);
     out.tuples("inflight", inflights, kRequestArity + 1);
     out.line("mcstats");
-    out.stats(statGroup);
+    out.stats(stats());
     chan.saveState(out);
 }
 
@@ -507,7 +510,19 @@ MemoryController::loadState(StateReader &in)
         inflight.push_back(
             {requestFrom(geom, &v[i], in), Tick{v[i + kRequestArity]}});
     in.line("mcstats");
-    in.stats(statGroup);
+    StatGroup saved;
+    in.stats(saved);
+    std::map<std::string, double> counters = saved.entries();
+    const auto refused = counters.find("queueFull");
+    queueFullCount = 0;
+    if (refused != counters.end()) {
+        const double n = refused->second;
+        in.check(n > 0.0 && n < 0x1p53 && n == std::floor(n),
+                 "holds a queueFull count that is not a positive integer");
+        queueFullCount = static_cast<std::uint64_t>(n);
+        counters.erase(refused);
+    }
+    statGroup.assign(std::move(counters));
     chan.loadState(in);
 }
 

@@ -1,5 +1,7 @@
 #include "sim/core.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace memcon::sim
@@ -12,8 +14,7 @@ SimpleCore::SimpleCore(int core_id, trace::CpuAccessStream stream_in,
     : coreId(core_id), stream(std::move(stream_in)), mc(controller),
       baseBlock(base_block), totalBlocks(total_blocks),
       issueWidth(issue_width), windowSize(window_size),
-      window(window_size), shared(std::make_shared<Shared>()),
-      statGroup(strprintf("core%d", core_id))
+      segments(window_size), shared(std::make_shared<Shared>())
 {
     fatal_if(issue_width == 0 || window_size == 0,
              "issue width and window size must be positive");
@@ -37,18 +38,43 @@ SimpleCore::refillPending()
 }
 
 void
+SimpleCore::appendReady(std::uint32_t n)
+{
+    windowCount += n;
+    if (segCount > 0) {
+        Segment &tail = segments[wrap(segHead + segCount - 1)];
+        if (!tail.isLoad) {
+            tail.slots += n;
+            return;
+        }
+    }
+    segments[wrap(segHead + segCount)] = {0, n, false, true};
+    ++segCount;
+}
+
+void
+SimpleCore::appendLoad(std::uint64_t addr)
+{
+    ++windowCount;
+    segments[wrap(segHead + segCount)] = {addr, 1, true, false};
+    ++segCount;
+}
+
+void
 SimpleCore::tick(Tick now)
 {
     ++cycles;
 
-    // Mark loads completed by the controller since the last cycle.
+    // Mark loads completed by the controller since the last cycle:
+    // each completion readies the oldest outstanding load of its
+    // address.
     if (!shared->completedAddrs.empty()) {
         for (std::uint64_t addr : shared->completedAddrs) {
-            for (std::size_t i = 0; i < windowCount; ++i) {
-                WindowEntry &e =
-                    window[(windowHead + i) % windowSize];
-                if (e.isLoad && !e.ready && e.addr == addr) {
-                    e.ready = true;
+            for (std::size_t i = 0, s = segHead; i < segCount;
+                 ++i, s = wrap(s + 1)) {
+                Segment &seg = segments[s];
+                if (!seg.ready && seg.addr == addr) {
+                    seg.ready = true;
                     break;
                 }
             }
@@ -56,16 +82,22 @@ SimpleCore::tick(Tick now)
         shared->completedAddrs.clear();
     }
 
-    // Retire in order, up to issueWidth per cycle.
-    unsigned retired_now = 0;
-    while (retired_now < issueWidth && windowCount > 0) {
-        WindowEntry &head = window[windowHead];
-        if (head.isLoad && !head.ready)
+    // Retire in order, up to issueWidth per cycle; a run of ready
+    // slots retires in one step. Only an outstanding load is unready.
+    unsigned budget = issueWidth;
+    while (budget > 0 && segCount > 0) {
+        Segment &head = segments[segHead];
+        if (!head.ready)
             break;
-        windowHead = (windowHead + 1) % windowSize;
-        --windowCount;
-        ++retired;
-        ++retired_now;
+        const std::uint32_t n = std::min<std::uint32_t>(budget, head.slots);
+        head.slots -= n;
+        windowCount -= n;
+        retired += n;
+        budget -= n;
+        if (head.slots == 0) {
+            segHead = wrap(segHead + 1);
+            --segCount;
+        }
     }
 
     // Issue new instructions into the window.
@@ -73,13 +105,14 @@ SimpleCore::tick(Tick now)
     while (issued < issueWidth && windowCount < windowSize) {
         refillPending();
         if (pendingBubbles > 0) {
-            // Bubbles retire trivially; batch them into one slot
-            // each to keep window pressure realistic.
-            window[(windowHead + windowCount) % windowSize] =
-                {false, true, 0};
-            ++windowCount;
-            --pendingBubbles;
-            ++issued;
+            // Bubbles retire trivially; each still takes one slot to
+            // keep window pressure realistic.
+            const auto n = static_cast<std::uint32_t>(std::min<std::uint64_t>(
+                {pendingBubbles, issueWidth - issued,
+                 windowSize - windowCount}));
+            appendReady(n);
+            pendingBubbles -= n;
+            issued += n;
             continue;
         }
         panic_if(!pendingAccessValid, "trace refill failed");
@@ -92,14 +125,9 @@ SimpleCore::tick(Tick now)
             req.type = Request::Type::Write;
             req.addr = addr;
             req.coreId = coreId;
-            if (!mc.enqueue(std::move(req), now)) {
-                statGroup.inc("writeStall");
+            if (!mc.enqueue(std::move(req), now))
                 break; // retry next cycle
-            }
-            statGroup.inc("writesSent");
-            window[(windowHead + windowCount) % windowSize] =
-                {false, true, 0};
-            ++windowCount;
+            appendReady(1);
             pendingAccessValid = false;
             ++issued;
             continue;
@@ -113,14 +141,9 @@ SimpleCore::tick(Tick now)
         req.onComplete = [shared_ref](const Request &done) {
             shared_ref->completedAddrs.push_back(done.addr);
         };
-        if (!mc.enqueue(std::move(req), now)) {
-            statGroup.inc("readStall");
+        if (!mc.enqueue(std::move(req), now))
             break; // queue full; retry next cycle
-        }
-        statGroup.inc("readsSent");
-        window[(windowHead + windowCount) % windowSize] =
-            {true, false, addr};
-        ++windowCount;
+        appendLoad(addr);
         pendingAccessValid = false;
         ++issued;
     }

@@ -10,6 +10,11 @@
  * instructions enter and leave the window per CPU cycle, so IPC is
  * bounded by the issue width and throttled by memory latency exactly
  * as in the simulator the paper uses.
+ *
+ * The window is kept run-length encoded (DESIGN §11): a ring of
+ * segments, one per load and one per run of ready slots, so a tick
+ * issues and retires a whole run of bubbles in one step. It retires
+ * and issues exactly what a window of one entry per instruction would.
  */
 
 #ifndef MEMCON_SIM_CORE_HH
@@ -19,7 +24,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/stats.hh"
 #include "common/units.hh"
 #include "sim/controller.hh"
 #include "trace/cpu_gen.hh"
@@ -56,18 +60,30 @@ class SimpleCore
                                  static_cast<double>(cycles);
     }
 
-    const StatGroup &stats() const { return statGroup; }
-
   private:
-    struct WindowEntry
+    /** A load's slot, or a run of `slots` ready slots (bubbles and
+     * posted writes). */
+    struct Segment
     {
-        bool isLoad;
-        bool ready;
-        std::uint64_t addr;
+        std::uint64_t addr = 0;
+        std::uint32_t slots = 0;
+        bool isLoad = false;
+        bool ready = true;
     };
 
     void refillPending();
     std::uint64_t blockToAddr(std::uint64_t block_index) const;
+
+    /** A ring position below 2 * windowSize, folded into the ring. */
+    std::size_t
+    wrap(std::size_t pos) const
+    {
+        return pos >= windowSize ? pos - windowSize : pos;
+    }
+
+    /** Append `n` ready slots, merging into a tail run. */
+    void appendReady(std::uint32_t n);
+    void appendLoad(std::uint64_t addr);
 
     int coreId;
     trace::CpuAccessStream stream;
@@ -77,10 +93,12 @@ class SimpleCore
     unsigned issueWidth;
     unsigned windowSize;
 
-    // In-order retire window (circular buffer semantics via deque).
-    std::vector<WindowEntry> window;
-    std::size_t windowHead = 0; //!< oldest entry
-    std::size_t windowCount = 0;
+    // In-order retire window: a ring of segments. Every segment holds
+    // at least one slot, so windowSize segments always suffice.
+    std::vector<Segment> segments;
+    std::size_t segHead = 0; //!< oldest segment
+    std::size_t segCount = 0;
+    std::size_t windowCount = 0; //!< slots, over all segments
 
     // The not-yet-windowed remainder of the current trace record.
     std::uint64_t pendingBubbles = 0;
@@ -96,8 +114,6 @@ class SimpleCore
         std::vector<std::uint64_t> completedAddrs;
     };
     std::shared_ptr<Shared> shared;
-
-    StatGroup statGroup;
 };
 
 } // namespace memcon::sim

@@ -428,6 +428,45 @@ TEST(Property, FlatAndReferencePrilAgree)
         << "scenario too gentle: drops never exercised";
 }
 
+TEST(Property, FlatAndReferencePrilAgreeWithFewerPagesThanCapacity)
+{
+    // The flat sets hold at most num_pages entries, however large the
+    // logical capacity; drops, storage accounting and candidates must
+    // still follow the logical capacity, with every page a member at
+    // once in some quanta.
+    const std::uint64_t num_pages = 48;
+    const std::size_t cap = 4000; // the paper's buffer
+    core::PrilPredictor flat(num_pages, cap);
+    oracles::ReferencePrilPredictor ref(num_pages, cap);
+    EXPECT_EQ(flat.storageBytes(), ref.storageBytes());
+    EXPECT_EQ(flat.bufferCapacity(), cap);
+
+    Rng rng(0xFEE7ULL);
+    for (int quantum = 0; quantum < 300; ++quantum) {
+        if (rng.chance(0.3)) {
+            for (std::uint64_t p = 0; p < num_pages; ++p) {
+                flat.onWrite(PageId{p});
+                ref.onWrite(PageId{p});
+            }
+        }
+        std::uint64_t writes = rng.uniformInt(60);
+        for (std::uint64_t w = 0; w < writes; ++w) {
+            const PageId page{rng.uniformInt(num_pages)};
+            flat.onWrite(page);
+            ref.onWrite(page);
+        }
+        for (std::uint64_t p = 0; p < num_pages; ++p)
+            EXPECT_EQ(flat.isTracked(PageId{p}), ref.isTracked(PageId{p}));
+        EXPECT_EQ(flat.endQuantum(), ref.endQuantum())
+            << "quantum " << quantum;
+        EXPECT_EQ(flat.peakBufferOccupancy(), ref.peakBufferOccupancy());
+    }
+    EXPECT_EQ(flat.bufferDrops(), 0u);
+    EXPECT_EQ(ref.bufferDrops(), 0u);
+    EXPECT_EQ(flat.peakBufferOccupancy(), num_pages);
+    EXPECT_EQ(flat.storageBytes(), ref.storageBytes());
+}
+
 // --------------------------------------------------------------------
 // The block tester must agree with the sparse path where both see
 // the whole chip.

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/state_io.hh"
 #include "dram/timing.hh"
 #include "sim/controller.hh"
 #include "sim/system.hh"
@@ -97,6 +98,56 @@ TEST_F(ControllerTest, QueueCapacityEnforced)
     extra.addr = 0;
     EXPECT_FALSE(mc->enqueue(std::move(extra), now));
     EXPECT_EQ(mc->stats().value("queueFull"), 1.0);
+}
+
+TEST_F(ControllerTest, QueueFullCountSurvivesStateRoundTrip)
+{
+    // queueFull is kept apart from the other counters; the state line
+    // must carry it, and a restore must bring it back exactly.
+    Tick now{};
+    auto fill = [&](MemoryController &m) {
+        for (std::size_t i = 0; i < cfg.readQueueCapacity; ++i) {
+            Request r;
+            r.type = Request::Type::Read;
+            r.addr = i * 64;
+            ASSERT_TRUE(m.enqueue(std::move(r), now));
+        }
+    };
+    fill(*mc);
+    EXPECT_EQ(mc->stats().dump().find("queueFull"), std::string::npos);
+    Request extra;
+    extra.type = Request::Type::Read;
+    EXPECT_FALSE(mc->enqueue(std::move(extra), now));
+    mc->recordRefusals(41);
+    EXPECT_EQ(mc->stats().value("queueFull"), 42.0);
+
+    StateWriter out;
+    mc->saveState(out);
+    const std::vector<std::string> saved = std::move(out).take();
+    MemoryController restored(geom, timing, cfg);
+    StateReader in(saved);
+    restored.loadState(in);
+    in.finish();
+    EXPECT_EQ(restored.stats().dump(), mc->stats().dump());
+    StateWriter again;
+    restored.saveState(again);
+    EXPECT_EQ(std::move(again).take(), saved);
+    restored.recordRefusals(1);
+    EXPECT_EQ(restored.stats().value("queueFull"), 43.0);
+
+    // A count that is not a positive integer does not decode.
+    for (const char *bad : {"queueFull=1.5", "queueFull=-2", "queueFull=0"}) {
+        std::vector<std::string> record = saved;
+        for (std::string &line : record) {
+            const std::size_t at = line.find("queueFull=42");
+            if (at != std::string::npos)
+                line.replace(at, 12, bad);
+        }
+        ASSERT_NE(record, saved);
+        MemoryController target(geom, timing, cfg);
+        StateReader bad_in(record);
+        EXPECT_THROW(target.loadState(bad_in), StateError) << bad;
+    }
 }
 
 TEST_F(ControllerTest, RowHitFasterThanRowMiss)
