@@ -53,6 +53,44 @@ std::uint32_t crc32(const void *data, std::size_t size,
 std::uint32_t crc32(const std::string &s);
 
 /**
+ * crc32() of a sequence of 64-bit words, each little-endian, taken in
+ * one pass: the words gather in a stack buffer that is flushed by
+ * chained calls, since crc32(A || B) == crc32(B, crc32(A)).
+ */
+class WordCrc
+{
+  public:
+    void
+    add(std::uint64_t v)
+    {
+        if (used == sizeof(buf))
+            flush();
+        for (int i = 0; i < 8; ++i)
+            buf[used++] = static_cast<unsigned char>(v >> (8 * i));
+    }
+
+    /** The CRC of every word added so far. */
+    std::uint32_t
+    value()
+    {
+        flush();
+        return crc;
+    }
+
+  private:
+    void
+    flush()
+    {
+        crc = crc32(buf, used, crc);
+        used = 0;
+    }
+
+    unsigned char buf[512];
+    std::size_t used = 0;
+    std::uint32_t crc = 0;
+};
+
+/**
  * "<payload> #<8-hex-crc>\n" - the self-checking line format every
  * durable record (campaign checkpoint, service snapshot) uses. A
  * reader that unseals each line rejects torn or bit-flipped records

@@ -401,65 +401,59 @@ OnlineMemcon::setQuantumStretch(unsigned factor)
 std::uint32_t
 OnlineMemcon::stateFingerprint() const
 {
-    std::uint32_t c = 0;
-    auto mix = [&c](std::uint64_t v) {
-        unsigned char b[8];
-        for (int i = 0; i < 8; ++i)
-            b[i] = static_cast<unsigned char>(v >> (8 * i));
-        c = ckpt::crc32(b, sizeof(b), c);
-    };
-    mix(pril.stateFingerprint());
-    mix(loCount);
-    mix(quantaSeen);
-    mix(writeCount);
-    mix(demotionCount);
-    mix(nextQuantumEnd.value());
-    mix(nextRetarget.value());
-    mix(engine.testsStarted());
-    mix(engine.testsPassed());
-    mix(engine.testsFailed());
-    mix(engine.testsAborted());
-    mix(shedScans ? 1 : 0);
-    mix(stretchFactor);
-    mix(roScanDone ? 1 : 0);
-    mix(resilience.inFallback() ? 1 : 0);
-    mix(resilience.pinnedRows());
-    loRows.visitSetBits([&mix](std::size_t bit) { mix(bit); });
-    mix(0xA5A5A5A5ull);
-    everWritten.visitSetBits([&mix](std::size_t bit) { mix(bit); });
-    mix(0x5A5A5A5Aull);
+    ckpt::WordCrc crc;
+    crc.add(pril.stateFingerprint());
+    crc.add(loCount);
+    crc.add(quantaSeen);
+    crc.add(writeCount);
+    crc.add(demotionCount);
+    crc.add(nextQuantumEnd.value());
+    crc.add(nextRetarget.value());
+    crc.add(engine.testsStarted());
+    crc.add(engine.testsPassed());
+    crc.add(engine.testsFailed());
+    crc.add(engine.testsAborted());
+    crc.add(shedScans ? 1 : 0);
+    crc.add(stretchFactor);
+    crc.add(roScanDone ? 1 : 0);
+    crc.add(resilience.inFallback() ? 1 : 0);
+    crc.add(resilience.pinnedRows());
+    loRows.visitSetBits([&crc](std::size_t bit) { crc.add(bit); });
+    crc.add(0xA5A5A5A5ull);
+    everWritten.visitSetBits([&crc](std::size_t bit) { crc.add(bit); });
+    crc.add(0x5A5A5A5Aull);
     for (const ActiveTest &t : activeTests) {
-        mix(t.row.value());
-        mix(t.readbackAt.value());
-        mix(t.requestsLeft);
-        mix(t.column);
-        mix(t.isScrub ? 1 : 0);
+        crc.add(t.row.value());
+        crc.add(t.readbackAt.value());
+        crc.add(t.requestsLeft);
+        crc.add(t.column);
+        crc.add(t.isScrub ? 1 : 0);
     }
-    mix(0xC3C3C3C3ull);
+    crc.add(0xC3C3C3C3ull);
     for (RowId row : pendingCandidates)
-        mix(row.value());
-    mix(0x3C3C3C3Cull);
+        crc.add(row.value());
+    crc.add(0x3C3C3C3Cull);
     for (RowId row : scrubQueue)
-        mix(row.value());
-    mix(0x55AA55AAull);
+        crc.add(row.value());
+    crc.add(0x55AA55AAull);
     for (RowId row : recoveryQueue)
-        mix(row.value());
+        crc.add(row.value());
     if (cfg.disturbGuard.enabled) {
         // Mixed only when the guard is on, so fingerprints of
         // configurations that existed before the disturb subsystem
         // stay byte-identical.
-        mix(0xD157A4B5ull);
-        mix(victimRefreshCount);
-        mix(guard.fingerprint());
+        crc.add(0xD157A4B5ull);
+        crc.add(victimRefreshCount);
+        crc.add(guard.fingerprint());
         for (RowId row : victimRefreshQueue)
-            mix(row.value());
+            crc.add(row.value());
         for (const auto &[bank, rows] : bankRecovery) {
-            mix(bank);
+            crc.add(bank);
             for (RowId row : rows)
-                mix(row.value());
+                crc.add(row.value());
         }
     }
-    return c;
+    return crc.value();
 }
 
 std::string

@@ -149,27 +149,19 @@ PrilPredictor::stateFingerprint() const
     // depends only on the logical state, so two predictors in equal
     // states fingerprint identically however they got there
     // (DESIGN.md §19).
-    std::uint32_t c = 0;
-    auto mix = [&c](std::uint64_t v) {
-        unsigned char b[8];
-        for (int i = 0; i < 8; ++i)
-            b[i] = static_cast<unsigned char>(v >> (8 * i));
-        c = ckpt::crc32(b, sizeof(b), c);
-    };
-    mix(current);
-    mix(drops);
-    mix(peakOccupancy);
+    ckpt::WordCrc crc;
+    crc.add(current);
+    crc.add(drops);
+    crc.add(peakOccupancy);
     for (unsigned side = 0; side < 2; ++side) {
-        writeMap[side].visitSetBits([&mix](std::size_t bit) {
-            mix(bit);
-        });
-        mix(0xA5A5A5A5ull); // side separator
+        writeMap[side].visitSetBits([&crc](std::size_t bit) { crc.add(bit); });
+        crc.add(0xA5A5A5A5ull); // side separator
         BitVector members = writeMap[side];
         members.andNotWith(erasedMap[side]);
-        members.visitSetBits([&mix](std::size_t bit) { mix(bit); });
-        mix(0x5A5A5A5Aull);
+        members.visitSetBits([&crc](std::size_t bit) { crc.add(bit); });
+        crc.add(0x5A5A5A5Aull);
     }
-    return c;
+    return crc.value();
 }
 
 void

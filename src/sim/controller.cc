@@ -9,6 +9,48 @@
 namespace memcon::sim
 {
 
+const MemoryController::CounterName MemoryController::kCounterNames[] = {
+    {"act", &Counters::act},
+    {"completed.read", &Counters::completedRead},
+    {"completed.write", &Counters::completedWrite},
+    {"ecc.corrected", &Counters::eccCorrected},
+    {"ecc.uncorrectable", &Counters::eccUncorrectable},
+    {"enq.read", &Counters::enqRead},
+    {"enq.write", &Counters::enqWrite},
+    {"queueFull", &Counters::queueFull},
+    {"refresh", &Counters::refresh},
+    {"rowConflict", &Counters::rowConflict},
+    {"rowHit", &Counters::rowHit},
+    {"rowMiss", &Counters::rowMiss},
+    {"svc.read", &Counters::svcRead},
+    {"svc.write", &Counters::svcWrite},
+};
+
+/** stats()'s name for Counters::readLatencyTicks. */
+constexpr const char *kReadLatencyName = "readLatencyTicks";
+
+void
+MemoryController::ReadFifo::pushBack(Pending p)
+{
+    if (count == slots.size()) {
+        std::vector<Pending> grown(std::max<std::size_t>(8, 2 * count));
+        for (std::size_t i = 0; i < count; ++i)
+            grown[i] = std::move(slots[(head + i) & (slots.size() - 1)]);
+        slots = std::move(grown);
+        head = 0;
+    }
+    slots[(head + count) & (slots.size() - 1)] = std::move(p);
+    ++count;
+}
+
+void
+MemoryController::ReadFifo::popFront()
+{
+    slots[head] = Pending{};
+    head = (head + 1) & (slots.size() - 1);
+    --count;
+}
+
 MemoryController::MemoryController(const dram::Geometry &geometry,
                                    const dram::TimingParams &timing,
                                    const ControllerConfig &config)
@@ -50,12 +92,28 @@ MemoryController::accepts(Request::Type type, bool is_test) const
     return (is_read ? readQueue : writeQueue).size() < capacity;
 }
 
+std::size_t
+MemoryController::finishedSilentReads() const
+{
+    std::size_t n = 0;
+    while (n < inflight.size() && inflight[n].silent() &&
+           inflight[n].dataDone <= lastTick)
+        ++n;
+    return n;
+}
+
 StatGroup
 MemoryController::stats() const
 {
-    StatGroup group = statGroup;
-    if (queueFullCount > 0)
-        group.inc("queueFull", queueFullCount);
+    Counters folded = counts;
+    for (std::size_t i = 0, n = finishedSilentReads(); i < n; ++i)
+        folded.credit(inflight[i]);
+    StatGroup group("mc");
+    for (const CounterName &c : kCounterNames)
+        if (folded.*c.field > 0)
+            group.inc(c.name, folded.*c.field);
+    if (folded.readLatencyTicks > 0.0)
+        group.accum(kReadLatencyName, folded.readLatencyTicks);
     return group;
 }
 
@@ -63,7 +121,7 @@ bool
 MemoryController::enqueue(Request request, Tick now)
 {
     if (!accepts(request.type, request.isTest)) {
-        ++queueFullCount;
+        ++counts.queueFull;
         return false;
     }
     bool is_read = request.type == Request::Type::Read;
@@ -76,7 +134,7 @@ MemoryController::enqueue(Request request, Tick now)
     if (!is_test)
         ++queue.demands;
     cachedNext = Tick{};
-    statGroup.inc(is_read ? "enq.read" : "enq.write");
+    ++(is_read ? counts.enqRead : counts.enqWrite);
     if (!is_read && !is_test && cfg.writeObserver)
         cfg.writeObserver(addr, now);
     return true;
@@ -85,42 +143,37 @@ MemoryController::enqueue(Request request, Tick now)
 bool
 MemoryController::idle() const
 {
-    return readQueue.empty() && writeQueue.empty() && inflight.empty();
+    return readQueue.empty() && writeQueue.empty() &&
+           finishedSilentReads() == inflight.size();
 }
 
 void
 MemoryController::completeFinishedReads(Tick now)
 {
-    for (std::size_t i = 0; i < inflight.size();) {
-        if (inflight[i].dataDone <= now) {
-            Pending done = std::move(inflight[i]);
-            inflight[i] = std::move(inflight.back());
-            inflight.pop_back();
-            statGroup.accum("readLatencyTicks",
-                            static_cast<double>(
-                                (done.dataDone - done.req.arrival).value()));
-            statGroup.inc("completed.read");
-            if (!done.req.isTest && cfg.eccProbe) {
-                dram::EccStatus st = cfg.eccProbe(done.req.addr, now);
-                switch (st) {
-                case dram::EccStatus::Ok:
-                    break;
-                case dram::EccStatus::CorrectedData:
-                case dram::EccStatus::CorrectedCheck:
-                    statGroup.inc("ecc.corrected");
-                    break;
-                case dram::EccStatus::Uncorrectable:
-                    statGroup.inc("ecc.uncorrectable");
-                    break;
-                }
-                if (st != dram::EccStatus::Ok && cfg.errorObserver)
-                    cfg.errorObserver(done.req.addr, st, now);
+    // Reads finish in issue order, so the finished ones are a prefix;
+    // a silent one among them may have finished ticks ago.
+    while (!inflight.empty() && inflight.front().dataDone <= now) {
+        Pending done = std::move(inflight.front());
+        inflight.popFront();
+        counts.credit(done);
+        if (!done.req.isTest && cfg.eccProbe) {
+            dram::EccStatus st = cfg.eccProbe(done.req.addr, now);
+            switch (st) {
+            case dram::EccStatus::Ok:
+                break;
+            case dram::EccStatus::CorrectedData:
+            case dram::EccStatus::CorrectedCheck:
+                ++counts.eccCorrected;
+                break;
+            case dram::EccStatus::Uncorrectable:
+                ++counts.eccUncorrectable;
+                break;
             }
-            if (done.req.onComplete)
-                done.req.onComplete(done.req);
-        } else {
-            ++i;
+            if (st != dram::EccStatus::Ok && cfg.errorObserver)
+                cfg.errorObserver(done.req.addr, st, now);
         }
+        if (done.req.onComplete)
+            done.req.onComplete(done.req);
     }
 }
 
@@ -146,7 +199,7 @@ MemoryController::handleRefresh(Tick now)
         }
         if (chan.canIssue(dram::Command::Ref, rank, 0, RowId{}, now)) {
             chan.issue(dram::Command::Ref, rank, 0, RowId{}, now);
-            statGroup.inc("refresh");
+            ++counts.refresh;
             nextRefresh[rank] += effectiveTrefi;
             return;
         }
@@ -249,23 +302,30 @@ MemoryController::serviceQueue(RequestQueue &queue, Tick now,
     case dram::Command::Rd:
     case dram::Command::Wr: {
         const bool is_read = cmd == dram::Command::Rd;
-        statGroup.inc(is_read ? "svc.read" : "svc.write");
-        statGroup.inc("rowHit");
+        ++(is_read ? counts.svcRead : counts.svcWrite);
+        ++counts.rowHit;
         if (!req.isTest)
             --queue.demands;
-        if (is_read)
-            inflight.push_back({std::move(req), data_done});
-        else
-            statGroup.inc("completed.write");
+        if (is_read) {
+            // One RD per tick and a fixed CL: issue order is
+            // completion order.
+            panic_if(!inflight.empty() && inflight.back().dataDone > data_done,
+                     "a read issued at tick %llu finishes before the one "
+                     "issued ahead of it",
+                     static_cast<unsigned long long>(now.value()));
+            inflight.pushBack({std::move(req), data_done});
+        } else {
+            ++counts.completedWrite;
+        }
         queue.entries.erase(queue.entries.begin() + pick.index);
         break;
     }
     case dram::Command::Pre:
-        statGroup.inc("rowConflict");
+        ++counts.rowConflict;
         break;
     default: // ACT: the bank was closed
-        statGroup.inc("rowMiss");
-        statGroup.inc("act");
+        ++counts.rowMiss;
+        ++counts.act;
         if (cfg.activateObserver)
             cfg.activateObserver(req.addr, now);
         break;
@@ -311,8 +371,11 @@ MemoryController::advanceDrainState(std::uint64_t cycles)
 void
 MemoryController::tick(Tick now)
 {
+    lastTick = now;
     if (now < cachedNext) {
-        skipCycles(now, 1);
+        // A due refresh returns ahead of the hysteresis step.
+        if (!refreshDue(now))
+            advanceDrainState(1);
         return;
     }
     cachedNext = Tick{};
@@ -341,6 +404,7 @@ MemoryController::tick(Tick now)
 void
 MemoryController::skipCycles(Tick now, std::uint64_t cycles)
 {
+    lastTick = now + params.tCk * cycles;
     // A due refresh returns from tick() ahead of the hysteresis step.
     if (!refreshDue(now))
         advanceDrainState(cycles);
@@ -376,9 +440,15 @@ Tick
 MemoryController::eventBound(Tick now, Tick read_event,
                              Tick write_event) const
 {
+    // The first read that is probed or called back; the silent ones
+    // ahead of it are credited when it, or another event, comes.
     Tick next = kTickNever;
-    for (const Pending &p : inflight)
-        next = std::min(next, p.dataDone);
+    for (std::size_t i = 0; i < inflight.size(); ++i) {
+        if (!inflight[i].silent()) {
+            next = inflight[i].dataDone;
+            break;
+        }
+    }
     bool refresh_due = false;
     if (cfg.refreshEnabled) {
         // handleRefresh serves the lowest-numbered due rank; a rank
@@ -455,9 +525,10 @@ MemoryController::saveState(StateWriter &out) const
         appendRequest(reads, r);
     for (const Request &r : writeQueue.entries)
         appendRequest(writes, r);
-    for (const Pending &p : inflight) {
-        appendRequest(inflights, p.req);
-        inflights.push_back(p.dataDone.value());
+    // The silent reads stats() counts as finished are gone.
+    for (std::size_t i = finishedSilentReads(); i < inflight.size(); ++i) {
+        appendRequest(inflights, inflight[i].req);
+        inflights.push_back(inflight[i].dataDone.value());
     }
     out.line("mcq");
     out.tuples("read", reads, kRequestArity);
@@ -505,24 +576,41 @@ MemoryController::loadState(StateReader &in)
         in.tuples("inflight", kRequestArity + 1);
     in.check(v.size() / (kRequestArity + 1) <= cfg.readQueueCapacity,
              "holds more in-flight reads than the read queue holds");
-    inflight.clear();
+    // Saved in issue order; a record from before the FIFO may list
+    // them in any order, and completion order is issue order.
+    std::vector<std::pair<std::uint64_t, std::size_t>> order;
     for (std::size_t i = 0; i < v.size(); i += kRequestArity + 1)
-        inflight.push_back(
-            {requestFrom(geom, &v[i], in), Tick{v[i + kRequestArity]}});
+        order.emplace_back(v[i + kRequestArity], i);
+    std::sort(order.begin(), order.end());
+    inflight.clear();
+    for (const auto &[done, i] : order)
+        inflight.pushBack({requestFrom(geom, &v[i], in), Tick{done}});
+    lastTick = Tick{};
+
+    // Only what a run can reach: a known key, a nonzero count (a zero
+    // one is never written).
     in.line("mcstats");
     StatGroup saved;
     in.stats(saved);
-    std::map<std::string, double> counters = saved.entries();
-    const auto refused = counters.find("queueFull");
-    queueFullCount = 0;
-    if (refused != counters.end()) {
-        const double n = refused->second;
-        in.check(n > 0.0 && n < 0x1p53 && n == std::floor(n),
-                 "holds a queueFull count that is not a positive integer");
-        queueFullCount = static_cast<std::uint64_t>(n);
-        counters.erase(refused);
+    counts = Counters{};
+    for (const auto &[name, value] : saved.entries()) {
+        if (name == kReadLatencyName) {
+            in.check(std::isfinite(value) && value > 0.0,
+                     "holds a read latency sum that is not finite and "
+                     "positive");
+            counts.readLatencyTicks = value;
+            continue;
+        }
+        const CounterName *known = nullptr;
+        for (const CounterName &c : kCounterNames)
+            if (name == c.name)
+                known = &c;
+        if (!known)
+            in.check(false, "holds an unknown counter '" + name + "'");
+        in.check(value > 0.0 && value < 0x1p53 && value == std::floor(value),
+                 "holds a count that is not a positive integer below 2^53");
+        counts.*known->field = static_cast<std::uint64_t>(value);
     }
-    statGroup.assign(std::move(counters));
     chan.loadState(in);
 }
 

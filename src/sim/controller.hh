@@ -15,10 +15,18 @@
  *    cycle simulator (Section 6.2).
  *
  * Time advance (sim/cycle_loop.hh): nextEventTick() bounds the next
- * cycle in which tick() can complete a read, act on a due refresh or
- * issue a command. The bound is cached; tick() before it is an idle
- * cycle and returns in O(1), and an accepted enqueue() or a refresh
- * re-target drops the cache.
+ * cycle in which tick() can complete a read that is probed or called
+ * back, act on a due refresh or issue a command. The bound is cached;
+ * tick() before it is an idle cycle and returns in O(1), and an
+ * accepted enqueue() or a refresh re-target drops the cache.
+ *
+ * A silent read - test traffic with no completion callback - only
+ * counts when it completes, so its completion is no event: reads
+ * finish in issue order (one data bus, a fixed CL), and the silent
+ * ones that finished are credited in that order at the next tick that
+ * does act. stats(), saveState() and idle() fold in those that
+ * finished by the last tick reached, so every dump and state record
+ * reads as if each completion had been its own cycle.
  */
 
 #ifndef MEMCON_SIM_CONTROLLER_HH
@@ -127,17 +135,17 @@ class MemoryController
     /**
      * The earliest tick after `now` at which tick() can do more than
      * idle bookkeeping, provided nothing is enqueued before it: the
-     * next refresh action, the earliest in-flight read completion,
-     * the earliest issue tick of each queue's FR-FCFS pick, and the
-     * tick its oldest demand request ages past the starvation
-     * threshold. Call after tick(now).
+     * next refresh action, the earliest completion of a read that is
+     * not silent, the earliest issue tick of each queue's FR-FCFS
+     * pick, and the tick its oldest demand request ages past the
+     * starvation threshold. Call after tick(now).
      */
     Tick nextEventTick(Tick now);
 
     /**
      * Account for `cycles` ticks after `now` that nextEventTick()
      * proved idle: the write-drain hysteresis still steps once per
-     * tick.
+     * tick, and the last of them is the last tick reached.
      */
     void skipCycles(Tick now, std::uint64_t cycles);
 
@@ -145,7 +153,7 @@ class MemoryController
      * Count `n` refused enqueue() attempts at once: a requester that
      * stays blocked on a full queue over skipped cycles.
      */
-    void recordRefusals(std::uint64_t n) { queueFullCount += n; }
+    void recordRefusals(std::uint64_t n) { counts.queueFull += n; }
 
     /**
      * Re-target the refresh cadence while running (MEMCON adapts it
@@ -157,16 +165,17 @@ class MemoryController
     /** Current effective reduction. */
     double refreshReduction() const { return cfg.refreshReduction; }
 
-    /** @return true when both queues and in-flight lists are empty. */
+    /** @return true when both queues are empty and every read has
+     * finished, silent ones by the last tick reached. */
     bool idle() const;
 
     std::size_t readQueueSize() const { return readQueue.size(); }
     std::size_t writeQueueSize() const { return writeQueue.size(); }
 
     /**
-     * The counters. The queueFull refusals, counted on every idle
-     * cycle a requester stays blocked, are kept apart as an integer
-     * and folded in here; the key appears once one is counted.
+     * The counters, as group "mc", with the silent reads that finished
+     * by the last tick reached folded in. A key appears once its
+     * counter is nonzero.
      */
     StatGroup stats() const;
     const dram::Channel &channel() const { return chan; }
@@ -177,7 +186,8 @@ class MemoryController
      * record lines (common/state_io.hh). Queued requests must carry no
      * completion callback: a closure cannot be saved, so a controller
      * that holds one panics here. loadState reads the lines back into
-     * a controller built with the same geometry, timing and config.
+     * a controller built with the same geometry, timing and config,
+     * and refuses an unknown counter or a value no run can reach.
      */
     void saveState(StateWriter &out) const;
     void loadState(StateReader &in);
@@ -187,7 +197,81 @@ class MemoryController
     {
         Request req;
         Tick dataDone;
+
+        /** Only counted on completion: no probe, no callback. */
+        bool silent() const { return req.isTest && !req.onComplete; }
     };
+
+    /**
+     * In-flight reads in issue order, which is completion order. A
+     * ring that grows by doubling; construction allocates nothing.
+     */
+    class ReadFifo
+    {
+      public:
+        bool empty() const { return count == 0; }
+        std::size_t size() const { return count; }
+        const Pending &operator[](std::size_t i) const
+        {
+            return slots[(head + i) & (slots.size() - 1)];
+        }
+        Pending &front() { return slots[head]; }
+        const Pending &back() const { return (*this)[count - 1]; }
+        void pushBack(Pending p);
+        void popFront();
+        void
+        clear()
+        {
+            slots.clear();
+            head = count = 0;
+        }
+
+      private:
+        std::vector<Pending> slots; //!< power-of-two size
+        std::size_t head = 0;
+        std::size_t count = 0;
+    };
+
+    /** The per-request counters; stats() names them. */
+    struct Counters
+    {
+        std::uint64_t act = 0;
+        std::uint64_t completedRead = 0;
+        std::uint64_t completedWrite = 0;
+        std::uint64_t eccCorrected = 0;
+        std::uint64_t eccUncorrectable = 0;
+        std::uint64_t enqRead = 0;
+        std::uint64_t enqWrite = 0;
+        std::uint64_t queueFull = 0;
+        std::uint64_t refresh = 0;
+        std::uint64_t rowConflict = 0;
+        std::uint64_t rowHit = 0;
+        std::uint64_t rowMiss = 0;
+        std::uint64_t svcRead = 0;
+        std::uint64_t svcWrite = 0;
+        double readLatencyTicks = 0.0;
+
+        /** Count one completed read. */
+        void credit(const Pending &done)
+        {
+            ++completedRead;
+            readLatencyTicks += static_cast<double>(
+                (done.dataDone - done.req.arrival).value());
+        }
+    };
+
+    struct CounterName
+    {
+        const char *name;
+        std::uint64_t Counters::*field;
+    };
+
+    /** stats()'s name for each integer counter, in name order. */
+    static const CounterName kCounterNames[];
+
+    /** How many silent reads at the front of `inflight` finished by
+     * lastTick and are not yet counted. */
+    std::size_t finishedSilentReads() const;
 
     /** A request queue and how many of its entries are demand. */
     struct RequestQueue
@@ -237,7 +321,7 @@ class MemoryController
 
     RequestQueue readQueue;
     RequestQueue writeQueue;
-    std::vector<Pending> inflight;
+    ReadFifo inflight;
 
     bool drainingWrites = false;
     std::vector<Tick> nextRefresh; //!< per rank
@@ -246,8 +330,10 @@ class MemoryController
     /** nextEventTick()'s cached bound; Tick{} when stale. */
     Tick cachedNext{};
 
-    StatGroup statGroup{"mc"};
-    std::uint64_t queueFullCount = 0; //!< stats()'s queueFull
+    /** The last tick ticked or skipped over. */
+    Tick lastTick{};
+
+    Counters counts;
 };
 
 } // namespace memcon::sim

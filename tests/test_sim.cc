@@ -135,19 +135,137 @@ TEST_F(ControllerTest, QueueFullCountSurvivesStateRoundTrip)
     restored.recordRefusals(1);
     EXPECT_EQ(restored.stats().value("queueFull"), 43.0);
 
-    // A count that is not a positive integer does not decode.
-    for (const char *bad : {"queueFull=1.5", "queueFull=-2", "queueFull=0"}) {
+    // A count that is not a positive integer below 2^53, a latency
+    // sum that is not finite and positive, or an unknown counter does
+    // not decode. The keys stay in name order.
+    const std::pair<const char *, const char *> bad_records[] = {
+        {"queueFull=42", "queueFull=1.5"},
+        {"queueFull=42", "queueFull=-2"},
+        {"queueFull=42", "queueFull=0"},
+        {"enq.read=32", "enq.read=-3.5"},
+        {"enq.read=32", "enq.read=9007199254740992"},
+        {"enq.read=32", "completed.read=-3.5 enq.read=32"},
+        {"enq.read=32", "ecc.bogus=1 enq.read=32"},
+        {"queueFull=42", "queueFull=42 readLatencyTicks=-1"},
+        {"queueFull=42", "queueFull=42 readLatencyTicks=0"},
+        {"queueFull=42", "queueFull=42 readLatencyTicks=inf"},
+        {"queueFull=42", "queueFull=42 readLatencyTicks=nan"},
+        {"queueFull=42", "queueFull=42 zz=1"},
+    };
+    for (const auto &[good, bad] : bad_records) {
         std::vector<std::string> record = saved;
         for (std::string &line : record) {
-            const std::size_t at = line.find("queueFull=42");
+            const std::size_t at = line.find(good);
             if (at != std::string::npos)
-                line.replace(at, 12, bad);
+                line.replace(at, std::string(good).size(), bad);
         }
         ASSERT_NE(record, saved);
         MemoryController target(geom, timing, cfg);
         StateReader bad_in(record);
         EXPECT_THROW(target.loadState(bad_in), StateError) << bad;
     }
+}
+
+TEST_F(ControllerTest, UncreditedTestReadSurvivesStateRoundTrip)
+{
+    // A test read with no callback finishes silently: no tick is an
+    // event for it, so it is still in flight inside the controller
+    // when its data is done. stats() and the state record count it as
+    // finished, and a restore of that record re-saves to the same
+    // bytes.
+    Tick now{};
+    Request r;
+    r.type = Request::Type::Read;
+    r.addr = 0x1000;
+    r.isTest = true;
+    ASSERT_TRUE(mc->enqueue(std::move(r), now));
+    const Tick data_done{timing.cyc(timing.tRCD + timing.tCL + timing.tBL)};
+    spin(now, 3);
+    ASSERT_FALSE(mc->idle());
+    EXPECT_EQ(mc->stats().value("completed.read"), 0.0);
+    spin(now, static_cast<unsigned>(data_done / timing.tCk) + 2);
+    EXPECT_TRUE(mc->idle());
+    EXPECT_EQ(mc->stats().value("completed.read"), 1.0);
+    EXPECT_GT(mc->stats().value("readLatencyTicks"), 0.0);
+
+    StateWriter out;
+    mc->saveState(out);
+    const std::vector<std::string> saved = std::move(out).take();
+    for (const std::string &line : saved) {
+        if (line.rfind("mcq", 0) == 0) {
+            EXPECT_TRUE(line.ends_with("inflight=")) << line;
+        }
+    }
+    MemoryController restored(geom, timing, cfg);
+    StateReader in(saved);
+    restored.loadState(in);
+    in.finish();
+    EXPECT_TRUE(restored.idle());
+    EXPECT_EQ(restored.stats().dump(), mc->stats().dump());
+    StateWriter again;
+    restored.saveState(again);
+    EXPECT_EQ(std::move(again).take(), saved);
+
+    // Both go on to count a second read the same way.
+    for (MemoryController *m : {mc.get(), &restored}) {
+        Request next;
+        next.type = Request::Type::Read;
+        next.addr = 0x1040;
+        next.isTest = true;
+        ASSERT_TRUE(m->enqueue(std::move(next), now));
+    }
+    for (int i = 0; i < 40; ++i) {
+        now += timing.tCk;
+        mc->tick(now);
+        restored.tick(now);
+    }
+    EXPECT_EQ(restored.stats().value("completed.read"), 2.0);
+    EXPECT_EQ(restored.stats().dump(), mc->stats().dump());
+}
+
+TEST_F(ControllerTest, InflightReadsLoadInCompletionOrder)
+{
+    // The record lists in-flight reads in issue order. One that lists
+    // them otherwise (the swap-remove list of older records) loads in
+    // completion order and re-saves in issue order.
+    Tick now{};
+    for (std::uint64_t i = 0; i < 3; ++i) {
+        Request r;
+        r.type = Request::Type::Read;
+        r.addr = 0x1000 + 64 * i; // one row: three row hits
+        ASSERT_TRUE(mc->enqueue(std::move(r), now));
+    }
+    // ACT, then three RDs tCCD apart, all still in flight.
+    spin(now, timing.tRCD + 2 * timing.tCCD + 1);
+    StateWriter out;
+    mc->saveState(out);
+    const std::vector<std::string> saved = std::move(out).take();
+
+    std::vector<std::string> shuffled = saved;
+    bool found = false;
+    for (std::string &line : shuffled) {
+        const std::size_t at = line.find("inflight=");
+        if (at == std::string::npos)
+            continue;
+        std::vector<std::string> reads;
+        std::string rest = line.substr(at + 9);
+        for (std::size_t comma; (comma = rest.find(',')) != std::string::npos;
+             rest = rest.substr(comma + 1))
+            reads.push_back(rest.substr(0, comma));
+        reads.push_back(rest);
+        ASSERT_EQ(reads.size(), 3u) << line;
+        line = line.substr(0, at + 9) + reads[2] + "," + reads[0] + "," +
+               reads[1];
+        found = true;
+    }
+    ASSERT_TRUE(found);
+    MemoryController restored(geom, timing, cfg);
+    StateReader in(shuffled);
+    restored.loadState(in);
+    in.finish();
+    StateWriter again;
+    restored.saveState(again);
+    EXPECT_EQ(std::move(again).take(), saved);
 }
 
 TEST_F(ControllerTest, RowHitFasterThanRowMiss)

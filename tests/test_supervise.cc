@@ -176,6 +176,24 @@ TEST(SweepRunnerCheckpoint, Crc32MatchesKnownVectors)
     EXPECT_EQ(once, split);
 }
 
+TEST(SweepRunnerCheckpoint, WordCrcIsOneCrcOverLittleEndianWords)
+{
+    // Across several buffer flushes, and for the empty sequence.
+    std::string bytes;
+    ckpt::WordCrc words;
+    EXPECT_EQ(words.value(), ckpt::crc32(bytes));
+    for (std::uint64_t i = 0; i < 300; ++i) {
+        const std::uint64_t v = i * 0x9E3779B97F4A7C15ull;
+        words.add(v);
+        for (int b = 0; b < 8; ++b)
+            bytes.push_back(static_cast<char>(v >> (8 * b)));
+        if (i % 97 == 0) {
+            EXPECT_EQ(words.value(), ckpt::crc32(bytes)) << i;
+        }
+    }
+    EXPECT_EQ(words.value(), ckpt::crc32(bytes));
+}
+
 TEST(SweepRunnerCheckpoint, AtomicWriteCreatesAndReplaces)
 {
     std::string path = scratch("file.txt");

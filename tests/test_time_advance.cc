@@ -21,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.hh"
+#include "common/state_io.hh"
 #include "core/closed_loop.hh"
 #include "sim/controller.hh"
 #include "sim/core.hh"
@@ -225,6 +226,116 @@ TEST(TimeAdvance, WriteOnlyTrafficKeepsTheDrainHysteresisInStep)
     // No demand reads: while the read queue is empty and 1 to 8 writes
     // wait, the write-drain flag toggles on every tick, skipped or not.
     expectSparseRigAgrees(core::TestMode::ReadAndCompare, false);
+}
+
+namespace
+{
+
+/** A closed loop's dumps plus its whole state record. */
+struct StopObservation
+{
+    std::string controller;
+    std::string channel;
+    std::string memcon;
+    std::vector<std::string> state;
+};
+
+StopObservation
+observeStop(const core::ClosedLoop &loop)
+{
+    StopObservation o;
+    o.controller = loop.controller().stats().dump();
+    o.channel = loop.controller().channel().stats().dump();
+    o.memcon = loop.memcon().stats().dump();
+    StateWriter out;
+    loop.saveState(out);
+    o.state = std::move(out).take();
+    return o;
+}
+
+double
+readsIssued(const core::ClosedLoop &loop)
+{
+    return loop.controller().channel().stats().value("cmd.RD");
+}
+
+} // namespace
+
+TEST(TimeAdvance, TestReadCompletionsCreditedBetweenEventsMatchEveryCycle)
+{
+    // Write-only demand traffic, so every RD is a MEMCON test read,
+    // whose completion runUntil credits at the next event instead of
+    // simulating it. Stop ticks run from one cycle after every 100th
+    // test RD to a few cycles past its data: the dumps and the state
+    // record must read as if every cycle had been a full evaluation of
+    // the controller, which completes each read in its own cycle.
+    // (MEMCON's cache stays: its state record holds the queue sizes
+    // its cached bound was taken at.)
+    const Tick horizon = usToTicks(150.0);
+    SparseRig ref(core::TestMode::ReadAndCompare, false);
+    SparseRig jump(core::TestMode::ReadAndCompare, false);
+    const Tick tck = ref.timing.tCk;
+    const std::uint64_t data_cycles = ref.timing.tCL + ref.timing.tBL;
+
+    std::vector<StopObservation> a;
+    std::vector<Tick> stops;
+    std::size_t next_stop = 0;
+    std::uint64_t reads_seen = 0;
+    const sim::CycleDriver ref_driver = ref.driver();
+    sim::MemoryController &ref_mc = ref.loop->controller();
+    for (Tick now = tck; now <= horizon; now += tck) {
+        ref_driver.beforeTick(now);
+        ref_mc.setRefreshReduction(ref_mc.refreshReduction());
+        ref.loop->tick(now);
+        const auto reads = static_cast<std::uint64_t>(readsIssued(*ref.loop));
+        if (reads > reads_seen && reads_seen % 100 == 0 &&
+            (stops.empty() || stops.back() < now) &&
+            now + tck * (data_cycles + 4) <= horizon)
+            for (std::uint64_t k = 1; k <= data_cycles + 4; ++k)
+                stops.push_back(now + tck * k);
+        reads_seen = reads;
+        if (next_stop < stops.size() && stops[next_stop] == now) {
+            a.push_back(observeStop(*ref.loop));
+            ++next_stop;
+        }
+    }
+    ASSERT_EQ(next_stop, stops.size());
+    ASSERT_GT(stops.size(), 1000u);
+
+    const sim::CycleDriver jump_driver = jump.driver();
+    for (std::size_t i = 0; i < stops.size(); ++i) {
+        ASSERT_EQ(jump.loop->runUntil(stops[i], jump_driver), stops[i]);
+        const StopObservation b = observeStop(*jump.loop);
+        const double us = ticksToNs(stops[i]) / 1000.0;
+        ASSERT_EQ(a[i].controller, b.controller) << "at " << us << " us";
+        ASSERT_EQ(a[i].channel, b.channel) << "at " << us << " us";
+        ASSERT_EQ(a[i].memcon, b.memcon) << "at " << us << " us";
+        ASSERT_EQ(a[i].state, b.state) << "at " << us << " us";
+    }
+}
+
+TEST(TimeAdvance, TestReadCompletionsCostNoCycle)
+{
+    // The same write-only rig in one runUntil: a test read's
+    // completion is no event, so the run simulates about one cycle
+    // per command it issues (each command's own), not two per RD.
+    SparseRig rig(core::TestMode::ReadAndCompare, false);
+    std::uint64_t simulated = 0;
+    sim::CycleDriver driver = rig.driver();
+    driver.beforeTick = [&simulated, inner = driver.beforeTick](Tick now) {
+        ++simulated;
+        inner(now);
+    };
+    const Tick end = usToTicks(400.0);
+    ASSERT_EQ(rig.loop->runUntil(end, driver), end);
+
+    double commands = 0.0;
+    for (const auto &[name, count] :
+         rig.loop->controller().channel().stats().entries())
+        commands += count;
+    EXPECT_GT(readsIssued(*rig.loop), 0.5 * commands);
+    EXPECT_LT(static_cast<double>(simulated), 1.1 * commands)
+        << simulated << " cycles for " << commands << " commands";
 }
 
 TEST(TimeAdvance, InjectorAndDisturbModelMatchEveryCycle)
