@@ -28,8 +28,29 @@
  * (time, sequence) - sequence being assigned source-major, so the
  * sorted batch is in (time, source, per-source-index) order. Windows
  * partition the timeline, so concatenated batches equal the heap
- * order: total cost O(W log B + K log windows) with B = events per
- * window, resident memory O(K + B).
+ * order whatever the window sizes: total cost O(W log B + pushes)
+ * with B = events per window, resident memory O(K + B).
+ *
+ * Density-sized windows: the caller gives the window as a range
+ * [min, max]. The merge starts near the bottom (kStartWindows times
+ * min), or at max when so few sources start inside the first max
+ * window that even one event each leaves it far below the target
+ * (sparse streams gain nothing from a fine start). It steers each
+ * staged batch toward kTargetBatch events, so that the batch and its
+ * sort scratch stay cache-resident: a batch
+ * more than kResizeFactor times above the target halves the window
+ * (repeatedly, down to min, until the batch would have fit), one more
+ * than kResizeFactor times below it doubles the window once (up to
+ * max). A window is a span of wheel epochs, so resizing only changes
+ * the span; only a halving below one epoch re-buckets the live
+ * sources under a finer epoch grid, O(K), and the grid never
+ * coarsens again. Sparse streams thus batch a whole max window at
+ * once, while a dense burst that would stage hundreds of thousands
+ * of events per max window is cut into cache-sized batches.
+ * min == max is a fixed window; a caller whose draw-ahead is
+ * observable state (TenantWriteStream saves the times the merge has
+ * drawn but not delivered) passes a fixed window so that state
+ * depends on the window alone, not on the batches' history.
  *
  * A Stream is any type with `bool next(double &out_ms)` yielding its
  * times in ascending order; the merge panics on a stream that runs
@@ -43,6 +64,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -62,29 +84,50 @@ class KWayMerge
         std::uint32_t source;
     };
 
+    /** Events per staged batch the window size steers toward. */
+    static constexpr std::size_t kTargetBatch = 8192;
+    /** A batch this many times off the target resizes the window. */
+    static constexpr std::size_t kResizeFactor = 4;
+    /** The first window, in multiples of the minimum window. */
+    static constexpr double kStartWindows = 16.0;
+
     /**
      * Take ownership of the streams and bucket each source under the
-     * epoch window of its first in-horizon event. window_ms sets the
-     * batching granularity (the engine passes its quantum): staging
-     * memory is one window's events, so pick the natural cadence of
-     * the consumer rather than something tiny.
+     * epoch window of its first in-horizon event. The window adapts
+     * within [min_window_ms, max_window_ms] (see the file comment);
+     * staging memory is one window's events, so max_window_ms is the
+     * consumer's natural cadence (the engine passes its quantum).
      */
     KWayMerge(std::vector<Stream> source_streams, double horizon_ms,
-              double window_ms)
+              double min_window_ms, double max_window_ms)
         : streams(std::move(source_streams)), horizon(horizon_ms),
-          window(window_ms)
+          minWindow(min_window_ms), maxWindow(max_window_ms),
+          grid(std::min(min_window_ms * kStartWindows, max_window_ms))
     {
         fatal_if(streams.size() >= (std::uint64_t{1} << 32),
                  "too many merge sources");
-        fatal_if(window <= 0.0, "window must be positive");
+        fatal_if(!(minWindow > 0.0), "window must be positive");
+        fatal_if(!(maxWindow >= minWindow),
+                 "window range [%g, %g] is empty", minWindow, maxWindow);
         lastTime.assign(streams.size(), 0.0);
+        std::size_t starting = 0;
         for (std::uint32_t s = 0; s < streams.size(); ++s) {
             double t;
             if (!pull(s, t, /*first=*/true))
                 continue;
-            wheel.push(bucketOf(t), Pending{t, s});
-            ++pushes;
+            due.push_back(Pending{t, s});
+            starting += t < maxWindow;
         }
+        // Every source starting inside the first max window adds at
+        // least one event to it. When even that floor is far below
+        // the target, the streams are sparse: start at max, sparing a
+        // wheel grid that is fine-grained for no reason.
+        if (starting < kTargetBatch / kResizeFactor)
+            grid = maxWindow;
+        maxSpan = spanCap();
+        for (const Pending &p : due)
+            wheel.push(bucketOf(p.time), p);
+        pushes += due.size();
         peakLive = wheel.size();
     }
 
@@ -121,6 +164,9 @@ class KWayMerge
     /** Total source (re-)bucketings performed (instrumentation). */
     std::uint64_t heapPushes() const { return pushes; }
 
+    /** The window the next batch will be staged with, in ms. */
+    double windowMs() const { return grid * static_cast<double>(span); }
+
   private:
     /** One source waiting in the wheel with its next event time. */
     struct Pending
@@ -144,10 +190,17 @@ class KWayMerge
      */
     std::int64_t bucketOf(double t) const
     {
-        auto e = static_cast<std::int64_t>(t / window);
-        if (e > 0 && t < static_cast<double>(e) * window)
+        auto e = static_cast<std::int64_t>(t / grid);
+        if (e > 0 && t < static_cast<double>(e) * grid)
             --e;
         return e;
+    }
+
+    /** The most wheel epochs a window may span under maxWindow. */
+    std::int64_t spanCap() const
+    {
+        return std::max<std::int64_t>(
+            1, static_cast<std::int64_t>(maxWindow / grid));
     }
 
     /** Pull a source's next time; panic on disorder, retire at the
@@ -168,11 +221,14 @@ class KWayMerge
     void refill()
     {
         while (batchPos >= batch.size() && !wheel.empty()) {
-            const std::int64_t epoch = wheel.nextEpoch();
+            // The window is the span epochs from the first non-empty
+            // one; `last` is its final epoch.
+            const std::int64_t first = wheel.nextEpoch();
+            const std::int64_t last = first + span - 1;
             const double bound =
-                std::min(static_cast<double>(epoch + 1) * window, horizon);
+                std::min(static_cast<double>(last + 1) * grid, horizon);
             due.clear();
-            wheel.popDue(epoch, due);
+            wheel.popDue(last, due);
             // Source-ascending staging order makes (time, seq) the
             // (time, source, index) tie-break of the contract.
             std::sort(due.begin(), due.end(),
@@ -192,23 +248,81 @@ class KWayMerge
                 if (!live)
                     continue;
                 // Next event past this window: re-bucket, forcing
-                // progress past the drained epoch.
-                wheel.push(std::max(bucketOf(t), epoch + 1),
+                // progress past the drained epochs.
+                wheel.push(std::max(bucketOf(t), last + 1),
                            Pending{t, p.source});
                 ++pushes;
             }
             peakLive = std::max(peakLive, wheel.size() + due.size());
-            sortBatch(static_cast<double>(epoch) * window, bound);
+            sortBatch(static_cast<double>(first) * grid, bound);
+            resize(batch.size());
         }
+    }
+
+    /**
+     * Steer the window toward kTargetBatch events per batch after a
+     * batch of n. The window is `span` wheel epochs of `grid` ms:
+     * growing it and shrinking it back only changes the span, and
+     * only a halving below one epoch re-buckets the live sources
+     * under a finer grid. The grid never coarsens, so that happens
+     * at most log2(max / min) times. An empty batch (only
+     * float-early sources) says nothing about density.
+     */
+    void resize(std::size_t n)
+    {
+        if (n == 0)
+            return;
+        constexpr double hi = double(kTargetBatch * kResizeFactor);
+        constexpr double lo = double(kTargetBatch) / kResizeFactor;
+        double projected = static_cast<double>(n);
+        if (projected > hi) {
+            // Halve until the batch would have fit the target.
+            double finer = grid;
+            while (projected > double(kTargetBatch) &&
+                   (span > 1 || finer > minWindow)) {
+                if (span > 1)
+                    span /= 2;
+                else
+                    finer = std::max(finer / 2.0, minWindow);
+                projected /= 2.0;
+            }
+            if (finer != grid)
+                regrid(finer);
+        } else if (projected < lo) {
+            // One step: a sparse stretch says little about what the
+            // wider window will hold.
+            span = std::min(span * 2, maxSpan);
+        }
+    }
+
+    /**
+     * Re-bucket every live source under a finer grid. Each holds a
+     * next time at or past the drained bound, so any grid keeps the
+     * partition: no pending event lies before it.
+     */
+    void regrid(double finer)
+    {
+        grid = finer;
+        maxSpan = spanCap();
+        due.clear();
+        wheel.popDue(std::numeric_limits<std::int64_t>::max() - 1, due);
+        wheel = DeadlineWheel<Pending>();
+        for (const Pending &p : due)
+            wheel.push(bucketOf(p.time), p);
+        pushes += due.size();
     }
 
     /**
      * Order the staged batch by (time, seq). The batch holds one
      * window's events, so times cluster inside [lo, hi); a monotone
-     * distribution pass into ~8-event buckets followed by tiny
-     * per-bucket sorts does the same work as a full introsort at a
-     * fraction of the comparisons (the batch sort was the largest
-     * single cost of the merge at 100k single-write sources). The
+     * distribution pass into ~2-event buckets followed by tiny
+     * per-bucket insertion sorts does the same work as a full
+     * introsort at a fraction of the comparisons (the batch sort is
+     * the largest single cost of the merge). Write bursts crowd a
+     * few buckets, so the bucket count follows the batch size: with
+     * the window steered to cache-sized batches, finer buckets are
+     * cheaper than fewer, fuller ones (measured 19 against 23-28 ns
+     * per event over the campaign's batches). The
      * bucket index is a monotone function of time and every bucket
      * is finished with a real (time, seq) sort, so the concatenated
      * result is exact whatever the distribution - early-bucketed
@@ -227,7 +341,7 @@ class KWayMerge
             return;
         }
         std::size_t nb = 16;
-        while (nb * 8 < n && nb < 4096)
+        while (nb * 2 < n)
             nb <<= 1;
         const double scale = static_cast<double>(nb) / (hi - lo);
         bucketOfStaged.resize(n);
@@ -252,9 +366,18 @@ class KWayMerge
         std::size_t begin = 0;
         for (std::size_t b = 0; b < nb; ++b) {
             const std::size_t end = bucketEnds[b];
-            if (end - begin > 1)
+            if (end - begin > 16) {
                 std::sort(batch.begin() + begin, batch.begin() + end,
                           byTimeSeq);
+            } else {
+                for (std::size_t i = begin + 1; i < end; ++i) {
+                    const Staged v = batch[i];
+                    std::size_t j = i;
+                    for (; j > begin && byTimeSeq(v, batch[j - 1]); --j)
+                        batch[j] = batch[j - 1];
+                    batch[j] = v;
+                }
+            }
             begin = end;
         }
     }
@@ -270,7 +393,11 @@ class KWayMerge
     std::vector<Staged> stagedScratch;
     std::size_t batchPos = 0;
     double horizon;
-    double window;
+    double minWindow;
+    double maxWindow;
+    double grid;             //!< wheel epoch width, ms
+    std::int64_t span = 1;   //!< wheel epochs per window
+    std::int64_t maxSpan = 1; //!< span cap: grid * span <= maxWindow
     std::uint64_t pushes = 0;
     std::size_t peakLive = 0;
 };

@@ -20,6 +20,13 @@ namespace
 {
 
 /**
+ * The smallest merge window, as a fraction of the quantum: at the
+ * densest persona (about 680k writes per 1024 ms quantum) a
+ * quantum/1024 window still stages hundreds of events per batch.
+ */
+constexpr double kMergeWindowFloor = 1024.0;
+
+/**
  * Concurrent-test budget per quantum, rounded to nearest. The old
  * truncating cast silently yielded a zero budget for sub-64 ms quanta
  * with small slot counts - every test skipped, no diagnostic; the
@@ -275,10 +282,11 @@ runStreamingShard(const MemconConfig &cfg, std::vector<Stream> streams,
 
     PrilPredictor pril(num_local, clampedBufferCapacity(cfg, num_local));
     PageSoA st(num_local);
-    // The merge windows on the quantum: the consumer drains events
-    // quantum by quantum anyway, so staging memory is one quantum's
-    // events.
+    // The merge window follows the write density, up to the quantum
+    // the consumer drains by: a dense persona stages cache-sized
+    // batches rather than a whole quantum's events.
     KWayMerge<Stream> merge(std::move(streams), duration_ms,
+                            cfg.quantumMs.value() / kMergeWindowFloor,
                             cfg.quantumMs.value());
 
     // A scrub entry verified at quantum index q matures no earlier

@@ -1,6 +1,8 @@
 #include "dram/channel.hh"
 
 #include <algorithm>
+#include <cmath>
+#include <iterator>
 
 #include "common/logging.hh"
 #include "common/state_io.hh"
@@ -32,6 +34,11 @@ toString(Command cmd)
     panic("unknown command");
 }
 
+const char *const Channel::kCommandNames[kNumCommands] = {
+    "cmd.ACT", "cmd.PRE", "cmd.PREA", "cmd.RD",
+    "cmd.RDA", "cmd.WR",  "cmd.WRA",  "cmd.REF",
+};
+
 Channel::Channel(const Geometry &geometry, const TimingParams &timing)
     : geom(geometry), params(timing)
 {
@@ -59,6 +66,16 @@ Channel::bank(unsigned rank, unsigned bank_idx)
 {
     checkIds(rank, bank_idx);
     return bankState[std::size_t{rank} * geom.banks + bank_idx];
+}
+
+StatGroup
+Channel::stats() const
+{
+    StatGroup group("channel");
+    for (std::size_t c = 0; c < kNumCommands; ++c)
+        if (commandCounts[c] > 0)
+            group.inc(kCommandNames[c], commandCounts[c]);
+    return group;
 }
 
 bool
@@ -172,7 +189,7 @@ Channel::issue(Command cmd, unsigned rank, unsigned bank_idx,
 
     BankState &b = bank(rank, bank_idx);
     RankState &r = rankState[rank];
-    statGroup.inc("cmd." + toString(cmd));
+    ++commandCounts[static_cast<std::size_t>(cmd)];
 
     auto cyc = [this](unsigned c) { return params.cyc(c); };
 
@@ -285,7 +302,7 @@ Channel::saveState(StateWriter &out) const
     out.line("banks");
     out.tuples("b", banks, 7);
     out.line("chanstats");
-    out.stats(statGroup);
+    out.stats(stats());
 }
 
 void
@@ -321,8 +338,23 @@ Channel::loadState(StateReader &in)
         b.nextWrite = Tick{v[5]};
         b.rowHitStreak = v[6];
     }
+    // Only what a run can reach: a known command, a nonzero count (a
+    // zero one is never written).
     in.line("chanstats");
-    in.stats(statGroup);
+    StatGroup saved;
+    in.stats(saved);
+    commandCounts.fill(0);
+    for (const auto &[name, value] : saved.entries()) {
+        const char *const *known =
+            std::find_if(std::begin(kCommandNames), std::end(kCommandNames),
+                         [&name](const char *c) { return name == c; });
+        if (known == std::end(kCommandNames))
+            in.check(false, "holds an unknown command counter '" + name + "'");
+        in.check(value > 0.0 && value < 0x1p53 && value == std::floor(value),
+                 "holds a count that is not a positive integer below 2^53");
+        commandCounts[static_cast<std::size_t>(known - kCommandNames)] =
+            static_cast<std::uint64_t>(value);
+    }
 }
 
 } // namespace memcon::dram

@@ -15,6 +15,7 @@
 #ifndef MEMCON_DRAM_CHANNEL_HH
 #define MEMCON_DRAM_CHANNEL_HH
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <vector>
@@ -103,9 +104,8 @@ class Channel
     void saveState(StateWriter &out) const;
     void loadState(StateReader &in);
 
-    /** Command counts and row hit/miss/conflict statistics. */
-    const StatGroup &stats() const { return statGroup; }
-    StatGroup &stats() { return statGroup; }
+    /** Command counts as "cmd.<NAME>" stats, issued commands only. */
+    StatGroup stats() const;
 
   private:
     struct RankState
@@ -129,7 +129,11 @@ class Channel
     Tick nextReadGlobal{};
     Tick nextWriteGlobal{};
 
-    StatGroup statGroup{"channel"};
+    /** Commands issued, indexed by Command; stats() names them. */
+    std::array<std::uint64_t, kNumCommands> commandCounts{};
+
+    /** stats()'s name for each command's counter, indexed by Command. */
+    static const char *const kCommandNames[kNumCommands];
 };
 
 } // namespace memcon::dram

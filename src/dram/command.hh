@@ -6,6 +6,7 @@
 #ifndef MEMCON_DRAM_COMMAND_HH
 #define MEMCON_DRAM_COMMAND_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -23,6 +24,9 @@ enum class Command
     WrA,  //!< column write with auto-precharge
     Ref,  //!< all-bank auto refresh
 };
+
+/** Commands in the set; Command values index [0, kNumCommands). */
+constexpr std::size_t kNumCommands = static_cast<std::size_t>(Command::Ref) + 1;
 
 std::string toString(Command cmd);
 

@@ -91,9 +91,11 @@ TenantWriteStream::buildMerge()
     for (Source &src : sources)
         refs.push_back(SourceRef{&src});
     const double horizon = cfg.horizonMs * cfg.rateScale;
+    // A fixed window: the times the merge draws ahead are saved
+    // state, so they must not depend on the batches' history.
     const double window = std::max(horizon / 64.0, 0.01);
     merge = std::make_unique<KWayMerge<SourceRef>>(std::move(refs), horizon,
-                                                   window);
+                                                   window, window);
 }
 
 void

@@ -7,9 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/random.hh"
+#include "common/state_io.hh"
 #include "dram/channel.hh"
 #include "dram/organization.hh"
 #include "dram/timing.hh"
@@ -324,6 +329,76 @@ TEST_F(ChannelTest, StatsCountCommands)
     chan.issue(Command::Rd, 0, 0, RowId{5}, cyc(timing.tRCD));
     EXPECT_EQ(chan.stats().value("cmd.ACT"), 1.0);
     EXPECT_EQ(chan.stats().value("cmd.RD"), 1.0);
+}
+
+TEST_F(ChannelTest, CommandCountsSurviveStateRoundTrip)
+{
+    // Every command once (ACT four times, REF twice): each counter is named
+    // "cmd." + toString(cmd), the record carries it, and a restore
+    // brings the counts and the record bytes back exactly.
+    Tick t{};
+    auto at = [&](Command cmd, unsigned bank, RowId row) {
+        t = std::max(t, chan.earliestIssueTick(cmd, 0, bank, row));
+        chan.issue(cmd, 0, bank, row, t);
+    };
+    at(Command::Act, 0, RowId{5});
+    at(Command::Rd, 0, RowId{5});
+    at(Command::Wr, 0, RowId{5});
+    at(Command::Pre, 0, RowId{5});
+    at(Command::Act, 1, RowId{6});
+    at(Command::RdA, 1, RowId{6});
+    at(Command::Act, 2, RowId{7});
+    at(Command::WrA, 2, RowId{7});
+    at(Command::Act, 3, RowId{8});
+    at(Command::PreA, 0, RowId{});
+    at(Command::Ref, 0, RowId{});
+    at(Command::Ref, 0, RowId{});
+    const StatGroup counts = chan.stats();
+    for (Command cmd : {Command::Act, Command::Pre, Command::PreA,
+                        Command::Rd, Command::RdA, Command::Wr,
+                        Command::WrA, Command::Ref}) {
+        const double expected = cmd == Command::Act   ? 4.0
+                                : cmd == Command::Ref ? 2.0
+                                                      : 1.0;
+        EXPECT_EQ(counts.value("cmd." + toString(cmd)), expected)
+            << toString(cmd);
+    }
+    EXPECT_EQ(counts.entries().size(), kNumCommands);
+
+    StateWriter out;
+    chan.saveState(out);
+    const std::vector<std::string> saved = std::move(out).take();
+    Channel restored(geom, timing);
+    StateReader in(saved);
+    restored.loadState(in);
+    in.finish();
+    EXPECT_EQ(restored.stats().dump(), counts.dump());
+    StateWriter again;
+    restored.saveState(again);
+    EXPECT_EQ(std::move(again).take(), saved);
+
+    // A count that is not a positive integer below 2^53, or an
+    // unknown command, does not decode. Keys stay in name order.
+    const std::pair<const char *, const char *> bad_records[] = {
+        {"cmd.ACT=4", "cmd.ACT=1.5"},
+        {"cmd.ACT=4", "cmd.ACT=-4"},
+        {"cmd.ACT=4", "cmd.ACT=0"},
+        {"cmd.ACT=4", "cmd.ACT=9007199254740992"},
+        {"cmd.ACT=4", "cmd.ACK=1 cmd.ACT=4"},
+        {"cmd.WRA=1", "cmd.WRA=1 rowHit=4"},
+    };
+    for (const auto &[good, bad] : bad_records) {
+        std::vector<std::string> record = saved;
+        for (std::string &line : record) {
+            const std::size_t pos = line.find(good);
+            if (pos != std::string::npos)
+                line.replace(pos, std::string(good).size(), bad);
+        }
+        ASSERT_NE(record, saved) << good;
+        Channel target(geom, timing);
+        StateReader bad_in(record);
+        EXPECT_THROW(target.loadState(bad_in), StateError) << bad;
+    }
 }
 
 /**

@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/deadline_wheel.hh"
@@ -331,7 +332,7 @@ TEST(KWayMergeTest, ReproducesStableSortOrder)
 
         // A window that does not divide the grid stresses the float
         // bucketing correction.
-        KWayMerge<VecStream> merge(std::move(streams), horizon, 93.0);
+        KWayMerge<VecStream> merge(std::move(streams), horizon, 93.0, 93.0);
         std::vector<Ev> got;
         while (!merge.empty()) {
             auto item = merge.pop();
@@ -345,11 +346,137 @@ TEST(KWayMergeTest, ReproducesStableSortOrder)
     }
 }
 
+/** A merge's output and the window sizes it staged with. */
+struct MergeRun
+{
+    std::vector<std::pair<double, std::uint32_t>> order;
+    double minWindowSeen = 0.0;
+    double maxWindowSeen = 0.0;
+    double finalWindow = 0.0;
+};
+
+MergeRun
+runMerge(std::vector<VecStream> streams, double horizon, double min_window,
+         double max_window)
+{
+    KWayMerge<VecStream> merge(std::move(streams), horizon, min_window,
+                               max_window);
+    MergeRun run;
+    run.minWindowSeen = run.maxWindowSeen = merge.windowMs();
+    while (!merge.empty()) {
+        const auto item = merge.pop();
+        run.order.emplace_back(item.time, item.source);
+        run.minWindowSeen = std::min(run.minWindowSeen, merge.windowMs());
+        run.maxWindowSeen = std::max(run.maxWindowSeen, merge.windowMs());
+    }
+    run.finalWindow = merge.windowMs();
+    return run;
+}
+
+/** The seed order: source-major append, stable sort by time. */
+std::vector<std::pair<double, std::uint32_t>>
+stableSortReference(const std::vector<VecStream> &streams, double horizon)
+{
+    std::vector<std::pair<double, std::uint32_t>> ref;
+    for (std::uint32_t s = 0; s < streams.size(); ++s)
+        for (double t : streams[s].times)
+            if (t < horizon)
+                ref.emplace_back(t, s);
+    std::stable_sort(ref.begin(), ref.end(),
+                     [](const auto &a, const auto &b) {
+                         return a.first < b.first;
+                     });
+    return ref;
+}
+
+/**
+ * Per-source write bursts: each burst starts on a 0.25 ms grid, so
+ * sources tie exactly, and its writes follow 1 us apart, so a bucket
+ * of a batch holds many sources' bursts at once.
+ */
+void
+addBursts(Rng &rng, VecStream &stream, double from, double to,
+          std::size_t bursts, std::size_t burst_len)
+{
+    const auto slots = static_cast<std::uint64_t>((to - from) / 0.25);
+    for (std::size_t b = 0; b < bursts; ++b) {
+        const double start =
+            from + 0.25 * static_cast<double>(rng.uniformInt(slots));
+        const std::size_t len = 1 + rng.uniformInt(burst_len);
+        for (std::size_t i = 0; i < len; ++i)
+            stream.times.push_back(start + 0.001 * static_cast<double>(i));
+    }
+    std::sort(stream.times.begin(), stream.times.end());
+}
+
+TEST(KWayMergeTest, ThousandsOfBurstySourcesMatchStableSort)
+{
+    // Batches of thousands of events with exact cross-source ties:
+    // the bucket pass, crowded buckets and window steering all run.
+    for (std::uint64_t seed : {11u, 12u, 13u}) {
+        Rng rng(seed);
+        std::vector<VecStream> streams(3000);
+        for (VecStream &s : streams)
+            addBursts(rng, s, 0.0, 400.0, 1 + rng.uniformInt(6), 12);
+        const double horizon = 390.0; // cuts some bursts short
+        const auto ref = stableSortReference(streams, horizon);
+        const MergeRun run = runMerge(streams, horizon, 0.5, 64.0);
+        ASSERT_EQ(run.order.size(), ref.size()) << "seed " << seed;
+        EXPECT_GT(ref.size(), 20000u);
+        for (std::size_t i = 0; i < ref.size(); ++i)
+            ASSERT_EQ(run.order[i], ref[i])
+                << "seed " << seed << " event " << i;
+    }
+}
+
+TEST(KWayMergeTest, WindowShrinksToFloorAndGrowsBackToCap)
+{
+    // A dense head (about 16k events per ms) stages far more than the
+    // target at the first window, so the window halves to its floor;
+    // the sparse tail then doubles it back to its cap.
+    Rng rng(21);
+    std::vector<VecStream> streams(4000);
+    for (VecStream &s : streams) {
+        addBursts(rng, s, 0.0, 16.0, 8, 16);
+        for (double t = 16.0 + rng.uniform(0.0, 400.0); t < 3000.0;
+             t += rng.uniform(100.0, 400.0))
+            s.times.push_back(t);
+    }
+    const double horizon = 3000.0;
+    const auto ref = stableSortReference(streams, horizon);
+    const MergeRun run = runMerge(streams, horizon, 1.0, 64.0);
+    ASSERT_EQ(run.order.size(), ref.size());
+    for (std::size_t i = 0; i < ref.size(); ++i)
+        ASSERT_EQ(run.order[i], ref[i]) << "event " << i;
+    EXPECT_EQ(run.minWindowSeen, 1.0);
+    EXPECT_EQ(run.maxWindowSeen, 64.0);
+    EXPECT_EQ(run.finalWindow, 64.0);
+}
+
+TEST(KWayMergeTest, EqualBoundsKeepOneFixedWindow)
+{
+    // min == max: the dense head that resizes an adaptive merge must
+    // leave a fixed window alone, and the order is the same.
+    Rng rng(31);
+    std::vector<VecStream> streams(2000);
+    for (VecStream &s : streams) {
+        addBursts(rng, s, 0.0, 16.0, 8, 16);
+        addBursts(rng, s, 16.0, 500.0, 2, 4);
+    }
+    const double horizon = 500.0;
+    const auto ref = stableSortReference(streams, horizon);
+    const MergeRun fixed = runMerge(streams, horizon, 7.0, 7.0);
+    EXPECT_EQ(fixed.minWindowSeen, 7.0);
+    EXPECT_EQ(fixed.maxWindowSeen, 7.0);
+    ASSERT_EQ(fixed.order, ref);
+    EXPECT_EQ(runMerge(streams, horizon, 0.25, 7.0).order, ref);
+}
+
 TEST(KWayMergeTest, UnsortedStreamPanics)
 {
     std::vector<VecStream> streams(1);
     streams[0].times = {50.0, 20.0};
-    KWayMerge<VecStream> merge(std::move(streams), 1000.0, 100.0);
+    KWayMerge<VecStream> merge(std::move(streams), 1000.0, 100.0, 100.0);
     EXPECT_DEATH(while (!merge.empty()) merge.pop(),
                  "unsorted write stream");
 }

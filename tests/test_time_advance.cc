@@ -330,8 +330,8 @@ TEST(TimeAdvance, TestReadCompletionsCostNoCycle)
     ASSERT_EQ(rig.loop->runUntil(end, driver), end);
 
     double commands = 0.0;
-    for (const auto &[name, count] :
-         rig.loop->controller().channel().stats().entries())
+    const StatGroup channel_stats = rig.loop->controller().channel().stats();
+    for (const auto &[name, count] : channel_stats.entries())
         commands += count;
     EXPECT_GT(readsIssued(*rig.loop), 0.5 * commands);
     EXPECT_LT(static_cast<double>(simulated), 1.1 * commands)

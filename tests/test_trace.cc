@@ -13,6 +13,8 @@
 #include <set>
 #include <sstream>
 
+#include "common/checkpoint.hh"
+#include "common/random.hh"
 #include "common/state_io.hh"
 #include "dram/address_map.hh"
 #include "trace/analyzer.hh"
@@ -634,6 +636,50 @@ TEST(TenantStream, RowsHoldOnlyWhatTheMergeDrewAhead)
     EXPECT_GT(*std::max_element(per_row.begin(), per_row.end()),
               4 * bound);
     EXPECT_LE(stream.peakRowBuffer(), bound);
+}
+
+TEST(TenantStream, SavedCursorBytesPinnedInMemcondConfig)
+{
+    // The tenant stream's saved cursor holds the times its merge drew
+    // ahead of the consumer, so it moves with the merge's window
+    // schedule, and every memcond snapshot carries it. Pin its bytes
+    // in perfbench memcond's config (seed 1, 512 rows, 256 rounds of
+    // 20 us): the in-quota tenant alice (index 0) and the 8x
+    // antagonist mallory (index 3), each saved after a fixed number
+    // of pops. The seeds follow service/tenant.cc's derivation.
+    const std::uint64_t service_seed = hashMix64(std::uint64_t{1} ^ 0x5e41ce);
+    struct Pin
+    {
+        std::size_t tenant;
+        double rateScale;
+        std::size_t pops;
+        std::size_t bytes;
+        std::uint32_t crc;
+    };
+    for (const Pin &pin : {Pin{0, 1.0, 1000, 35412, 0xe9f46041u},
+                           Pin{3, 8.0, 8000, 41558, 0xfd8c232eu}}) {
+        TenantTrafficConfig cfg;
+        cfg.rows = 512;
+        cfg.rateScale = pin.rateScale;
+        cfg.horizonMs =
+            ticksToMs(usToTicks(20.0)).value() * 256.0 * 1.25 + 0.05;
+        cfg.seed = hashMix64(service_seed ^
+                             (0x7e9a37u + pin.tenant * 0x9e3779b9u));
+        TenantWriteStream stream(cfg);
+        Tick at{};
+        std::uint64_t row = 0;
+        for (std::size_t i = 0; i < pin.pops; ++i) {
+            ASSERT_TRUE(stream.peek(&at, &row));
+            stream.pop();
+        }
+        StateWriter out;
+        stream.saveState(out);
+        std::string bytes;
+        for (const std::string &line : std::move(out).take())
+            bytes += line + "\n";
+        EXPECT_EQ(bytes.size(), pin.bytes) << "tenant " << pin.tenant;
+        EXPECT_EQ(ckpt::crc32(bytes), pin.crc) << "tenant " << pin.tenant;
+    }
 }
 
 TEST(TenantStream, MalformedCursorIsAStateError)
