@@ -15,7 +15,7 @@
  *
  *  * The sealed-file format - every durable record file (the
  *    campaign checkpoint "MEMCON-CKPT v2" and the memcond snapshot
- *    "MEMCOND-SVC v3") is CRC32-sealed lines: a "<MAGIC> v<N>"
+ *    "MEMCOND-SVC v4") is CRC32-sealed lines: a "<MAGIC> v<N>"
  *    fingerprint header binding the file to (artifact, seed, point
  *    count, quick flag, label CRC), the record lines, and an
  *    "END count=<lines above> total=<crc of those bytes>" footer.

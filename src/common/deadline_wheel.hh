@@ -76,7 +76,8 @@ class DeadlineWheel
                 slots[static_cast<std::size_t>(cursor)];
             popped += slot.size();
             out.insert(out.end(), slot.begin(), slot.end());
-            slot.clear();
+            // The cursor never comes back to this epoch: free it.
+            slot = std::vector<Entry>();
             ++cursor;
         }
         if (cursor <= now)

@@ -229,6 +229,7 @@ class KWayMerge
                 std::min(static_cast<double>(last + 1) * grid, horizon);
             due.clear();
             wheel.popDue(last, due);
+            peakLive = std::max(peakLive, wheel.size() + due.size());
             // Source-ascending staging order makes (time, seq) the
             // (time, source, index) tie-break of the contract.
             std::sort(due.begin(), due.end(),
@@ -253,7 +254,6 @@ class KWayMerge
                            Pending{t, p.source});
                 ++pushes;
             }
-            peakLive = std::max(peakLive, wheel.size() + due.size());
             sortBatch(static_cast<double>(first) * grid, bound);
             resize(batch.size());
         }

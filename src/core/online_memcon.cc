@@ -679,10 +679,6 @@ OnlineMemcon::saveState(StateWriter &out) const
     out.flag("ro", roScanDone);
     out.tick("qend", nextQuantumEnd);
     out.tick("retarget", nextRetarget);
-    out.tick("cached", cachedNext);
-    out.u64("refusals", idleRefusals);
-    out.u64("rq", idleReadQueue);
-    out.u64("wq", idleWriteQueue);
     out.u64("writes", writeCount);
     out.u64("demotions", demotionCount);
     out.u64("victims", victimRefreshCount);
@@ -729,13 +725,12 @@ OnlineMemcon::loadState(StateReader &in)
     roScanDone = in.flag("ro");
     nextQuantumEnd = in.tick("qend");
     nextRetarget = in.tick("retarget");
-    cachedNext = in.tick("cached");
-    idleRefusals = static_cast<unsigned>(in.u64("refusals", 3));
-    idleReadQueue = in.u64("rq");
-    idleWriteQueue = in.u64("wq");
     writeCount = in.u64("writes");
     demotionCount = in.u64("demotions");
     victimRefreshCount = in.u64("victims");
+    // The next-event cache is not saved: start it empty.
+    cachedNext = Tick{};
+    idleRefusals = 0;
 
     in.line("omq");
     const std::uint64_t columns = geom.columnsPerRow;

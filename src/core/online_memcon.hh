@@ -247,9 +247,9 @@ class OnlineMemcon
      * Save the mechanism's complete state as state record lines
      * (common/state_io.hh): PRIL, the refresh-state maps, every queue
      * and in-flight test, the test slots, the resilience ladder, the
-     * disturb guard, the counters, and the cached next-event bound.
-     * loadState reads them back into an OnlineMemcon built with the
-     * same geometry and config; it does not touch the controller,
+     * disturb guard and the counters; the next-event cache is not
+     * saved. loadState reads them back into an OnlineMemcon built with
+     * the same geometry and config; it does not touch the controller,
      * which saves its own state.
      */
     void saveState(StateWriter &out) const;
@@ -358,9 +358,9 @@ class OnlineMemcon
     Tick nextQuantumEnd;
     Tick nextRetarget;
 
-    // nextEventTick()'s cache: the bound (Tick{} when stale), the
-    // refusals each idle tick draws, and the controller queue sizes a
-    // refused pump was measured against.
+    // nextEventTick()'s cache, never saved: the bound (Tick{} when
+    // stale), the refusals each idle tick draws, and the controller
+    // queue sizes a refused pump was measured against.
     Tick cachedNext{};
     unsigned idleRefusals = 0;
     std::size_t idleReadQueue = 0;

@@ -1,8 +1,6 @@
 #include "dram/channel.hh"
 
 #include <algorithm>
-#include <cmath>
-#include <iterator>
 
 #include "common/logging.hh"
 #include "common/state_io.hh"
@@ -302,7 +300,8 @@ Channel::saveState(StateWriter &out) const
     out.line("banks");
     out.tuples("b", banks, 7);
     out.line("chanstats");
-    out.stats(stats());
+    for (std::size_t c = 0; c < kNumCommands; ++c)
+        out.u64(kCommandNames[c], commandCounts[c]);
 }
 
 void
@@ -338,23 +337,9 @@ Channel::loadState(StateReader &in)
         b.nextWrite = Tick{v[5]};
         b.rowHitStreak = v[6];
     }
-    // Only what a run can reach: a known command, a nonzero count (a
-    // zero one is never written).
     in.line("chanstats");
-    StatGroup saved;
-    in.stats(saved);
-    commandCounts.fill(0);
-    for (const auto &[name, value] : saved.entries()) {
-        const char *const *known =
-            std::find_if(std::begin(kCommandNames), std::end(kCommandNames),
-                         [&name](const char *c) { return name == c; });
-        if (known == std::end(kCommandNames))
-            in.check(false, "holds an unknown command counter '" + name + "'");
-        in.check(value > 0.0 && value < 0x1p53 && value == std::floor(value),
-                 "holds a count that is not a positive integer below 2^53");
-        commandCounts[static_cast<std::size_t>(known - kCommandNames)] =
-            static_cast<std::uint64_t>(value);
-    }
+    for (std::size_t c = 0; c < kNumCommands; ++c)
+        commandCounts[c] = in.u64(kCommandNames[c], 1ull << 53);
 }
 
 } // namespace memcon::dram

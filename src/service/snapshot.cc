@@ -14,7 +14,7 @@ namespace memcon::service
 namespace
 {
 
-const char kSnapshotFormat[] = "MEMCOND-SVC v3";
+const char kSnapshotFormat[] = "MEMCOND-SVC v4";
 
 [[noreturn]] void
 malformed(const char *fmt, ...)

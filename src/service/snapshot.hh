@@ -3,7 +3,7 @@
  * The crash-safe service snapshot: everything memcond needs to resume
  * a SIGKILL'd daemon with bit-identical per-tenant state.
  *
- * The file is a "MEMCOND-SVC v3" sealed file (DESIGN.md §15):
+ * The file is a "MEMCOND-SVC v4" sealed file (DESIGN.md §15):
  * ckpt::SealedWriter writes it and ckpt::readSealedFile() owns the
  * framing - the per-line CRC seal, the CampaignFingerprint header
  * binding the snapshot to one service configuration, and the END

@@ -102,12 +102,19 @@ MemoryController::finishedSilentReads() const
     return n;
 }
 
-StatGroup
-MemoryController::stats() const
+MemoryController::Counters
+MemoryController::foldedCounts() const
 {
     Counters folded = counts;
     for (std::size_t i = 0, n = finishedSilentReads(); i < n; ++i)
         folded.credit(inflight[i]);
+    return folded;
+}
+
+StatGroup
+MemoryController::stats() const
+{
+    const Counters folded = foldedCounts();
     StatGroup group("mc");
     for (const CounterName &c : kCounterNames)
         if (folded.*c.field > 0)
@@ -514,7 +521,6 @@ MemoryController::saveState(StateWriter &out) const
     out.flag("drain", drainingWrites);
     out.f64("red", cfg.refreshReduction);
     out.tick("trefi", effectiveTrefi);
-    out.tick("cached", cachedNext);
     std::vector<std::uint64_t> next;
     for (Tick t : nextRefresh)
         next.push_back(t.value());
@@ -535,7 +541,10 @@ MemoryController::saveState(StateWriter &out) const
     out.tuples("write", writes, kRequestArity);
     out.tuples("inflight", inflights, kRequestArity + 1);
     out.line("mcstats");
-    out.stats(stats());
+    const Counters folded = foldedCounts();
+    for (const CounterName &c : kCounterNames)
+        out.u64(c.name, folded.*c.field);
+    out.f64(kReadLatencyName, folded.readLatencyTicks);
     chan.saveState(out);
 }
 
@@ -550,7 +559,6 @@ MemoryController::loadState(StateReader &in)
     cfg.refreshReduction = reduction;
     effectiveTrefi = in.tick("trefi");
     in.check(effectiveTrefi > Tick{}, "holds a zero refresh interval");
-    cachedNext = in.tick("cached");
     const std::vector<std::uint64_t> next = in.tuples("next");
     in.check(next.size() == nextRefresh.size(),
              "does not hold one refresh deadline per rank");
@@ -576,41 +584,25 @@ MemoryController::loadState(StateReader &in)
         in.tuples("inflight", kRequestArity + 1);
     in.check(v.size() / (kRequestArity + 1) <= cfg.readQueueCapacity,
              "holds more in-flight reads than the read queue holds");
-    // Saved in issue order; a record from before the FIFO may list
-    // them in any order, and completion order is issue order.
-    std::vector<std::pair<std::uint64_t, std::size_t>> order;
-    for (std::size_t i = 0; i < v.size(); i += kRequestArity + 1)
-        order.emplace_back(v[i + kRequestArity], i);
-    std::sort(order.begin(), order.end());
     inflight.clear();
-    for (const auto &[done, i] : order)
-        inflight.pushBack({requestFrom(geom, &v[i], in), Tick{done}});
-    lastTick = Tick{};
-
-    // Only what a run can reach: a known key, a nonzero count (a zero
-    // one is never written).
-    in.line("mcstats");
-    StatGroup saved;
-    in.stats(saved);
-    counts = Counters{};
-    for (const auto &[name, value] : saved.entries()) {
-        if (name == kReadLatencyName) {
-            in.check(std::isfinite(value) && value > 0.0,
-                     "holds a read latency sum that is not finite and "
-                     "positive");
-            counts.readLatencyTicks = value;
-            continue;
-        }
-        const CounterName *known = nullptr;
-        for (const CounterName &c : kCounterNames)
-            if (name == c.name)
-                known = &c;
-        if (!known)
-            in.check(false, "holds an unknown counter '" + name + "'");
-        in.check(value > 0.0 && value < 0x1p53 && value == std::floor(value),
-                 "holds a count that is not a positive integer below 2^53");
-        counts.*known->field = static_cast<std::uint64_t>(value);
+    for (std::size_t i = 0; i < v.size(); i += kRequestArity + 1) {
+        const Tick done{v[i + kRequestArity]};
+        // Issue order is completion order.
+        in.check(inflight.empty() || inflight.back().dataDone <= done,
+                 "holds in-flight reads out of issue order");
+        inflight.pushBack({requestFrom(geom, &v[i], in), done});
     }
+    lastTick = Tick{};
+    cachedNext = Tick{}; // not saved: start it empty
+
+    in.line("mcstats");
+    for (const CounterName &c : kCounterNames)
+        counts.*c.field = in.u64(c.name, 1ull << 53);
+    counts.readLatencyTicks = in.f64(kReadLatencyName);
+    in.check(std::isfinite(counts.readLatencyTicks) &&
+                 !std::signbit(counts.readLatencyTicks),
+             "holds a read latency sum that is not finite and "
+             "non-negative");
     chan.loadState(in);
 }
 

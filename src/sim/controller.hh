@@ -182,12 +182,13 @@ class MemoryController
 
     /**
      * Save the queues, in-flight reads, drain and refresh state, the
-     * next-event cache, the counters and the channel's timing as state
-     * record lines (common/state_io.hh). Queued requests must carry no
-     * completion callback: a closure cannot be saved, so a controller
-     * that holds one panics here. loadState reads the lines back into
-     * a controller built with the same geometry, timing and config,
-     * and refuses an unknown counter or a value no run can reach.
+     * counters and the channel's timing as state record lines
+     * (common/state_io.hh); the next-event cache is not saved. Queued
+     * requests must carry no completion callback: a closure cannot be
+     * saved, so a controller that holds one panics here. loadState
+     * reads the lines back into a controller built with the same
+     * geometry, timing and config, and refuses a value no run can
+     * reach.
      */
     void saveState(StateWriter &out) const;
     void loadState(StateReader &in);
@@ -273,6 +274,9 @@ class MemoryController
      * lastTick and are not yet counted. */
     std::size_t finishedSilentReads() const;
 
+    /** The counters with those silent reads credited. */
+    Counters foldedCounts() const;
+
     /** A request queue and how many of its entries are demand. */
     struct RequestQueue
     {
@@ -327,7 +331,7 @@ class MemoryController
     std::vector<Tick> nextRefresh; //!< per rank
     Tick effectiveTrefi;
 
-    /** nextEventTick()'s cached bound; Tick{} when stale. */
+    /** nextEventTick()'s cached bound; Tick{} when stale. Not saved. */
     Tick cachedNext{};
 
     /** The last tick ticked or skipped over. */

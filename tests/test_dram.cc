@@ -377,28 +377,51 @@ TEST_F(ChannelTest, CommandCountsSurviveStateRoundTrip)
     restored.saveState(again);
     EXPECT_EQ(std::move(again).take(), saved);
 
-    // A count that is not a positive integer below 2^53, or an
-    // unknown command, does not decode. Keys stay in name order.
-    const std::pair<const char *, const char *> bad_records[] = {
-        {"cmd.ACT=4", "cmd.ACT=1.5"},
-        {"cmd.ACT=4", "cmd.ACT=-4"},
-        {"cmd.ACT=4", "cmd.ACT=0"},
-        {"cmd.ACT=4", "cmd.ACT=9007199254740992"},
-        {"cmd.ACT=4", "cmd.ACK=1 cmd.ACT=4"},
-        {"cmd.WRA=1", "cmd.WRA=1 rowHit=4"},
-    };
-    for (const auto &[good, bad] : bad_records) {
+    // Every counter is written, zeros included, in command order. A
+    // count that is not an integer below 2^53, or an unknown, extra or
+    // missing key does not decode.
+    auto replaced = [&saved](const std::string &good, const std::string &bad) {
         std::vector<std::string> record = saved;
         for (std::string &line : record) {
             const std::size_t pos = line.find(good);
             if (pos != std::string::npos)
-                line.replace(pos, std::string(good).size(), bad);
+                line.replace(pos, good.size(), bad);
         }
-        ASSERT_NE(record, saved) << good;
+        EXPECT_NE(record, saved) << good;
+        return record;
+    };
+    const std::pair<const char *, const char *> bad_records[] = {
+        {"cmd.ACT=4", "cmd.ACT=1.5"},
+        {"cmd.ACT=4", "cmd.ACT=-4"},
+        {"cmd.ACT=4", "cmd.ACT=9007199254740992"},
+        {"cmd.ACT=4", "cmd.ACK=4"},
+        {"cmd.ACT=4", "cmd.ACK=1 cmd.ACT=4"},
+        {"cmd.REF=2", "cmd.REF=2 rowHit=4"},
+        {" cmd.WRA=1", ""},
+    };
+    for (const auto &[good, bad] : bad_records) {
+        const std::vector<std::string> record = replaced(good, bad);
         Channel target(geom, timing);
         StateReader bad_in(record);
-        EXPECT_THROW(target.loadState(bad_in), StateError) << bad;
+        EXPECT_THROW(
+            {
+                target.loadState(bad_in);
+                bad_in.finish();
+            },
+            StateError)
+            << bad;
     }
+
+    // A zero count is a record like any other.
+    const std::vector<std::string> zeroed = replaced("cmd.PREA=1", "cmd.PREA=0");
+    Channel target(geom, timing);
+    StateReader zero_in(zeroed);
+    target.loadState(zero_in);
+    zero_in.finish();
+    EXPECT_EQ(target.stats().entries().size(), kNumCommands - 1);
+    StateWriter resaved;
+    target.saveState(resaved);
+    EXPECT_EQ(std::move(resaved).take(), zeroed);
 }
 
 /**

@@ -353,6 +353,7 @@ struct MergeRun
     double minWindowSeen = 0.0;
     double maxWindowSeen = 0.0;
     double finalWindow = 0.0;
+    std::size_t peakLiveSources = 0;
 };
 
 MergeRun
@@ -370,6 +371,7 @@ runMerge(std::vector<VecStream> streams, double horizon, double min_window,
         run.maxWindowSeen = std::max(run.maxWindowSeen, merge.windowMs());
     }
     run.finalWindow = merge.windowMs();
+    run.peakLiveSources = merge.peakLiveSources();
     return run;
 }
 
@@ -423,6 +425,8 @@ TEST(KWayMergeTest, ThousandsOfBurstySourcesMatchStableSort)
         const MergeRun run = runMerge(streams, horizon, 0.5, 64.0);
         ASSERT_EQ(run.order.size(), ref.size()) << "seed " << seed;
         EXPECT_GT(ref.size(), 20000u);
+        // Each live source counts once, however the window stages it.
+        EXPECT_LE(run.peakLiveSources, streams.size()) << "seed " << seed;
         for (std::size_t i = 0; i < ref.size(); ++i)
             ASSERT_EQ(run.order[i], ref[i])
                 << "seed " << seed << " event " << i;

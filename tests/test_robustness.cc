@@ -690,12 +690,13 @@ TEST_P(SealedFile, OtherFormatIsRejectedAtItsHeader)
 TEST_P(SealedFile, V1HeaderIsRejected)
 {
     // Every older version is refused at the header: the checkpoint is
-    // v2, the snapshot v3 (v2 snapshots carried a replay journal).
+    // v2, the snapshot v4 (v2 snapshots carried a replay journal, v3
+    // state records carried next-event caches).
     const std::string current =
-        GetParam() == Format::Checkpoint ? "v2" : "v3";
+        GetParam() == Format::Checkpoint ? "v2" : "v4";
     std::vector<std::string> payloads = recordPayloads(sample());
     ASSERT_EQ(withToken(payloads[0], 1, current), payloads[0]);
-    for (const char *old : {"v1", "v2"}) {
+    for (const char *old : {"v1", "v2", "v3"}) {
         if (current == old)
             continue;
         std::vector<std::string> aged = payloads;

@@ -1022,7 +1022,9 @@ resumedOf(const RunResult &r)
 /**
  * SIGKILL the testbed the instant its round-`kill_at` snapshot is
  * durable, resume it, and hold the resumed digest to both the
- * uninterrupted run and the round-0 journal replay oracle.
+ * uninterrupted run and the round-0 journal replay oracle, and the
+ * resumed run's final snapshot to the uninterrupted run's, byte for
+ * byte.
  */
 void
 killResumeAt(unsigned threads, unsigned kill_at, unsigned every)
@@ -1035,11 +1037,15 @@ killResumeAt(unsigned threads, unsigned kill_at, unsigned every)
                   "--snapshot-every %u --snapshot %s",
                   threads, every, snap.c_str());
 
-    // Uninterrupted reference digest (single-threaded on purpose: the
-    // §9 contract says thread count cannot matter, and the resumed
-    // multi-threaded digest below is held to it).
-    RunResult ref =
-        runTestbed("--tenants 4 --threads 1 --seed 23 --rounds 16");
+    // Uninterrupted reference digest and snapshots (single-threaded on
+    // purpose: the §9 contract says thread count cannot matter, and
+    // the resumed multi-threaded run below is held to it).
+    const std::string ref_snap =
+        scratch(strprintf("t%u_k%u_ref.snap", threads, kill_at));
+    RunResult ref = runTestbed(
+        strprintf("--tenants 4 --threads 1 --seed 23 --rounds 16 "
+                  "--snapshot-every %u --snapshot %s",
+                  every, ref_snap.c_str()));
     ASSERT_TRUE(ref.exitedWith(0)) << ref.err;
 
     RunResult killed =
@@ -1065,7 +1071,11 @@ killResumeAt(unsigned threads, unsigned kill_at, unsigned every)
     EXPECT_TRUE(resumed.exitedWith(0)) << resumed.err;
     EXPECT_EQ(resumedOf(resumed), kill_at);
     EXPECT_EQ(digestOf(resumed), digestOf(ref));
+    const std::string ref_final = slurp(ref_snap);
+    EXPECT_FALSE(ref_final.empty());
+    EXPECT_EQ(slurp(snap), ref_final);
     std::remove(snap.c_str());
+    std::remove(ref_snap.c_str());
 }
 
 /** Kill rounds drawn from a fixed seed, so a failure reproduces. */

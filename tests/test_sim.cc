@@ -135,35 +135,52 @@ TEST_F(ControllerTest, QueueFullCountSurvivesStateRoundTrip)
     restored.recordRefusals(1);
     EXPECT_EQ(restored.stats().value("queueFull"), 43.0);
 
-    // A count that is not a positive integer below 2^53, a latency
-    // sum that is not finite and positive, or an unknown counter does
-    // not decode. The keys stay in name order.
-    const std::pair<const char *, const char *> bad_records[] = {
-        {"queueFull=42", "queueFull=1.5"},
-        {"queueFull=42", "queueFull=-2"},
-        {"queueFull=42", "queueFull=0"},
-        {"enq.read=32", "enq.read=-3.5"},
-        {"enq.read=32", "enq.read=9007199254740992"},
-        {"enq.read=32", "completed.read=-3.5 enq.read=32"},
-        {"enq.read=32", "ecc.bogus=1 enq.read=32"},
-        {"queueFull=42", "queueFull=42 readLatencyTicks=-1"},
-        {"queueFull=42", "queueFull=42 readLatencyTicks=0"},
-        {"queueFull=42", "queueFull=42 readLatencyTicks=inf"},
-        {"queueFull=42", "queueFull=42 readLatencyTicks=nan"},
-        {"queueFull=42", "queueFull=42 zz=1"},
-    };
-    for (const auto &[good, bad] : bad_records) {
+    // Every counter is written, zeros included, in table order. A
+    // count that is not an integer below 2^53, a latency sum that is
+    // not finite and non-negative, or an unknown, extra or missing key
+    // does not decode.
+    auto replaced = [&saved](const std::string &good, const std::string &bad) {
         std::vector<std::string> record = saved;
         for (std::string &line : record) {
             const std::size_t at = line.find(good);
             if (at != std::string::npos)
-                line.replace(at, std::string(good).size(), bad);
+                line.replace(at, good.size(), bad);
         }
-        ASSERT_NE(record, saved);
+        EXPECT_NE(record, saved) << good;
+        return record;
+    };
+    const std::pair<const char *, const char *> bad_records[] = {
+        {"queueFull=42", "queueFull=1.5"},
+        {"queueFull=42", "queueFull=-2"},
+        {"enq.read=32", "enq.read=-3.5"},
+        {"enq.read=32", "enq.read=9007199254740992"},
+        {"enq.read=32", "ecc.bogus=32"},
+        {"enq.read=32", "enq.read=32 ecc.bogus=1"},
+        {" enq.write=0", ""},
+        {"readLatencyTicks=0", "readLatencyTicks=-1"},
+        {"readLatencyTicks=0", "readLatencyTicks=-0"},
+        {"readLatencyTicks=0", "readLatencyTicks=inf"},
+        {"readLatencyTicks=0", "readLatencyTicks=nan"},
+        {"readLatencyTicks=0", "readLatencyTicks=0 zz=1"},
+    };
+    for (const auto &[good, bad] : bad_records) {
+        const std::vector<std::string> record = replaced(good, bad);
         MemoryController target(geom, timing, cfg);
         StateReader bad_in(record);
         EXPECT_THROW(target.loadState(bad_in), StateError) << bad;
     }
+
+    // A zero count is a record like any other.
+    const std::vector<std::string> zeroed =
+        replaced("queueFull=42", "queueFull=0");
+    MemoryController target(geom, timing, cfg);
+    StateReader zero_in(zeroed);
+    target.loadState(zero_in);
+    zero_in.finish();
+    EXPECT_EQ(target.stats().dump().find("queueFull"), std::string::npos);
+    StateWriter resaved;
+    target.saveState(resaved);
+    EXPECT_EQ(std::move(resaved).take(), zeroed);
 }
 
 TEST_F(ControllerTest, UncreditedTestReadSurvivesStateRoundTrip)
@@ -223,11 +240,10 @@ TEST_F(ControllerTest, UncreditedTestReadSurvivesStateRoundTrip)
     EXPECT_EQ(restored.stats().dump(), mc->stats().dump());
 }
 
-TEST_F(ControllerTest, InflightReadsLoadInCompletionOrder)
+TEST_F(ControllerTest, InflightReadsOutOfIssueOrderAreRefused)
 {
-    // The record lists in-flight reads in issue order. One that lists
-    // them otherwise (the swap-remove list of older records) loads in
-    // completion order and re-saves in issue order.
+    // The record lists in-flight reads in issue order, which is
+    // completion order; a list in any other order does not decode.
     Tick now{};
     for (std::uint64_t i = 0; i < 3; ++i) {
         Request r;
@@ -260,12 +276,12 @@ TEST_F(ControllerTest, InflightReadsLoadInCompletionOrder)
     }
     ASSERT_TRUE(found);
     MemoryController restored(geom, timing, cfg);
-    StateReader in(shuffled);
+    StateReader in(saved);
     restored.loadState(in);
     in.finish();
-    StateWriter again;
-    restored.saveState(again);
-    EXPECT_EQ(std::move(again).take(), saved);
+    MemoryController target(geom, timing, cfg);
+    StateReader bad_in(shuffled);
+    EXPECT_THROW(target.loadState(bad_in), StateError);
 }
 
 TEST_F(ControllerTest, RowHitFasterThanRowMiss)

@@ -7,8 +7,10 @@
  * drops the controller's and MEMCON's cached bounds before each tick,
  * so every tick is a full evaluation. At every 10 us boundary the two
  * runs must agree on the controller's and channel's stats dumps
- * (queueFull refusals included), MEMCON's stats and fingerprint, and
- * the set of LO-REF rows.
+ * (queueFull refusals included), MEMCON's stats and fingerprint, the
+ * set of LO-REF rows and, where no queued request carries a completion
+ * callback, the whole ClosedLoop::saveState record: caches are never
+ * saved, so the record is a function of the state alone.
  */
 
 #include <algorithm>
@@ -46,10 +48,16 @@ struct Observation
     std::string memcon;
     std::uint32_t fingerprint = 0;
     std::vector<std::uint64_t> loRows;
+    std::vector<std::string> state; //!< empty unless recorded
 };
 
+/** Whether a rig's state record can be saved: a request with a
+ * completion callback cannot. */
+enum class Record { Yes, No };
+
 Observation
-observe(const core::ClosedLoop &loop, Tick at, std::uint64_t rows)
+observe(const core::ClosedLoop &loop, Tick at, std::uint64_t rows,
+        Record record)
 {
     Observation o;
     o.at = at;
@@ -60,13 +68,19 @@ observe(const core::ClosedLoop &loop, Tick at, std::uint64_t rows)
     for (std::uint64_t r = 0; r < rows; ++r)
         if (loop.memcon().isLoRef(RowId{r}))
             o.loRows.push_back(r);
+    if (record == Record::Yes) {
+        StateWriter out;
+        loop.saveState(out);
+        o.state = std::move(out).take();
+    }
     return o;
 }
 
 /** Tick every cycle, each one a full evaluation of both halves. */
 std::vector<Observation>
 runEveryCycle(core::ClosedLoop &loop, const sim::CycleDriver &driver,
-              Tick tck, Tick horizon, std::uint64_t rows)
+              Tick tck, Tick horizon, std::uint64_t rows,
+              Record record = Record::Yes)
 {
     std::vector<Observation> out;
     Tick next_observe = kObservePeriod;
@@ -81,7 +95,7 @@ runEveryCycle(core::ClosedLoop &loop, const sim::CycleDriver &driver,
         if (driver.afterTick)
             driver.afterTick(now);
         if (now == next_observe) {
-            out.push_back(observe(loop, now, rows));
+            out.push_back(observe(loop, now, rows, record));
             next_observe += kObservePeriod;
         }
     }
@@ -91,12 +105,12 @@ runEveryCycle(core::ClosedLoop &loop, const sim::CycleDriver &driver,
 /** The same horizon through runUntil, one boundary at a time. */
 std::vector<Observation>
 runJumping(core::ClosedLoop &loop, const sim::CycleDriver &driver,
-           Tick horizon, std::uint64_t rows)
+           Tick horizon, std::uint64_t rows, Record record = Record::Yes)
 {
     std::vector<Observation> out;
     for (Tick end = kObservePeriod; end <= horizon; end += kObservePeriod) {
         EXPECT_EQ(loop.runUntil(end, driver), end);
-        out.push_back(observe(loop, end, rows));
+        out.push_back(observe(loop, end, rows, record));
     }
     return out;
 }
@@ -116,6 +130,7 @@ expectSameTrajectory(const std::vector<Observation> &ref,
         ASSERT_EQ(ref[i].fingerprint, jump[i].fingerprint)
             << "at " << us << " us";
         ASSERT_EQ(ref[i].loRows, jump[i].loRows) << "at " << us << " us";
+        ASSERT_EQ(ref[i].state, jump[i].state) << "at " << us << " us";
     }
 }
 
@@ -269,8 +284,6 @@ TEST(TimeAdvance, TestReadCompletionsCreditedBetweenEventsMatchEveryCycle)
     // test RD to a few cycles past its data: the dumps and the state
     // record must read as if every cycle had been a full evaluation of
     // the controller, which completes each read in its own cycle.
-    // (MEMCON's cache stays: its state record holds the queue sizes
-    // its cached bound was taken at.)
     const Tick horizon = usToTicks(150.0);
     SparseRig ref(core::TestMode::ReadAndCompare, false);
     SparseRig jump(core::TestMode::ReadAndCompare, false);
@@ -283,9 +296,11 @@ TEST(TimeAdvance, TestReadCompletionsCreditedBetweenEventsMatchEveryCycle)
     std::uint64_t reads_seen = 0;
     const sim::CycleDriver ref_driver = ref.driver();
     sim::MemoryController &ref_mc = ref.loop->controller();
+    core::OnlineMemcon &ref_om = ref.loop->memcon();
     for (Tick now = tck; now <= horizon; now += tck) {
         ref_driver.beforeTick(now);
         ref_mc.setRefreshReduction(ref_mc.refreshReduction());
+        ref_om.setQuantumStretch(ref_om.quantumStretch());
         ref.loop->tick(now);
         const auto reads = static_cast<std::uint64_t>(readsIssued(*ref.loop));
         if (reads > reads_seen && reads_seen % 100 == 0 &&
@@ -413,9 +428,11 @@ TEST(TimeAdvance, SimpleCoreDriverMatchesEveryCycle)
     CoreRig ref;
     CoreRig jump;
     const std::uint64_t rows = ref.geom.totalRows();
+    // The core's requests carry completion callbacks: no record.
     const auto a = runEveryCycle(*ref.loop, ref.driver(), ref.timing.tCk,
-                                 horizon, rows);
-    const auto b = runJumping(*jump.loop, jump.driver(), horizon, rows);
+                                 horizon, rows, Record::No);
+    const auto b =
+        runJumping(*jump.loop, jump.driver(), horizon, rows, Record::No);
     expectSameTrajectory(a, b);
     EXPECT_EQ(ref.cpu->retiredInsts(), jump.cpu->retiredInsts());
     EXPECT_EQ(ref.cpu->cpuCycles(), jump.cpu->cpuCycles());
