@@ -2,7 +2,9 @@
 
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <sstream>
+#include <utility>
 
 #include "common/logging.hh"
 
@@ -38,6 +40,15 @@ LogHistogram::add(double value, double weight_value)
     weights[b] += weight_value;
     total += 1;
     totalW += weight_value;
+}
+
+void
+LogHistogram::assign(std::vector<std::uint64_t> bucket_counts)
+{
+    counts = std::move(bucket_counts);
+    weights.assign(counts.begin(), counts.end());
+    total = std::accumulate(counts.begin(), counts.end(), std::uint64_t{0});
+    totalW = static_cast<double>(total);
 }
 
 double

@@ -16,7 +16,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace memcon
@@ -55,21 +54,9 @@ class LogHistogram
     /** Total accumulated weight. */
     double totalWeight() const { return totalW; }
 
-    /**
-     * Replace every bucket and both totals (state records restore a
-     * histogram this way; the totals are kept as saved because the
-     * weight total was summed in sample order).
-     */
-    void
-    assign(std::vector<std::uint64_t> bucket_counts,
-           std::vector<double> bucket_weights, std::uint64_t total_count,
-           double total_weight)
-    {
-        counts = std::move(bucket_counts);
-        weights = std::move(bucket_weights);
-        total = total_count;
-        totalW = total_weight;
-    }
+    /** Replace the buckets with counts of unit-weight samples, one
+     * per bucket; the weights and totals follow from them. */
+    void assign(std::vector<std::uint64_t> bucket_counts);
 
     /** Render "low count pct weight-pct" rows for inspection. */
     std::string format(const std::string &unit) const;

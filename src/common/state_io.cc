@@ -1,6 +1,7 @@
 #include "common/state_io.hh"
 
 #include <charconv>
+#include <cmath>
 
 #include "common/logging.hh"
 
@@ -11,6 +12,9 @@ namespace
 {
 
 const char kHexDigits[] = "0123456789abcdef";
+
+/** Counters are integers a double holds exactly. */
+constexpr std::uint64_t kCountLimit = 1ull << 53;
 
 void
 appendU64(std::string &out, std::uint64_t value)
@@ -28,21 +32,25 @@ appendF64(std::string &out, double value)
     out.append(buf, res.ptr);
 }
 
-/** The whole of `text` as a decimal u64, or false. */
+/** The whole of `text` as a decimal u64 in the writer's form (no
+ * sign, no leading zero), or false. */
 bool
 parseU64(std::string_view text, std::uint64_t *out)
 {
     const char *end = text.data() + text.size();
     const auto res = std::from_chars(text.data(), end, *out);
-    return !text.empty() && res.ec == std::errc{} && res.ptr == end;
+    return !text.empty() && res.ec == std::errc{} && res.ptr == end &&
+           (text[0] != '0' || text.size() == 1);
 }
 
+/** The whole of `text` as a finite double, or false. */
 bool
 parseF64(std::string_view text, double *out)
 {
     const char *end = text.data() + text.size();
     const auto res = std::from_chars(text.data(), end, *out);
-    return !text.empty() && res.ec == std::errc{} && res.ptr == end;
+    return !text.empty() && res.ec == std::errc{} && res.ptr == end &&
+           std::isfinite(*out);
 }
 
 /** Split off the part of `text` before `sep` (all of it if absent). */
@@ -143,7 +151,11 @@ StateWriter::stats(const StatGroup &group)
     for (const auto &[name, value] : group.entries()) {
         panic_if(name.find_first_of(" =") != std::string::npos,
                  "stat name '%s' cannot be a state key", name.c_str());
-        f64(name.c_str(), value);
+        panic_if(!(value >= 0.0 &&
+                   value < static_cast<double>(kCountLimit)) ||
+                     value != std::floor(value),
+                 "counter '%s'=%g is not a count", name.c_str(), value);
+        u64(name.c_str(), static_cast<std::uint64_t>(value));
     }
 }
 
@@ -237,9 +249,10 @@ StateReader::bits(const char *key, BitVector &out)
 {
     const std::string_view text = value(key);
     const std::size_t words = (out.size() + 63) / 64;
-    if (text.size() != words * 16)
-        fail(strprintf("'%s' holds %zu hex digits, expected %zu", key,
-                       text.size(), words * 16));
+    if (text.size() != words * 16 ||
+        text.find_first_not_of(kHexDigits) != std::string_view::npos)
+        fail(strprintf("'%s' is not %zu lowercase hex digits", key,
+                       words * 16));
     out.clearAll();
     for (std::size_t w = 0; w < words; ++w) {
         std::uint64_t word = 0;
@@ -261,13 +274,15 @@ std::vector<std::uint64_t>
 StateReader::tuples(const char *key, std::size_t arity, std::uint64_t limit)
 {
     std::string_view text = value(key);
+    if (!text.empty() && text.back() == ',')
+        fail(std::string("'") + key + "' ends in a comma");
     std::vector<std::uint64_t> out;
     while (!text.empty()) {
         std::string_view item = splitOff(text, ',');
         for (std::size_t i = 0; i < arity; ++i) {
             std::uint64_t v = 0;
-            if (item.empty() || !parseU64(splitOff(item, ':'), &v) ||
-                v >= limit)
+            if (item.empty() || item.back() == ':' ||
+                !parseU64(splitOff(item, ':'), &v) || v >= limit)
                 fail(strprintf("'%s' holds a bad %zu-tuple", key, arity));
             out.push_back(v);
         }
@@ -282,6 +297,8 @@ std::vector<double>
 StateReader::reals(const char *key)
 {
     std::string_view text = value(key);
+    if (!text.empty() && text.back() == ',')
+        fail(std::string("'") + key + "' ends in a comma");
     std::vector<double> out;
     while (!text.empty()) {
         double v = 0.0;
@@ -299,12 +316,12 @@ StateReader::stats(StatGroup &group)
     while (!rest.empty()) {
         std::string_view token = splitOff(rest, ' ');
         const std::string name(splitOff(token, '='));
-        double v = 0.0;
-        if (name.empty() || !parseF64(token, &v))
+        std::uint64_t v = 0;
+        if (name.empty() || !parseU64(token, &v) || v >= kCountLimit)
             fail("bad counter token for '" + name + "'");
         if (!values.empty() && !(values.rbegin()->first < name))
             fail("counter '" + name + "' is out of order");
-        values.emplace(name, v);
+        values.emplace(name, static_cast<double>(v));
     }
     group.assign(std::move(values));
 }

@@ -10,13 +10,14 @@
  *
  *   mc drain=0 trefi=6240 red=0.5 next=6240,6240
  *
- * Values are typed by the call that reads them: an unsigned integer,
- * a flag (0/1), a double (shortest round-trip form, so decode then
- * encode reproduces the bytes), a bit vector (fixed-width hex words),
- * or a comma-separated list of unsigned tuples whose elements are
- * joined by ':'. A list carries no count: the reader appends element
- * by element, so nothing in a record sizes an allocation before the
- * values it claims are there.
+ * Values are typed by the call that reads them: an unsigned integer
+ * (decimal, no sign, no leading zero), a flag (0/1), a finite double
+ * (shortest round-trip form, so decode then encode reproduces the
+ * bytes), a bit vector (fixed-width lowercase hex words), or a
+ * comma-separated list of unsigned tuples whose elements are joined by
+ * ':'. A list has no trailing comma and carries no count: the reader
+ * appends element by element, so nothing in a record sizes an
+ * allocation before the values it claims are there.
  *
  * The encoding is history-independent by contract: a component writes
  * its logical state (sets in ascending order, maps by key), never a
@@ -77,7 +78,8 @@ class StateWriter
     /** Doubles, comma-separated. */
     void reals(const char *key, const std::vector<double> &values);
 
-    /** One `name=value` token per counter of `group`, by name. */
+    /** One `name=value` token per counter of `group`, by name; every
+     * value must be a non-negative integer below 2^53. */
     void stats(const StatGroup &group);
 
     /** The lines written so far. */
@@ -117,7 +119,8 @@ class StateReader
 
     std::vector<double> reals(const char *key);
 
-    /** The rest of the line as `name=value` counters. */
+    /** The rest of the line as `name=value` counters, each a
+     * non-negative integer below 2^53. */
     void stats(StatGroup &group);
 
     /** Fail unless `ok`, naming the line being read. */

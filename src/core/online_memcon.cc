@@ -456,23 +456,6 @@ OnlineMemcon::stateFingerprint() const
     return crc.value();
 }
 
-std::string
-OnlineMemcon::describeState(std::uint32_t fingerprint) const
-{
-    return strprintf(
-        "fp=%08x writes=%llu lo=%llu quanta=%u tests=%llu/%llu/%llu/%llu "
-        "demotions=%llu pending=%zu active=%zu",
-        fingerprint,
-        static_cast<unsigned long long>(writeCount),
-        static_cast<unsigned long long>(loCount), quantaSeen,
-        static_cast<unsigned long long>(engine.testsStarted()),
-        static_cast<unsigned long long>(engine.testsPassed()),
-        static_cast<unsigned long long>(engine.testsFailed()),
-        static_cast<unsigned long long>(engine.testsAborted()),
-        static_cast<unsigned long long>(demotionCount),
-        pendingCandidates.size(), activeTests.size());
-}
-
 double
 OnlineMemcon::loRefFraction() const
 {

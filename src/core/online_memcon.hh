@@ -255,15 +255,6 @@ class OnlineMemcon
     void saveState(StateWriter &out) const;
     void loadState(StateReader &in);
 
-    /** Human-readable fingerprint context for mismatch diagnostics. */
-    std::string describeState() const
-    {
-        return describeState(stateFingerprint());
-    }
-
-    /** The same, for a caller that already holds stateFingerprint(). */
-    std::string describeState(std::uint32_t fingerprint) const;
-
     // Statistics.
     std::uint64_t testsStarted() const { return engine.testsStarted(); }
     std::uint64_t testsPassed() const { return engine.testsPassed(); }

@@ -277,6 +277,9 @@ Memcond::runRounds()
 void
 Memcond::restoreSnapshot(const ServiceSnapshot &snap)
 {
+    // The label CRC covers every tenant's name in order, so a renamed
+    // or reordered tenant set is refused here, before any record is
+    // read; each restore then checks its tenant's fingerprint.
     ckpt::requireFingerprintMatch(snap.fingerprint, fingerprint());
     if (snap.roundsDone > cfg.rounds)
         throw ServiceError(strprintf(
@@ -284,36 +287,16 @@ Memcond::restoreSnapshot(const ServiceSnapshot &snap)
             (unsigned long long)snap.roundsDone,
             (unsigned long long)cfg.rounds));
 
-    const std::size_t n = sessions.size();
-    for (std::size_t i = 0; i < n; ++i) {
-        const TenantSnapshotRecord &t = snap.tenants[i];
-        if (t.name != specs[i].name)
-            throw ServiceError(strprintf(
-                "snapshot tenant %zu is '%s', the service's is '%s'", i,
-                t.name.c_str(), specs[i].name.c_str()));
+    for (std::size_t i = 0; i < sessions.size(); ++i) {
         try {
-            sessions[i]->restore(t, cfg.roundTicks * snap.roundsDone);
+            sessions[i]->restore(snap.tenants[i],
+                                 cfg.roundTicks * snap.roundsDone);
         } catch (const StateError &e) {
             throw ServiceError(strprintf("tenant '%s' does not restore: %s",
                                          specs[i].name.c_str(), e.what()));
         }
-        lastOffered[i] = t.lastOffered;
     }
-
-    // The gate: every restored mechanism must match the snapshot
-    // bit-for-bit, or the resume is refused with both sides named.
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::uint32_t found = sessions[i]->stateFingerprint();
-        if (found != snap.tenants[i].fingerprint)
-            throw ServiceError(strprintf(
-                "tenant '%s' diverged from its snapshot on restore\n"
-                "  found:    %s\n"
-                "  expected: fp=%08x %s",
-                specs[i].name.c_str(),
-                sessions[i]->memcon().describeState().c_str(),
-                snap.tenants[i].fingerprint,
-                snap.tenants[i].describe.c_str()));
-    }
+    lastOffered = snap.lastOffered;
 
     governor.restore(snap.stage, snap.calmStreak, snap.escalations,
                      snap.relaxations);
@@ -354,24 +337,10 @@ Memcond::snapshotState() const
     s.throttles = admission.throttleCount();
     s.rejects = admission.rejectCount();
 
-    s.tenants.resize(sessions.size());
-    for (std::size_t i = 0; i < sessions.size(); ++i) {
-        TenantSnapshotRecord &t = s.tenants[i];
-        const TenantSession &ses = *sessions[i];
-        t.name = specs[i].name;
-        t.generated = ses.generatedCount();
-        t.droppedBackpressure = ses.droppedBackpressure();
-        t.droppedShed = ses.droppedShed();
-        t.throttledTicks = ses.throttledTicks();
-        t.lastOffered = lastOffered[i];
-        t.fingerprint = ses.stateFingerprint();
-        t.describe = ses.memcon().describeState(t.fingerprint);
-        t.residue = ses.ringResidue();
-        t.hasHeld = ses.hasHeldEvent();
-        t.held = ses.heldEvent();
-        t.heldSince = ses.heldSince();
-        t.state = ses.saveState();
-    }
+    s.lastOffered = lastOffered;
+    s.tenants.reserve(sessions.size());
+    for (const auto &ses : sessions)
+        s.tenants.push_back(ses->saveState());
     for (GovernorStage stage : stages) {
         if (s.stageRuns.empty() || s.stageRuns.back().stage != stage)
             s.stageRuns.push_back(StageRun{stage, 0});

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "common/logging.hh"
 #include "common/random.hh"
@@ -326,70 +327,97 @@ std::vector<std::string>
 TenantSession::saveState() const
 {
     StateWriter out;
+    out.line(kTenantRecordTag);
+    out.u64("gen", generated);
+    out.u64("dbp", droppedBp);
+    out.u64("dsh", droppedShedEv);
+    out.u64("thr", throttledTk);
+    out.u64("fp", stateFingerprint());
+    std::vector<std::uint64_t> residue;
+    for (const WriteEvent &ev : ring.contents())
+        residue.insert(residue.end(), {ev.at.value(), ev.row});
+    out.tuples("ring", residue, 2);
+    std::vector<std::uint64_t> held_event;
+    if (held)
+        held_event = {heldEv.at.value(), heldEv.row, holdSince.value()};
+    out.tuples("held", held_event, 3);
     loop.saveState(out);
     out.line("ingest");
     out.u64("applied", applied);
     std::vector<std::uint64_t> counts;
-    std::vector<double> weights;
-    for (std::size_t i = 0; i < latency.numBuckets(); ++i) {
+    for (std::size_t i = 0; i < latency.numBuckets(); ++i)
         counts.push_back(latency.count(i));
-        weights.push_back(latency.weight(i));
-    }
     out.tuples("lat", counts);
-    out.reals("latw", weights);
-    out.u64("n", latency.totalCount());
-    out.f64("w", latency.totalWeight());
     stream.saveState(out);
     return std::move(out).take();
 }
 
+std::uint32_t
+TenantSession::loadTenantLine(StateReader &in)
+{
+    in.line(kTenantRecordTag);
+    generated = in.u64("gen");
+    droppedBp = in.u64("dbp");
+    droppedShedEv = in.u64("dsh");
+    throttledTk = in.u64("thr");
+    const auto fingerprint =
+        static_cast<std::uint32_t>(in.u64("fp", 1ull << 32));
+    const std::vector<std::uint64_t> residue = in.tuples("ring", 2);
+    for (std::size_t i = 0; i < residue.size(); i += 2)
+        in.check(residue[i + 1] < geom.totalRows() &&
+                     ring.tryPush({Tick{residue[i]}, residue[i + 1]}) ==
+                         PushResult::Ok,
+                 "holds ring residue past the module or the ring");
+    const std::vector<std::uint64_t> ev = in.tuples("held", 3);
+    in.check(ev.size() <= 3 && (ev.empty() || ev[1] < geom.totalRows()),
+             "holds more than one held event, or one past the module");
+    held = !ev.empty();
+    if (held) {
+        heldEv = WriteEvent{Tick{ev[0]}, ev[1]};
+        holdSince = Tick{ev[2]};
+    }
+    return fingerprint;
+}
+
 void
-TenantSession::restore(const TenantSnapshotRecord &rec, Tick round_end)
+TenantSession::restore(const std::vector<std::string> &record, Tick round_end)
 {
     panic_if(generated != 0 || loop.lastTick() != Tick{},
              "restore() needs a freshly constructed session");
-    StateReader in(rec.state);
+    StateReader in(record);
+    const std::uint32_t expected = loadTenantLine(in);
     loop.loadState(in);
     in.check(loop.lastTick() == round_end,
              "holds a module that is not at its round's end");
     in.line("ingest");
     applied = in.u64("applied");
+    // Every applied event added one latency sample of weight 1, so
+    // the counts sum to applied and the weights follow from them.
     std::vector<std::uint64_t> counts = in.tuples("lat");
-    std::vector<double> weights = in.reals("latw");
-    const std::uint64_t total = in.u64("n");
-    const double total_weight = in.f64("w");
-    std::uint64_t sum = 0;
-    for (std::uint64_t c : counts)
-        sum += c;
     in.check(counts.size() == latency.numBuckets() &&
-                 weights.size() == latency.numBuckets() && sum == total,
-             "holds a malformed latency histogram");
-    latency.assign(std::move(counts), std::move(weights), total,
-                   total_weight);
+                 std::accumulate(counts.begin(), counts.end(),
+                                 std::uint64_t{0}) == applied,
+             "holds a latency histogram that does not count the applied "
+             "events");
+    latency.assign(std::move(counts));
     stream.loadState(in);
     in.finish();
 
-    in.check(stream.generated() == rec.generated,
+    in.check(stream.generated() == generated,
              "holds a stream cursor at another event than its tenant line");
-    generated = rec.generated;
-    droppedBp = rec.droppedBackpressure;
-    droppedShedEv = rec.droppedShed;
-    throttledTk = rec.throttledTicks;
-    for (const WriteEvent &ev : rec.residue)
-        in.check(ring.tryPush(ev) == PushResult::Ok,
-                 "holds more ring residue than the ring holds");
-    held = rec.hasHeld;
-    heldEv = rec.held;
-    holdSince = rec.heldSince;
-    for (const WriteEvent &ev : rec.residue)
-        in.check(ev.row < geom.totalRows(), "holds a residue row past the "
-                                            "module");
-    in.check(!held || heldEv.row < geom.totalRows(),
-             "holds a held row past the module");
     // The accounting identity holds at every round boundary.
     in.check(generated == applied + droppedBp + droppedShedEv +
-                              rec.residue.size() + (held ? 1 : 0),
+                              ring.size() + (held ? 1 : 0),
              "breaks generated = applied + drops + backlog + held");
+
+    // The gate: the restored mechanism must match the record bit for
+    // bit, or the resume is refused with both sides named.
+    const std::uint32_t found = stateFingerprint();
+    if (found != expected)
+        throw ServiceError(strprintf(
+            "tenant '%s' diverged from its snapshot on restore: found "
+            "fp=%08x, expected fp=%08x",
+            tenantSpec.name.c_str(), found, expected));
 }
 
 } // namespace memcon::service

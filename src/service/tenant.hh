@@ -26,13 +26,14 @@
  *
  * Crash restore is a load, not a replay: saveState() writes the
  * session's complete state as state record lines (common/state_io.hh)
- * - the controller's queues, in-flight reads and bank timing,
- * OnlineMemcon's PRIL maps, queues, test slots, resilience ladder and
- * disturb guard, the ingest counters and latency histogram, and the
- * write stream's per-row cursor - and restore() puts a freshly built
- * session back into exactly that state from a snapshot record,
- * simulating no cycle and drawing no event. The service then checks
- * the restored OnlineMemcon fingerprint against the recorded one.
+ * - the producer counters, ring residue and held event with the
+ * OnlineMemcon fingerprint, the controller's queues, in-flight reads
+ * and bank timing, OnlineMemcon's PRIL maps, queues, test slots,
+ * resilience ladder and disturb guard, the ingest counters and latency
+ * histogram, and the write stream's per-row cursor - and restore()
+ * puts a freshly built session back into exactly that state,
+ * simulating no cycle and drawing no event, then checks the restored
+ * OnlineMemcon fingerprint against the recorded one.
  */
 
 #ifndef MEMCON_SERVICE_TENANT_HH
@@ -179,12 +180,6 @@ class TenantSession
     std::uint64_t ringBacklog() const { return ring.size(); }
 
     bool hasHeldEvent() const { return held; }
-    const WriteEvent &heldEvent() const { return heldEv; }
-    Tick heldSince() const { return holdSince; }
-
-    /** Copy the ring's current contents, front to back (snapshot
-     * residue capture; the events stay queued). */
-    std::vector<WriteEvent> ringResidue() const { return ring.contents(); }
 
     /** The events this tenant applied in its last round, in apply
      * order. */
@@ -228,19 +223,25 @@ class TenantSession
     std::uint64_t streamEventsDrawn() const { return stream.eventsDrawn(); }
 
     // --- crash restore ------------------------------------------------
-    /** The state record lines of the session (everything a snapshot
-     * record's T, R and H lines do not carry). */
+    /** The session's state record: its kTenantRecordTag line, then
+     * the module's, the ingest and the stream's lines. */
     std::vector<std::string> saveState() const;
 
     /**
-     * Put a freshly constructed session into the state `record` holds
-     * (its T/R/H fields and its state lines), saved at the end of the
-     * round that ends at `round_end`. Throws StateError on a malformed
-     * or inconsistent record; the session is then unusable.
+     * Put a freshly constructed session into the state `record` holds,
+     * saved at the end of the round that ends at `round_end`. Throws
+     * StateError on a malformed or inconsistent record, and
+     * ServiceError naming the tenant and both values when the restored
+     * OnlineMemcon fingerprint is not the recorded one; the session is
+     * then unusable.
      */
-    void restore(const TenantSnapshotRecord &record, Tick round_end);
+    void restore(const std::vector<std::string> &record, Tick round_end);
 
   private:
+    /** Read the record's tenant line into the producer side and the
+     * ring; returns the recorded OnlineMemcon fingerprint. */
+    std::uint32_t loadTenantLine(StateReader &in);
+
     void applyDirectives(const RoundDirectives &directives);
     void produceCycle(Tick now, const RoundDirectives &directives);
     void consumeCycle(Tick now, std::uint64_t &budget_left);

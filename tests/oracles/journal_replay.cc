@@ -3,6 +3,7 @@
 #include <cstdio>
 
 #include "common/logging.hh"
+#include "common/state_io.hh"
 
 namespace memcon::oracles
 {
@@ -112,25 +113,17 @@ JournalReplay::replay(Memcond &svc,
             replayRound(*svc.sessions[i], journal[r][i],
                         svc.cfg.roundTicks * r, svc.cfg.roundTicks * (r + 1));
 
-    // The producer side comes from the snapshot, the stream position
+    // The producer side comes from each record's tenant line - the
+    // module lines after it are never read - and the stream position
     // by popping every event the tenant generated.
     for (std::size_t i = 0; i < n; ++i) {
         TenantSession &s = *svc.sessions[i];
-        const TenantSnapshotRecord &t = snap.tenants[i];
-        for (std::uint64_t k = 0; k < t.generated; ++k)
+        StateReader in(snap.tenants[i]);
+        s.loadTenantLine(in);
+        for (std::uint64_t k = 0; k < s.generated; ++k)
             s.stream.pop();
-        s.generated = t.generated;
-        s.droppedBp = t.droppedBackpressure;
-        s.droppedShedEv = t.droppedShed;
-        s.throttledTk = t.throttledTicks;
-        for (const WriteEvent &ev : t.residue)
-            panic_if(s.ring.tryPush(ev) != PushResult::Ok,
-                     "replay: snapshot residue exceeds the ring");
-        s.held = t.hasHeld;
-        s.heldEv = t.held;
-        s.holdSince = t.heldSince;
-        svc.lastOffered[i] = t.lastOffered;
     }
+    svc.lastOffered = snap.lastOffered;
     svc.governor.restore(snap.stage, snap.calmStreak, snap.escalations,
                          snap.relaxations);
     svc.admission.restoreCounters(snap.admits, snap.throttles, snap.rejects);

@@ -8,12 +8,13 @@
  * every journaled round from round 0: the applied events were
  * pre-pushed into a fresh ring and the consumer ran them into the
  * module with the producer off; the producer side (counters, ring
- * residue, held event) came from the snapshot, and each write stream
- * was fast-forwarded by popping every event it had generated. Its
- * cost grows with uptime, which is why it left the service; as an
- * oracle it rebuilds the same state along an independent path - it
- * never reads a state record's module lines - so a restore that
- * drifts from the live run shows up as a difference here.
+ * residue, held event) came from each tenant record's `tenant` line,
+ * and each write stream was fast-forwarded by popping every event it
+ * had generated. Its cost grows with uptime, which is why it left the
+ * service; as an oracle it rebuilds the same state along an
+ * independent path - it never reads a state record's module lines -
+ * so a restore that drifts from the live run shows up as a difference
+ * here.
  *
  * record() runs a service live and journals it; replay() rebuilds a
  * fresh service from such a journal and the snapshot taken at its

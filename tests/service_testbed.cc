@@ -144,9 +144,7 @@ main(int argc, char **argv)
             Memcond svc(plain, specs);
             oracles::JournalReplay::replay(svc, rec.journal, snap);
             for (std::size_t i = 0; i < svc.tenantCount(); ++i) {
-                if (svc.tenant(i).saveState() != snap.tenants[i].state ||
-                    svc.tenant(i).stateFingerprint() !=
-                        snap.tenants[i].fingerprint) {
+                if (svc.tenant(i).saveState() != snap.tenants[i]) {
                     std::fprintf(stderr,
                                  "oracle: tenant %zu replays to another "
                                  "state than its snapshot record\n",

@@ -2,12 +2,14 @@
  * @file
  * Unit and property tests for the common substrate: logging helpers,
  * the deterministic RNG and its samplers, BitVector, LogHistogram,
- * least-squares fitting, and the table printer.
+ * the state record codec, least-squares fitting, and the table
+ * printer.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <set>
 
 #include "bitvector_helpers.hh"
@@ -16,6 +18,8 @@
 #include "common/linear_fit.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
+#include "common/state_io.hh"
+#include "common/stats.hh"
 #include "common/table.hh"
 #include "common/units.hh"
 
@@ -385,6 +389,299 @@ TEST(LogHistogram, FormatListsNonEmptyBuckets)
     std::string s = h.format("ms");
     EXPECT_NE(s.find("ms"), std::string::npos);
     EXPECT_NE(s.find("n="), std::string::npos);
+}
+
+TEST(LogHistogram, AssignRebuildsWeightsAndTotalsFromCounts)
+{
+    // Unit-weight samples: assigning the counts restores what adding
+    // the samples built, weights and totals included.
+    LogHistogram live(10);
+    for (double v : {0.5, 3.0, 3.5, 700.0, 1e9})
+        live.add(v);
+    std::vector<std::uint64_t> counts;
+    for (std::size_t i = 0; i < live.numBuckets(); ++i)
+        counts.push_back(live.count(i));
+    LogHistogram back(10);
+    back.assign(counts);
+    EXPECT_EQ(back.totalCount(), 5u);
+    EXPECT_EQ(back.totalWeight(), live.totalWeight());
+    for (std::size_t i = 0; i < live.numBuckets(); ++i)
+        EXPECT_EQ(back.weight(i), live.weight(i)) << "bucket " << i;
+    EXPECT_EQ(back.format("ticks"), live.format("ticks"));
+}
+
+// ---------------------------------------------------------------------
+// StateIo: the state record codec every component saves through.
+// Restore then save must be the identity, so the reader accepts a
+// value only in the one form the writer produces.
+// ---------------------------------------------------------------------
+
+/** True if reading `lines` with `read`, then finish(), throws
+ *  StateError; any other exception fails the test. */
+bool
+rejects(const std::vector<std::string> &lines,
+        const std::function<void(StateReader &)> &read)
+{
+    StateReader in(lines);
+    try {
+        read(in);
+        in.finish();
+    } catch (const StateError &) {
+        return true;
+    }
+    return false;
+}
+
+/** rejects() for the one-field line "x v=<value>". */
+bool
+fieldRejected(const std::string &value,
+              const std::function<void(StateReader &)> &read)
+{
+    return rejects({"x v=" + value}, [&read](StateReader &in) {
+        in.line("x");
+        read(in);
+    });
+}
+
+void
+readU64(StateReader &in)
+{
+    in.u64("v");
+}
+
+void
+readTuples(StateReader &in)
+{
+    in.tuples("v");
+}
+
+void
+readPairs(StateReader &in)
+{
+    in.tuples("v", 2);
+}
+
+void
+readReals(StateReader &in)
+{
+    in.reals("v");
+}
+
+void
+readF64(StateReader &in)
+{
+    in.f64("v");
+}
+
+TEST(StateIo, EveryFieldKindRoundTrips)
+{
+    BitVector bits(70);
+    bits.set(0);
+    bits.set(63);
+    bits.set(69);
+    StatGroup group("g");
+    group.inc("a.count", 3);
+    group.inc("b", 1000000);
+    group.inc("c", 9007199254740991ull); // 2^53 - 1
+    StateWriter out;
+    out.line("kinds");
+    out.u64("u", ~0ull);
+    out.tick("t", Tick{40000});
+    out.flag("f", true);
+    out.f64("d", 0.1);
+    out.bits("b", bits);
+    out.tuples("one", {0, 7, 12});
+    out.tuples("pairs", {1, 2, 3, 4}, 2);
+    out.tuples("none", {}, 3);
+    out.reals("r", {0.25, -1.5, 1e-300});
+    out.line("counts");
+    out.stats(group);
+    const std::vector<std::string> lines = std::move(out).take();
+    ASSERT_EQ(lines.size(), 2u);
+    EXPECT_EQ(lines[0], "kinds u=18446744073709551615 t=40000 f=1 d=0.1 "
+                        "b=80000000000000010000000000000020 one=0,7,12 "
+                        "pairs=1:2,3:4 none= r=0.25,-1.5,1e-300");
+    EXPECT_EQ(lines[1], "counts a.count=3 b=1000000 c=9007199254740991");
+
+    StateReader in(lines);
+    in.line("kinds");
+    const std::uint64_t u = in.u64("u");
+    const Tick t = in.tick("t");
+    const bool f = in.flag("f");
+    const double d = in.f64("d");
+    BitVector bits_back(70);
+    in.bits("b", bits_back);
+    const std::vector<std::uint64_t> one = in.tuples("one");
+    const std::vector<std::uint64_t> pairs = in.tuples("pairs", 2);
+    const std::vector<std::uint64_t> none = in.tuples("none", 3);
+    const std::vector<double> reals = in.reals("r");
+    in.line("counts");
+    StatGroup group_back("g");
+    in.stats(group_back);
+    in.finish();
+    EXPECT_EQ(group_back.entries(), group.entries());
+    EXPECT_EQ(bits_back.count(), 3u);
+
+    // Restore then save is the identity.
+    StateWriter again;
+    again.line("kinds");
+    again.u64("u", u);
+    again.tick("t", t);
+    again.flag("f", f);
+    again.f64("d", d);
+    again.bits("b", bits_back);
+    again.tuples("one", one);
+    again.tuples("pairs", pairs, 2);
+    again.tuples("none", none, 3);
+    again.reals("r", reals);
+    again.line("counts");
+    again.stats(group_back);
+    EXPECT_EQ(std::move(again).take(), lines);
+}
+
+TEST(StateIo, ListsRejectATrailingOrEmptyElement)
+{
+    EXPECT_FALSE(fieldRejected("1,2", readTuples));
+    EXPECT_TRUE(fieldRejected("1,2,", readTuples));
+    EXPECT_TRUE(fieldRejected(",1", readTuples));
+    EXPECT_TRUE(fieldRejected("1,,2", readTuples));
+    EXPECT_TRUE(fieldRejected(",", readTuples));
+
+    EXPECT_FALSE(fieldRejected("1:2,3:4", readPairs));
+    EXPECT_TRUE(fieldRejected("1:2,3:4,", readPairs));
+    EXPECT_TRUE(fieldRejected("1:2:", readPairs));
+    EXPECT_TRUE(fieldRejected("1:2:3", readPairs));
+    EXPECT_TRUE(fieldRejected("1:", readPairs));
+    EXPECT_TRUE(fieldRejected("1", readPairs));
+    EXPECT_TRUE(fieldRejected("1,2", readPairs));
+
+    EXPECT_FALSE(fieldRejected("0.5,2", readReals));
+    EXPECT_TRUE(fieldRejected("0.5,2,", readReals));
+    EXPECT_TRUE(fieldRejected("0.5,,2", readReals));
+}
+
+TEST(StateIo, IntegersRejectAnyOtherForm)
+{
+    EXPECT_FALSE(fieldRejected("0", readU64));
+    EXPECT_FALSE(fieldRejected("700", readU64));
+    EXPECT_TRUE(fieldRejected("007", readU64));
+    EXPECT_TRUE(fieldRejected("00", readU64));
+    EXPECT_TRUE(fieldRejected("+7", readU64));
+    EXPECT_TRUE(fieldRejected("-7", readU64));
+    EXPECT_TRUE(fieldRejected("7x", readU64));
+    EXPECT_TRUE(fieldRejected("", readU64));
+    EXPECT_TRUE(fieldRejected("18446744073709551616", readU64));
+    EXPECT_TRUE(fieldRejected("1,07", readTuples));
+    EXPECT_TRUE(fieldRejected("1:07", readPairs));
+
+    // Bounded values.
+    EXPECT_FALSE(fieldRejected("4", [](StateReader &in) { in.u64("v", 5); }));
+    EXPECT_TRUE(fieldRejected("5", [](StateReader &in) { in.u64("v", 5); }));
+    EXPECT_TRUE(fieldRejected("2", [](StateReader &in) { in.flag("v"); }));
+    EXPECT_TRUE(fieldRejected(
+        "1:5", [](StateReader &in) { in.tuples("v", 2, 5); }));
+}
+
+TEST(StateIo, RealsRejectNonFiniteValues)
+{
+    EXPECT_FALSE(fieldRejected("-0.5", readF64));
+    EXPECT_FALSE(fieldRejected("1e-300,-2", readReals));
+    for (const char *bad : {"nan", "-nan", "inf", "-inf", "infinity", "x"}) {
+        EXPECT_TRUE(fieldRejected(bad, readF64)) << bad;
+        EXPECT_TRUE(fieldRejected(bad, readReals)) << bad;
+        EXPECT_TRUE(fieldRejected(std::string("1,") + bad, readReals)) << bad;
+    }
+}
+
+TEST(StateIo, CountersAreNonNegativeIntegersBelow2To53)
+{
+    auto counters = [](const std::string &tokens) {
+        return rejects({"c " + tokens}, [](StateReader &in) {
+            in.line("c");
+            StatGroup group;
+            in.stats(group);
+        });
+    };
+    EXPECT_FALSE(counters("a=0 b=9007199254740991"));
+    for (const char *bad : {"a=nan", "a=-1", "a=0.5", "a=1e+06", "a=007",
+                            "a=inf", "a=9007199254740992", "a=", "=1",
+                            "a=1 a=2", "b=1 a=2"})
+        EXPECT_TRUE(counters(bad)) << bad;
+}
+
+TEST(StateIo, BitsMustBePaddedWithClearBits)
+{
+    auto bits = [](const std::string &hex) {
+        return fieldRejected(hex, [](StateReader &in) {
+            BitVector out(70);
+            in.bits("v", out);
+        });
+    };
+    const std::string low(16, '0');
+    EXPECT_FALSE(bits(low + "0000000000000020")); // bit 69, the last
+    EXPECT_TRUE(bits(low + "0000000000000040"));  // bit 70, padding
+    EXPECT_TRUE(bits(low + "8000000000000000"));  // bit 127, padding
+    EXPECT_TRUE(bits(low));                       // one word short
+    EXPECT_TRUE(bits(low + low + low));           // one word long
+    EXPECT_TRUE(bits(low + "000000000000000A"));  // not lowercase
+    EXPECT_TRUE(bits(low + "-000000000000001"));
+}
+
+TEST(StateIo, TokensMustMatchTheirFieldsInOrder)
+{
+    const std::vector<std::string> line = {"x a=1 b=2"};
+    EXPECT_FALSE(rejects(line, [](StateReader &in) {
+        in.line("x");
+        in.u64("a");
+        in.u64("b");
+    }));
+    // A missing token: the reader wants a field the line lacks.
+    EXPECT_TRUE(rejects(line, [](StateReader &in) {
+        in.line("x");
+        in.u64("a");
+        in.u64("b");
+        in.u64("c");
+    }));
+    // An extra token: the line holds a field nothing reads.
+    EXPECT_TRUE(rejects(line, [](StateReader &in) {
+        in.line("x");
+        in.u64("a");
+    }));
+    // Fields out of order.
+    EXPECT_TRUE(rejects(line, [](StateReader &in) {
+        in.line("x");
+        in.u64("b");
+        in.u64("a");
+    }));
+    // A wrong tag, and a tag that only starts like the right one.
+    EXPECT_TRUE(rejects(line, [](StateReader &in) { in.line("y"); }));
+    EXPECT_TRUE(rejects({"xx a=1"}, [](StateReader &in) {
+        in.line("x");
+        in.u64("a");
+    }));
+    // A record that ends before the line the reader wants.
+    EXPECT_TRUE(rejects({}, [](StateReader &in) { in.line("x"); }));
+    // Moving on with tokens left unread.
+    EXPECT_TRUE(rejects({"x a=1 b=2", "y"}, [](StateReader &in) {
+        in.line("x");
+        in.u64("a");
+        in.line("y");
+    }));
+}
+
+TEST(StateIo, FinishRefusesLinesLeftOver)
+{
+    const std::vector<std::string> lines = {"x a=1", "y b=2"};
+    EXPECT_TRUE(rejects(lines, [](StateReader &in) {
+        in.line("x");
+        in.u64("a");
+    }));
+    EXPECT_FALSE(rejects(lines, [](StateReader &in) {
+        in.line("x");
+        in.u64("a");
+        in.line("y");
+        in.u64("b");
+    }));
 }
 
 TEST(LinearFit, ExactLineRecovered)

@@ -246,9 +246,9 @@ TEST(Energy, StatsDrivenTallyTracksActivity)
 TEST(DurableRecords, SealedLinesRoundTripAndRejectTamper)
 {
     for (const std::string &payload :
-         {std::string(""), std::string("G rounds=4"),
+         {std::string(""), std::string("svc rounds=4"),
           std::string("weird # payload #deadbeef with seals"),
-          std::string("T idx=0 name=focus gen=123")}) {
+          std::string("tenant gen=123 ring=1:2")}) {
         std::string line = ckpt::sealLine(payload);
         ASSERT_FALSE(line.empty());
         ASSERT_EQ(line.back(), '\n');
@@ -301,9 +301,10 @@ namespace
 {
 
 /** A hand-built snapshot exercising every line type the format has:
- *  header, G, P (stage runs), T, R (residue), H (held event), S and
- *  its state lines, END. The state lines are carried as they are; the
- *  restore reads them (see the Memcond restore tests below). */
+ *  header, svc, P (stage runs), per tenant a record opened by its
+ *  tenant line (ring residue in one, a held event in the other), END.
+ *  The decoder only frames the records; the restore reads them (see
+ *  the Memcond restore tests below). */
 service::ServiceSnapshot
 sampleSnapshot()
 {
@@ -320,33 +321,17 @@ sampleSnapshot()
     s.admits = 5;
     s.throttles = 2;
     s.rejects = 1;
-
-    service::TenantSnapshotRecord t0;
-    t0.name = "focus";
-    t0.generated = 17;
-    t0.droppedBackpressure = 1;
-    t0.throttledTicks = 12500;
-    t0.lastOffered = 8;
-    t0.fingerprint = 0xabad1dea;
-    t0.describe = "pril=... refresh=... (free text with spaces)";
-    t0.residue = {{Tick{1250}, 3}, {Tick{2500}, 7}};
-    t0.state = {"loop now=40000", "ingest applied=13 lat=0,4,9 n=13",
-                "stream popped=17 rows=1:2:3:4:0:0:1 times=0.25"};
-    service::TenantSnapshotRecord t1;
-    t1.name = "mallory";
-    t1.generated = 90;
-    t1.droppedShed = 40;
-    t1.lastOffered = 60;
-    t1.fingerprint = 0x0badf00d;
-    t1.describe = "d";
-    t1.hasHeld = true;
-    t1.held = {Tick{3750}, 11};
-    t1.heldSince = Tick{5000};
-    t1.state = {"ingest applied=50", "stream popped=90"};
-    s.tenants = {t0, t1};
-
+    s.lastOffered = {8, 60};
     s.stageRuns = {{service::GovernorStage::Normal, 1},
                    {service::GovernorStage::StretchQuanta, 1}};
+    s.tenants = {
+        {"tenant gen=17 dbp=1 dsh=0 thr=12500 fp=2880249322 "
+         "ring=1250:3,2500:7 held=",
+         "loop now=40000", "ingest applied=13 lat=0,4,9",
+         "stream popped=17 rows=1:2:3:4:0:0:1 times=0.25"},
+        {"tenant gen=90 dbp=0 dsh=40 thr=0 fp=195948557 ring= "
+         "held=3750:11:5000",
+         "ingest applied=50 lat=50", "stream popped=90"}};
     return s;
 }
 
@@ -423,20 +408,14 @@ TEST(DurableRecords, ServiceSnapshotOversizedCountsThrow)
 {
     // Validly sealed files with a correct footer whose counts claim
     // far more than the file holds: the tenant count (header token 4),
-    // the G line's rounds, the P line's run, an R line's event count
-    // and an S line's state line count. Each must be a ServiceError,
-    // never an allocation sized from the claim.
+    // the svc line's rounds and the P line's run. Each must be a
+    // ServiceError, never an allocation sized from the claim.
     const std::vector<std::string> payloads =
         recordPayloads(service::encodeServiceSnapshot(sampleSnapshot()));
-    auto lineOf = [&payloads](const char *tag) {
-        std::size_t at = 0;
-        while (payloads.at(at).compare(0, 2, tag) != 0)
-            ++at;
-        return at;
-    };
+    ASSERT_EQ(payloads.at(1).rfind("svc ", 0), 0u);
+    ASSERT_EQ(payloads.at(2).rfind("P ", 0), 0u);
     const std::pair<std::size_t, std::size_t> fields[] = {
-        {0, 4}, {1, 1}, {lineOf("P "), 1}, {lineOf("R "), 2},
-        {lineOf("S "), 2}};
+        {0, 4}, {1, 1}, {2, 1}};
     for (const auto &[line, token] : fields) {
         std::vector<std::string> damaged = payloads;
         damaged[line] = withToken(damaged[line], token, kHuge);
@@ -690,13 +669,14 @@ TEST_P(SealedFile, OtherFormatIsRejectedAtItsHeader)
 TEST_P(SealedFile, V1HeaderIsRejected)
 {
     // Every older version is refused at the header: the checkpoint is
-    // v2, the snapshot v4 (v2 snapshots carried a replay journal, v3
-    // state records carried next-event caches).
+    // v2, the snapshot v5 (v2 snapshots carried a replay journal, v3
+    // state records carried next-event caches, v4 wrapped the state
+    // records in hand-written G/T/R/H/S lines).
     const std::string current =
-        GetParam() == Format::Checkpoint ? "v2" : "v4";
+        GetParam() == Format::Checkpoint ? "v2" : "v5";
     std::vector<std::string> payloads = recordPayloads(sample());
     ASSERT_EQ(withToken(payloads[0], 1, current), payloads[0]);
-    for (const char *old : {"v1", "v2", "v3"}) {
+    for (const char *old : {"v1", "v2", "v3", "v4"}) {
         if (current == old)
             continue;
         std::vector<std::string> aged = payloads;
@@ -750,6 +730,17 @@ TEST(DurableRecords, ServiceSnapshotGarbageFilesThrow)
         service::encodeServiceSnapshot(sampleSnapshot());
     EXPECT_THROW(decodeServiceSnapshot(full.substr(0, full.size() - 1)),
                  ServiceError);
+    // The same records under a v4 header, sealed and footed: refused
+    // at the header, never read with the v5 record rules.
+    std::vector<std::string> payloads = recordPayloads(full);
+    payloads[0] = withToken(payloads[0], 1, "v4");
+    try {
+        decodeServiceSnapshot(resealed(payloads));
+        FAIL() << "a v4 snapshot was accepted";
+    } catch (const ServiceError &e) {
+        EXPECT_NE(std::string(e.what()).find("header"), std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(MemcondRestore, ResealedStateMutationsRestoreOrRejectTyped)
@@ -793,10 +784,12 @@ TEST(MemcondRestore, ResealedStateMutationsRestoreOrRejectTyped)
         oracles::JournalReplay::record(cfg, specs, 8, path).snapshot;
     const std::vector<std::string> payloads =
         recordPayloads(service::encodeServiceSnapshot(snap));
+    // Every line of every tenant record, its tenant line included:
+    // the records follow the header, svc and P lines.
     std::vector<std::size_t> state_lines;
-    for (std::size_t i = 1; i < payloads.size(); ++i)
-        if (payloads[i].size() > 1 && payloads[i][1] != ' ')
-            state_lines.push_back(i);
+    for (std::size_t i = 3; i < payloads.size(); ++i)
+        state_lines.push_back(i);
+    ASSERT_EQ(payloads[3].rfind("tenant ", 0), 0u);
     ASSERT_GT(state_lines.size(), 20u);
     // By round 8 the hammer tenant's guard has crossed and degraded
     // its bank, so the damaged lines include live guard state.

@@ -31,6 +31,7 @@
 #include "common/checkpoint.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
+#include "common/state_io.hh"
 #include "dram/address_map.hh"
 #include "oracles/journal_replay.hh"
 #include "service/memcond.hh"
@@ -439,11 +440,13 @@ TEST(MemcondService, TenantFingerprintsMatchAcrossThreadCounts)
     eight.run();
     ServiceSnapshot snap_eight = eight.snapshotState();
 
+    // Each record's tenant line carries the fingerprint; the whole
+    // record must match too.
     ASSERT_EQ(snap_one.tenants.size(), snap_eight.tenants.size());
-    for (std::size_t i = 0; i < snap_one.tenants.size(); ++i)
-        EXPECT_EQ(snap_one.tenants[i].fingerprint,
-                  snap_eight.tenants[i].fingerprint)
-            << "tenant " << snap_one.tenants[i].name;
+    for (std::size_t i = 0; i < snap_one.tenants.size(); ++i) {
+        SCOPED_TRACE(strprintf("tenant %zu", i));
+        expectSameState(snap_eight.tenants[i], snap_one.tenants[i]);
+    }
 
     // The stronger form: an 8-thread service restores a snapshot the
     // 1-thread service wrote. replaySnapshot() refuses the resume
@@ -625,10 +628,15 @@ TEST(MemcondSnapshot, EncodeDecodeRoundTripsTheLiveService)
     EXPECT_EQ(encodeServiceSnapshot(back), encoded);
     EXPECT_TRUE(back.fingerprint.matches(snap.fingerprint));
     EXPECT_EQ(back.roundsDone, snap.roundsDone);
+    EXPECT_EQ(back.lastOffered, snap.lastOffered);
     ASSERT_EQ(back.tenants.size(), 4u);
-    EXPECT_EQ(back.tenants[3].name, "mallory");
-    EXPECT_EQ(back.tenants[3].droppedShed,
-              svc.tenant(3).droppedShed());
+    EXPECT_EQ(back.tenants, snap.tenants);
+    // mallory's record opens with its producer counters.
+    StateReader mallory(back.tenants[3]);
+    mallory.line(kTenantRecordTag);
+    EXPECT_EQ(mallory.u64("gen"), svc.tenant(3).generatedCount());
+    EXPECT_EQ(mallory.u64("dbp"), svc.tenant(3).droppedBackpressure());
+    EXPECT_EQ(mallory.u64("dsh"), svc.tenant(3).droppedShed());
 }
 
 TEST(MemcondSnapshot, SaveLoadRoundTripsThroughDisk)
@@ -707,7 +715,7 @@ TEST(MemcondSnapshot, InProcessCrashResumesToIdenticalDigest)
     Memcond replayed(smallConfig(5, 2), fourTenants());
     oracles::JournalReplay::replay(replayed, rec.journal, at8);
     for (std::size_t i = 0; i < replayed.tenantCount(); ++i)
-        expectSameState(replayed.tenant(i).saveState(), at8.tenants[i].state);
+        expectSameState(replayed.tenant(i).saveState(), at8.tenants[i]);
     oracles::JournalReplay::run(replayed);
     EXPECT_EQ(replayed.digest(), ref.digest());
     std::remove(path.c_str());
@@ -769,8 +777,9 @@ std::uint64_t
 longestBankRecovery(const std::string &path)
 {
     std::uint64_t longest = 0;
-    for (const TenantSnapshotRecord &t : loadServiceSnapshot(path).tenants)
-        for (const std::string &line : t.state) {
+    for (const std::vector<std::string> &record :
+         loadServiceSnapshot(path).tenants)
+        for (const std::string &line : record) {
             const std::size_t key = line.find(" bankrec=");
             if (key == std::string::npos)
                 continue;
@@ -839,8 +848,9 @@ TEST(MemcondSnapshot, LongBankRecoveryListsRestore)
 
 TEST(MemcondSnapshot, ForeignTenantStateIsRefusedTyped)
 {
-    // A well-formed snapshot whose tenant records were swapped: each
-    // restores cleanly as a record, but not as the tenant it lands on.
+    // A well-formed snapshot whose tenant lines were swapped: each
+    // record decodes, but its producer counters and fingerprint belong
+    // to another tenant's module.
     std::string path = scratch("snap.txt");
     MemcondConfig cfg = smallConfig(5, 1, 6);
     cfg.snapshotPath = path;
@@ -848,10 +858,49 @@ TEST(MemcondSnapshot, ForeignTenantStateIsRefusedTyped)
     Memcond live(cfg, fourTenants());
     live.run();
     ServiceSnapshot snap = loadServiceSnapshot(path);
-    std::swap(snap.tenants[0].state, snap.tenants[1].state);
+    std::swap(snap.tenants[0].front(), snap.tenants[1].front());
     saveServiceSnapshot(path, snap);
     Memcond resumed(cfg, fourTenants());
     EXPECT_THROW(resumed.run(true), ServiceError);
+    std::remove(path.c_str());
+}
+
+TEST(MemcondSnapshot, RestoreGateNamesTheTenantAndBothFingerprints)
+{
+    // One tenant's recorded fingerprint changed and the file resealed:
+    // every line decodes and every record restores, so only the gate
+    // can refuse - naming the tenant, the restored value and the
+    // recorded one.
+    std::string path = scratch("snap.txt");
+    MemcondConfig cfg = smallConfig(5, 1, 6);
+    cfg.snapshotPath = path;
+    cfg.snapshotEveryRounds = 6;
+    Memcond live(cfg, fourTenants());
+    live.run();
+    const std::uint32_t found = live.tenant(2).stateFingerprint();
+    const std::uint32_t recorded = found ^ 0x80000000u;
+    ServiceSnapshot snap = loadServiceSnapshot(path);
+    std::string &line = snap.tenants[2].front();
+    const std::string field = " fp=" + std::to_string(found) + " ";
+    ASSERT_NE(line.find(field), std::string::npos) << line;
+    line.replace(line.find(field), field.size(),
+                 " fp=" + std::to_string(recorded) + " ");
+    saveServiceSnapshot(path, snap);
+
+    Memcond resumed(cfg, fourTenants());
+    try {
+        resumed.run(true);
+        FAIL() << "resume accepted a tenant whose fingerprint moved";
+    } catch (const ServiceError &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("tenant 'meek'"), std::string::npos) << what;
+        EXPECT_NE(what.find(strprintf("found fp=%08x", found)),
+                  std::string::npos)
+            << what;
+        EXPECT_NE(what.find(strprintf("expected fp=%08x", recorded)),
+                  std::string::npos)
+            << what;
+    }
     std::remove(path.c_str());
 }
 
