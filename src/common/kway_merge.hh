@@ -47,10 +47,6 @@
  * coarsens again. Sparse streams thus batch a whole max window at
  * once, while a dense burst that would stage hundreds of thousands
  * of events per max window is cut into cache-sized batches.
- * min == max is a fixed window; a caller whose draw-ahead is
- * observable state (TenantWriteStream saves the times the merge has
- * drawn but not delivered) passes a fixed window so that state
- * depends on the window alone, not on the batches' history.
  *
  * A Stream is any type with `bool next(double &out_ms)` yielding its
  * times in ascending order; the merge panics on a stream that runs

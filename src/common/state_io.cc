@@ -43,14 +43,19 @@ parseU64(std::string_view text, std::uint64_t *out)
            (text[0] != '0' || text.size() == 1);
 }
 
-/** The whole of `text` as a finite double, or false. */
+/** The whole of `text` as a finite double in the writer's form (the
+ * one the shortest round trip re-encodes to the same token), or
+ * false. */
 bool
 parseF64(std::string_view text, double *out)
 {
     const char *end = text.data() + text.size();
     const auto res = std::from_chars(text.data(), end, *out);
-    return !text.empty() && res.ec == std::errc{} && res.ptr == end &&
-           std::isfinite(*out);
+    if (res.ec != std::errc{} || res.ptr != end || !std::isfinite(*out))
+        return false;
+    char buf[32];
+    const auto enc = std::to_chars(buf, buf + sizeof(buf), *out);
+    return std::string_view(buf, enc.ptr - buf) == text;
 }
 
 /** Split off the part of `text` before `sep` (all of it if absent). */

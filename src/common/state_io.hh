@@ -12,8 +12,8 @@
  *
  * Values are typed by the call that reads them: an unsigned integer
  * (decimal, no sign, no leading zero), a flag (0/1), a finite double
- * (shortest round-trip form, so decode then encode reproduces the
- * bytes), a bit vector (fixed-width lowercase hex words), or a
+ * (shortest round-trip form, the only form the reader takes, so
+ * decode then encode reproduces the bytes), a bit vector (fixed-width lowercase hex words), or a
  * comma-separated list of unsigned tuples whose elements are joined by
  * ':'. A list has no trailing comma and carries no count: the reader
  * appends element by element, so nothing in a record sizes an

@@ -14,7 +14,7 @@ namespace memcon::service
 namespace
 {
 
-const char kSnapshotFormat[] = "MEMCOND-SVC v5";
+const char kSnapshotFormat[] = "MEMCOND-SVC v6";
 
 constexpr std::uint64_t kStages =
     static_cast<std::uint64_t>(GovernorStage::ShedTenants) + 1;

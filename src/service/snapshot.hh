@@ -3,7 +3,7 @@
  * The crash-safe service snapshot: everything memcond needs to resume
  * a SIGKILL'd daemon with bit-identical per-tenant state.
  *
- * The file is a "MEMCOND-SVC v5" sealed file (DESIGN.md §15):
+ * The file is a "MEMCOND-SVC v6" sealed file (DESIGN.md §15):
  * ckpt::SealedWriter writes it and ckpt::readSealedFile() owns the
  * framing - the per-line CRC seal, the CampaignFingerprint header
  * binding the snapshot to one service configuration, and the END
@@ -29,7 +29,8 @@
  *     fingerprint, ring residue, held event), then the controller's
  *     queues and bank timing, OnlineMemcon's PRIL maps, queues, test
  *     slots, resilience ladder and disturb guard, the ingest counters
- *     and latency histogram, and the write stream's cursor
+ *     and latency histogram, and the write stream's cursor (each
+ *     row's write process and its one pending write time)
  *
  * The decoder reads the svc and P lines and splits the rest into
  * tenant records at their `tenant` lines; restoring a session reads

@@ -171,18 +171,19 @@ class PageWriteStream
     {
         PageWriteProcess::State proc;
         double t = 0.0; //!< the last time drawn
-        bool started = false;
         bool done = false;
     };
 
-    State state() const { return {proc.state(), t, started, done}; }
+    State state() const { return {proc.state(), t, done}; }
 
+    /** Resume after a drawn time (or finished): restoring never
+     * replays the initial phase. */
     void
     restore(const State &state)
     {
         proc.restore(state.proc);
         t = state.t;
-        started = state.started;
+        started = true;
         done = state.done;
     }
 

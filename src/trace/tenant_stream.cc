@@ -1,7 +1,7 @@
 #include "trace/tenant_stream.hh"
 
 #include <algorithm>
-#include <cmath>
+#include <functional>
 
 #include "common/logging.hh"
 #include "common/state_io.hh"
@@ -43,7 +43,8 @@ TenantTrafficConfig::persona() const
 }
 
 TenantWriteStream::TenantWriteStream(const TenantTrafficConfig &config)
-    : cfg(config), personaState(config.persona())
+    : cfg(config), personaState(config.persona()),
+      horizon(config.horizonMs * config.rateScale)
 {
     if (cfg.hammerEnabled) {
         // Antagonist tenant: the aggressor stream replaces the write
@@ -77,57 +78,30 @@ TenantWriteStream::TenantWriteStream(const TenantTrafficConfig &config)
         }
     }
 
-    sources.reserve(cfg.rows);
-    for (std::uint64_t row = 0; row < cfg.rows; ++row)
-        sources.emplace_back(personaState, row);
-    buildMerge();
+    rows.reserve(cfg.rows);
+    for (std::uint64_t row = 0; row < cfg.rows; ++row) {
+        rows.emplace_back(personaState, row);
+        draw(row, 0.0);
+    }
 }
 
 void
-TenantWriteStream::buildMerge()
+TenantWriteStream::draw(std::uint64_t row, double last)
 {
-    std::vector<SourceRef> refs;
-    refs.reserve(sources.size());
-    for (Source &src : sources)
-        refs.push_back(SourceRef{&src});
-    const double horizon = cfg.horizonMs * cfg.rateScale;
-    // A fixed window: the times the merge draws ahead are saved
-    // state, so they must not depend on the batches' history.
-    const double window = std::max(horizon / 64.0, 0.01);
-    merge = std::make_unique<KWayMerge<SourceRef>>(std::move(refs), horizon,
-                                                   window, window);
-}
-
-void
-TenantWriteStream::Source::push(double t)
-{
-    if (count == capacity) {
-        // Grow, unrolling the ring to start at slot 0.
-        auto grown = std::make_unique<double[]>(2 * capacity);
-        for (std::uint32_t i = 0; i < count; ++i)
-            grown[i] = at(i);
-        spill = std::move(grown);
-        capacity *= 2;
-        head = 0;
-    }
-    double *slots = spill ? spill.get() : inlineRing;
-    slots[(head + count) & (capacity - 1)] = t;
-    ++count;
-}
-
-bool
-TenantWriteStream::SourceRef::next(double &out_ms)
-{
-    if (src->pulled < src->count) {
-        out_ms = src->at(src->pulled++);
-        return true;
-    }
-    if (!src->gen.next(out_ms))
-        return false;
-    src->push(out_ms);
-    ++src->pulled;
-    ++src->drawn;
-    return true;
+    double t;
+    if (!rows[row].next(t))
+        return;
+    ++drawn;
+    // A row running backwards would silently reorder ties.
+    panic_if(t < last, "write time %g of row %llu runs back from %g", t,
+             static_cast<unsigned long long>(row), last);
+    // Nothing after a sorted row's first out-of-horizon time can be
+    // inside it. PageWriteStream stops at its own durationMs, which
+    // can differ from the horizon by an ulp, so cut here as well.
+    if (t >= horizon)
+        return;
+    heap.emplace_back(t, row);
+    std::push_heap(heap.begin(), heap.end(), std::greater<>{});
 }
 
 bool
@@ -135,34 +109,30 @@ TenantWriteStream::peek(Tick *at, std::uint64_t *row)
 {
     if (hammer)
         return hammer->peek(at, row);
-    if (merge->empty())
+    if (heap.empty())
         return false;
-    const auto &item = merge->peek();
+    const auto [t, logical] = heap.front();
     // Persona ms -> service ms -> ticks. msToTicks() rounds, and a
     // monotone input stays monotone under a monotone rounding map, so
     // consumers see non-decreasing ticks.
-    *at = msToTicks(item.time / cfg.rateScale);
-    *row = rowMap.empty() ? item.source : rowMap[item.source];
+    *at = msToTicks(t / cfg.rateScale);
+    *row = rowMap.empty() ? logical : rowMap[logical];
     return true;
 }
 
 void
 TenantWriteStream::pop()
 {
+    ++popped;
     if (hammer) {
         hammer->pop();
-        ++popped;
         return;
     }
-    panic_if(merge->empty(), "pop() on an exhausted tenant stream");
-    sources[merge->pop().source].consume();
-    ++popped;
-    // Stage the next event now rather than at the next peek(): what
-    // the merge has drawn is then a function of the position alone,
-    // so the saved cursor does not depend on whether the producer
-    // peeked after its last pop.
-    if (!merge->empty())
-        merge->peek();
+    panic_if(heap.empty(), "pop() on an exhausted tenant stream");
+    std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
+    const auto [t, row] = heap.back();
+    heap.pop_back();
+    draw(row, t);
 }
 
 void
@@ -172,26 +142,27 @@ TenantWriteStream::saveState(StateWriter &out) const
     out.u64("popped", popped);
     if (hammer)
         return; // an access is a pure function of its index
-    // Per row: RNG words, burst position, done flag and how many
-    // unconsumed times follow in `times`. A finished process draws
-    // nothing more, so its RNG and burst save as zeros; a live one's
-    // last draw is its last unconsumed time, so that is not repeated.
-    std::vector<std::uint64_t> rows;
+    // Per row: RNG words, burst position and done flag; each live
+    // row's pending time follows in `times`, in row order. A finished
+    // row draws nothing more, so it saves as zeros.
+    std::vector<double> pending(rows.size(), -1.0); // -1: finished
+    for (const auto &[t, row] : heap)
+        pending[row] = t;
+    std::vector<std::uint64_t> words;
     std::vector<double> times;
-    rows.reserve(sources.size() * 7);
-    for (const Source &src : sources) {
-        const PageWriteStream::State st = src.gen.state();
-        if (st.done)
-            rows.insert(rows.end(), {0, 0, 0, 0, 0, 1});
-        else
-            rows.insert(rows.end(), {st.proc.rng[0], st.proc.rng[1],
-                                     st.proc.rng[2], st.proc.rng[3],
-                                     st.proc.burstRemaining, 0});
-        rows.push_back(src.count);
-        for (std::uint32_t i = 0; i < src.count; ++i)
-            times.push_back(src.at(i));
+    words.reserve(rows.size() * 6);
+    times.reserve(heap.size());
+    for (std::uint64_t row = 0; row < rows.size(); ++row) {
+        if (pending[row] < 0.0) {
+            words.insert(words.end(), {0, 0, 0, 0, 0, 1});
+            continue;
+        }
+        const PageWriteProcess::State st = rows[row].state().proc;
+        words.insert(words.end(), {st.rng[0], st.rng[1], st.rng[2],
+                                   st.rng[3], st.burstRemaining, 0});
+        times.push_back(pending[row]);
     }
-    out.tuples("rows", rows, 7);
+    out.tuples("rows", words, 6);
     out.reals("times", times);
 }
 
@@ -206,46 +177,46 @@ TenantWriteStream::loadState(StateReader &in)
         hammer->restoreCursor(popped);
         return;
     }
-    const std::vector<std::uint64_t> rows = in.tuples("rows", 7);
+    const std::vector<std::uint64_t> words = in.tuples("rows", 6);
     const std::vector<double> times = in.reals("times");
-    in.check(rows.size() == cfg.rows * 7,
+    in.check(words.size() == cfg.rows * 6,
              "does not hold one write process per row");
-    std::vector<Source> rebuilt;
+    std::vector<PageWriteStream> rebuilt;
+    std::vector<Pending> live;
     rebuilt.reserve(cfg.rows);
-    std::size_t next_time = 0;
     for (std::uint64_t row = 0; row < cfg.rows; ++row) {
-        const std::uint64_t *v = &rows[row * 7];
-        const bool done = v[5] != 0;
-        in.check(v[5] <= 1 && v[6] <= times.size() - next_time,
-                 "holds a malformed write process");
-        Source src(personaState, row);
-        // A fresh read-only row is done before it draws anything.
-        in.check(done || !src.gen.state().done,
-                 "holds a live write process on a read-only row");
-        for (std::uint64_t i = 0; i < v[6]; ++i, ++next_time) {
-            const double t = times[next_time];
-            in.check(std::isfinite(t) && t >= 0.0 &&
-                         (i == 0 || times[next_time - 1] <= t),
-                     "holds write times out of order");
-            src.push(t);
-        }
+        const std::uint64_t *v = &words[row * 6];
+        PageWriteStream gen(personaState, row);
         PageWriteStream::State st;
-        st.done = done;
-        st.started = true;
-        if (!done) {
+        st.done = v[5] != 0;
+        in.check(v[5] <= 1, "holds a malformed write process");
+        if (st.done) {
+            in.check((v[0] | v[1] | v[2] | v[3] | v[4]) == 0,
+                     "holds a finished row that carries state");
+        } else {
+            // A fresh read-only row is done before it draws anything.
+            in.check(!gen.state().done,
+                     "holds a live write process on a read-only row");
             // xoshiro never reaches the all-zero state.
-            in.check((v[0] | v[1] | v[2] | v[3]) != 0 && v[6] > 0,
+            in.check((v[0] | v[1] | v[2] | v[3]) != 0,
                      "holds a live write process without state");
+            in.check(live.size() < times.size(),
+                     "holds fewer times than live rows");
+            st.t = times[live.size()];
+            in.check(st.t >= 0.0 && st.t < horizon,
+                     "holds a write time outside the horizon");
             st.proc.rng = {v[0], v[1], v[2], v[3]};
             st.proc.burstRemaining = v[4];
-            st.t = src.at(src.count - 1);
+            live.emplace_back(st.t, row);
         }
-        src.gen.restore(st);
-        rebuilt.push_back(std::move(src));
+        gen.restore(st);
+        rebuilt.push_back(std::move(gen));
     }
-    in.check(next_time == times.size(), "holds times no row claims");
-    sources = std::move(rebuilt);
-    buildMerge();
+    in.check(live.size() == times.size(), "holds times no row claims");
+    std::make_heap(live.begin(), live.end(), std::greater<>{});
+    rows = std::move(rebuilt);
+    heap = std::move(live);
+    drawn = 0;
 }
 
 } // namespace memcon::trace

@@ -5,35 +5,37 @@
  *
  * Each tenant session replays an AppPersona-shaped write process over
  * its private module: per-row PageWriteStreams merged into one
- * ascending timeline by KWayMerge, then mapped from persona
- * milliseconds into simulator Ticks. A `rateScale` factor compresses
- * the persona's time axis, so an antagonist tenant is simply the same
- * stochastic process played rateScale-times hotter - the event *set*
- * stays deterministic for a given (seed, rows, scale).
+ * ascending timeline, then mapped from persona milliseconds into
+ * simulator Ticks. A `rateScale` factor compresses the persona's time
+ * axis, so an antagonist tenant is simply the same stochastic process
+ * played rateScale-times hotter - the event *set* stays deterministic
+ * for a given (seed, rows, scale).
  *
  * The adapter is a cursor, not a buffer: peek()/pop() stream events
- * one at a time, and generated() counts how many were consumed.
+ * one at a time, and generated() counts how many were consumed. The
+ * merge is a binary min-heap holding each live row's one drawn and
+ * unconsumed time, keyed (time, logical row); pop() removes the head
+ * and draws that row's next time. That is ascending (time, row) order,
+ * FIFO within a row - a stable sort by time of the events appended
+ * row-major, the order the engine's KWayMerge delivers too.
  *
  * saveState() writes the cursor as a state record line: per row, the
- * write process's RNG words and burst position plus the times the
- * merge has drawn from it that no pop() has consumed yet. loadState()
- * rebuilds each row's process from that record and a fresh merge over
- * the rebuilt rows, so a crash-restored service resumes its producer
- * without regenerating any event it already drew. The merge delivers
- * (time, row) order from the per-row sequences alone, so the rebuilt
- * merge continues exactly where the saved one stood.
+ * write process's RNG words, burst position and done flag, and each
+ * live row's one pending time. What the heap holds after n pops is a
+ * function of n alone, so the saved bytes are too. loadState()
+ * rebuilds each row's process and the heap from that record, so a
+ * crash-restored service resumes its producer without regenerating
+ * any event it already drew.
  */
 
 #ifndef MEMCON_TRACE_TENANT_STREAM_HH
 #define MEMCON_TRACE_TENANT_STREAM_HH
 
-#include <algorithm>
-#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
-#include "common/kway_merge.hh"
 #include "common/units.hh"
 #include "dram/address_map.hh"
 #include "trace/app_model.hh"
@@ -110,7 +112,7 @@ class TenantWriteStream
   public:
     explicit TenantWriteStream(const TenantTrafficConfig &config);
 
-    // The merge holds pointers into `sources`.
+    // Each row's write process holds a reference to `personaState`.
     TenantWriteStream(const TenantWriteStream &) = delete;
     TenantWriteStream &operator=(const TenantWriteStream &) = delete;
 
@@ -130,24 +132,7 @@ class TenantWriteStream
 
     /** Events the rows' write processes drew since the cursor was
      * built or restored (a restore draws none). */
-    std::uint64_t
-    eventsDrawn() const
-    {
-        std::uint64_t total = 0;
-        for (const Source &src : sources)
-            total += src.drawn;
-        return total;
-    }
-
-    /** The most times any row's ring can hold without growing. */
-    std::size_t
-    peakRowBuffer() const
-    {
-        std::size_t peak = 0;
-        for (const Source &src : sources)
-            peak = std::max<std::size_t>(peak, src.capacity);
-        return peak;
-    }
+    std::uint64_t eventsDrawn() const { return drawn; }
 
     /** Save the cursor as a state record line (common/state_io.hh). */
     void saveState(StateWriter &out) const;
@@ -157,79 +142,26 @@ class TenantWriteStream
     void loadState(StateReader &in);
 
   private:
-    /**
-     * One row's write process, and the times the merge drew from it
-     * that no pop() has consumed, oldest first, in a ring. The first
-     * `pulled` of them the current merge has drawn; the rest a
-     * restore put back and the merge has yet to draw again. A pop
-     * drops its time, so a row holds only what the merge drew ahead
-     * of the consumer: its events in the staged window plus the
-     * next one. The ring's first two slots are inline, enough for a
-     * row outside a burst; a row that bursts moves the ring to the
-     * heap once, at a capacity the window bounds.
-     */
-    struct Source
-    {
-        Source(const AppPersona &persona, std::uint64_t row)
-            : gen(persona, row)
-        {
-        }
+    /** A live row's drawn and unconsumed time: (persona ms, logical
+     * row), compared in that order. */
+    using Pending = std::pair<double, std::uint64_t>;
 
-        const double *
-        ring() const
-        {
-            return spill ? spill.get() : inlineRing;
-        }
-
-        /** The i-th unconsumed time, i < count. */
-        double
-        at(std::uint32_t i) const
-        {
-            return ring()[(head + i) & (capacity - 1)];
-        }
-
-        void push(double t);
-
-        /** Drop the oldest time, which the merge has drawn. */
-        void
-        consume()
-        {
-            head = (head + 1) & (capacity - 1);
-            --count;
-            --pulled;
-        }
-
-        PageWriteStream gen;
-        double inlineRing[2] = {};
-        std::unique_ptr<double[]> spill; //!< the ring once it outgrows 2
-        std::uint32_t capacity = 2;      //!< a power of two
-        std::uint32_t head = 0;
-        std::uint32_t count = 0;
-        std::uint32_t pulled = 0;
-        std::uint32_t drawn = 0; //!< generator draws since built
-    };
-
-    /** The merge's view of one Source. */
-    struct SourceRef
-    {
-        Source *src;
-
-        bool next(double &out_ms);
-    };
-
-    /** A fresh merge over `sources`. */
-    void buildMerge();
+    /** Draw `row`'s next time, after `last`, into the heap; a time
+     * at or past the horizon retires the row instead. */
+    void draw(std::uint64_t row, double last);
 
     TenantTrafficConfig cfg;
 
     // The persona outlives the page streams (held by reference in
     // each PageWriteProcess), so it must be a stable member built
-    // before the merge.
+    // before them.
     AppPersona personaState;
-    std::vector<Source> sources; //!< per logical row; the merge points in
-    std::unique_ptr<KWayMerge<SourceRef>> merge;
+    double horizon; //!< persona ms: horizonMs * rateScale
+    std::vector<PageWriteStream> rows; //!< per logical row
+    std::vector<Pending> heap; //!< min-heap (std::greater), one per live row
     std::unique_ptr<HammerStream> hammer; //!< antagonist mode only
     std::uint64_t popped = 0;
+    std::uint64_t drawn = 0;
 
     /** Logical row -> physical flat row; empty when unplaced. */
     std::vector<std::uint64_t> rowMap;

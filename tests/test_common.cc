@@ -582,6 +582,27 @@ TEST(StateIo, IntegersRejectAnyOtherForm)
         "1:5", [](StateReader &in) { in.tuples("v", 2, 5); }));
 }
 
+TEST(StateIo, RealsRejectAnyOtherForm)
+{
+    // A double reads only in the shortest round-trip form the writer
+    // produces, so restore then save reproduces the bytes.
+    for (const char *good : {"0", "-0", "1", "1.5", "0.5", "-2", "1e-300",
+                             "1e+300", "0.1", "123456.789",
+                             "0.30000000000000004"}) {
+        EXPECT_FALSE(fieldRejected(good, readF64)) << good;
+        EXPECT_FALSE(fieldRejected(std::string("2,") + good, readReals))
+            << good;
+    }
+    for (const char *bad : {"1.0", "01.5", "1e0", "0.50", "+1", ".5", "5.",
+                            "1E+300", "1e300", "1e+0300", "-0.0", "00",
+                            "0.1000000000000000055511151231257827"}) {
+        EXPECT_TRUE(fieldRejected(bad, readF64)) << bad;
+        EXPECT_TRUE(fieldRejected(bad, readReals)) << bad;
+        EXPECT_TRUE(fieldRejected(std::string("2,") + bad, readReals))
+            << bad;
+    }
+}
+
 TEST(StateIo, RealsRejectNonFiniteValues)
 {
     EXPECT_FALSE(fieldRejected("-0.5", readF64));

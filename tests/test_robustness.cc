@@ -669,14 +669,15 @@ TEST_P(SealedFile, OtherFormatIsRejectedAtItsHeader)
 TEST_P(SealedFile, V1HeaderIsRejected)
 {
     // Every older version is refused at the header: the checkpoint is
-    // v2, the snapshot v5 (v2 snapshots carried a replay journal, v3
+    // v2, the snapshot v6 (v2 snapshots carried a replay journal, v3
     // state records carried next-event caches, v4 wrapped the state
-    // records in hand-written G/T/R/H/S lines).
+    // records in hand-written G/T/R/H/S lines, v5 stream cursors held
+    // the times a windowed merge drew ahead of the consumer).
     const std::string current =
-        GetParam() == Format::Checkpoint ? "v2" : "v5";
+        GetParam() == Format::Checkpoint ? "v2" : "v6";
     std::vector<std::string> payloads = recordPayloads(sample());
     ASSERT_EQ(withToken(payloads[0], 1, current), payloads[0]);
-    for (const char *old : {"v1", "v2", "v3", "v4"}) {
+    for (const char *old : {"v1", "v2", "v3", "v4", "v5"}) {
         if (current == old)
             continue;
         std::vector<std::string> aged = payloads;
@@ -730,16 +731,19 @@ TEST(DurableRecords, ServiceSnapshotGarbageFilesThrow)
         service::encodeServiceSnapshot(sampleSnapshot());
     EXPECT_THROW(decodeServiceSnapshot(full.substr(0, full.size() - 1)),
                  ServiceError);
-    // The same records under a v4 header, sealed and footed: refused
-    // at the header, never read with the v5 record rules.
-    std::vector<std::string> payloads = recordPayloads(full);
-    payloads[0] = withToken(payloads[0], 1, "v4");
-    try {
-        decodeServiceSnapshot(resealed(payloads));
-        FAIL() << "a v4 snapshot was accepted";
-    } catch (const ServiceError &e) {
-        EXPECT_NE(std::string(e.what()).find("header"), std::string::npos)
-            << e.what();
+    // The same records under a v4 or v5 header, sealed and footed:
+    // refused at the header, never read with the v6 record rules.
+    for (const char *old : {"v4", "v5"}) {
+        std::vector<std::string> payloads = recordPayloads(full);
+        payloads[0] = withToken(payloads[0], 1, old);
+        try {
+            decodeServiceSnapshot(resealed(payloads));
+            ADD_FAILURE() << "a " << old << " snapshot was accepted";
+        } catch (const ServiceError &e) {
+            EXPECT_NE(std::string(e.what()).find("header"),
+                      std::string::npos)
+                << e.what();
+        }
     }
 }
 

@@ -987,7 +987,7 @@ TEST(MemcondResume, CostStaysFlatFrom256To4096Rounds)
     }
 
     // The record's size is a function of the state - queue lengths,
-    // the times each stream has drawn ahead within its merge window,
+    // which stream rows are still live (each saves one pending time),
     // digits of counters - so it moves from snapshot to snapshot but
     // has no trend: the late snapshots are no larger than the early
     // ones allow. A log of rounds would have grown eight-fold here.

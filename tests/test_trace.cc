@@ -596,57 +596,205 @@ TEST(TenantStream, RestoredCursorReplaysPlacedStreamExactly)
     }
 }
 
-TEST(TenantStream, RowsHoldOnlyWhatTheMergeDrewAhead)
+namespace
 {
-    // A pop drops its time, so however long the stream runs a row
-    // holds at most its events of the staged merge window plus the
-    // next one drawn. Popped far past one window, no row's buffer
-    // may scale with the events it has drawn.
-    TenantTrafficConfig cfg;
-    cfg.rows = 8;
-    cfg.horizonMs = 40.0;
+
+/** One row's write times from `gen`'s position on, appended to
+ * `times` and cut at `horizon` (persona ms). */
+std::vector<double>
+rowTimes(PageWriteStream gen, double horizon, std::vector<double> times = {})
+{
+    double t = 0.0;
+    while (gen.next(t) && t < horizon)
+        times.push_back(t);
+    return times;
+}
+
+/**
+ * The order a tenant stream must deliver: every row's times appended
+ * row-major and stably sorted by time (ties go to the lower row),
+ * as (tick, physical row) through the config's placement.
+ */
+std::vector<std::pair<Tick, std::uint64_t>>
+stableOrder(const TenantTrafficConfig &cfg,
+            const std::vector<std::vector<double>> &per_row)
+{
+    std::vector<std::pair<double, std::uint64_t>> events;
+    for (std::uint64_t row = 0; row < per_row.size(); ++row)
+        for (double t : per_row[row])
+            events.emplace_back(t, row);
+    std::stable_sort(events.begin(), events.end(),
+                     [](const auto &a, const auto &b) {
+                         return a.first < b.first;
+                     });
+    const std::uint64_t banks = cfg.bankSet.size();
+    std::vector<std::pair<Tick, std::uint64_t>> order;
+    for (const auto &[t, row] : events)
+        order.emplace_back(
+            msToTicks(t / cfg.rateScale),
+            banks == 0 ? row
+                       : cfg.addressMap.pageOf(cfg.bankSet[row % banks],
+                                               row / banks));
+    return order;
+}
+
+std::vector<std::string>
+splitAt(const std::string &text, char sep)
+{
+    std::vector<std::string> parts;
+    std::size_t begin = 0;
+    for (std::size_t at; (at = text.find(sep, begin)) != std::string::npos;
+         begin = at + 1)
+        parts.push_back(text.substr(begin, at - begin));
+    parts.push_back(text.substr(begin));
+    return parts;
+}
+
+std::string
+joinWith(const std::vector<std::string> &parts, char sep)
+{
+    std::string text;
+    for (const std::string &part : parts)
+        text += (text.empty() ? "" : std::string(1, sep)) + part;
+    return text;
+}
+
+/** The value of `key` in a state line. */
+std::string
+fieldOf(const std::string &line, const std::string &key)
+{
+    const std::size_t begin = line.find(" " + key + "=") + key.size() + 2;
+    return line.substr(begin, line.find(' ', begin) - begin);
+}
+
+/** A stream line with the given row tuples and times. */
+std::string
+cursorLine(const std::string &popped, const std::vector<std::string> &rows,
+           const std::vector<std::string> &times)
+{
+    return "stream popped=" + popped + " rows=" + joinWith(rows, ',') +
+           " times=" + joinWith(times, ',');
+}
+
+/** A row tuple's done flag is its last element. */
+bool
+liveTuple(const std::string &tuple)
+{
+    return tuple.back() == '0';
+}
+
+std::string
+savedCursor(const TenantWriteStream &s)
+{
+    StateWriter out;
+    s.saveState(out);
+    std::vector<std::string> lines = std::move(out).take();
+    EXPECT_EQ(lines.size(), 1u);
+    return lines.front();
+}
+
+void
+restoreCursor(TenantWriteStream &s, const std::string &line)
+{
+    const std::vector<std::string> rec{line};
+    StateReader in(rec);
+    s.loadState(in);
+    in.finish();
+}
+
+} // namespace
+
+TEST(TenantStream, DrainsRowsInStableTimeOrder)
+{
+    // The stream is a stable sort by time of every row's write times
+    // appended row-major, cut at the horizon: unplaced at rate 1, and
+    // placed on three banks at 8x.
+    TenantTrafficConfig plain = placedConfig();
+    plain.horizonMs = 4.0;
+    TenantTrafficConfig placed = placedConfig();
+    placed.rateScale = 8.0;
+    placed.addressMap = dram::AddressMap::paperDdr3_8bank();
+    placed.bankSet = {1, 3, 6};
+    placed.physicalRowLimit = 512;
+    for (const TenantTrafficConfig &cfg : {plain, placed}) {
+        const AppPersona persona = cfg.persona();
+        const double horizon = cfg.horizonMs * cfg.rateScale;
+        std::vector<std::vector<double>> per_row;
+        for (std::uint64_t row = 0; row < cfg.rows; ++row)
+            per_row.push_back(rowTimes(PageWriteStream(persona, row), horizon));
+        TenantWriteStream stream(cfg);
+        const auto events = drain(stream);
+        ASSERT_GT(events.size(), 100u) << "rateScale " << cfg.rateScale;
+        EXPECT_EQ(events, stableOrder(cfg, per_row))
+            << "rateScale " << cfg.rateScale;
+    }
+}
+
+TEST(TenantStream, ExactCrossRowTiesDrainLowerRowFirst)
+{
+    // Random times never tie across rows, so make them: restore a
+    // cursor whose rows B and C carry row A's process state and
+    // pending time. From there the three rows draw the same times,
+    // and each tie must go to the lower row.
+    TenantTrafficConfig cfg = placedConfig();
     cfg.rateScale = 8.0;
     cfg.readOnlyFraction = 0.0;
-    cfg.hotFraction = 0.0; // a hot row's first write is past the horizon
-    cfg.seed = 5;
-    TenantWriteStream stream(cfg);
-    const auto events = drain(stream);
-
-    // Each row's events per merge window (horizon / 64 of service
-    // time); tick rounding can move an event one window over, so the
-    // bound takes two adjacent windows.
-    const double window_ms = cfg.horizonMs / 64.0;
-    std::vector<std::vector<std::size_t>> per_window(
-        cfg.rows, std::vector<std::size_t>(65, 0));
-    std::vector<std::size_t> per_row(cfg.rows, 0);
-    for (const auto &[at, row] : events) {
-        const auto w = std::min<std::size_t>(
-            64, static_cast<std::size_t>(ticksToMs(at).value() / window_ms));
-        ++per_window[row][w];
-        ++per_row[row];
+    cfg.hotFraction = 0.0; // every row cold, so any row's state fits any
+    cfg.addressMap = dram::AddressMap::paperDdr3_8bank();
+    cfg.bankSet = {0, 7};
+    cfg.physicalRowLimit = 512;
+    TenantWriteStream live(cfg);
+    for (int i = 0; i < 20; ++i)
+        live.pop();
+    const std::string line = savedCursor(live);
+    std::vector<std::string> rows = splitAt(fieldOf(line, "rows"), ',');
+    std::vector<std::string> times = splitAt(fieldOf(line, "times"), ',');
+    std::vector<std::size_t> live_rows;
+    for (std::size_t row = 0; row < rows.size(); ++row)
+        if (liveTuple(rows[row]))
+            live_rows.push_back(row);
+    ASSERT_EQ(live_rows.size(), times.size());
+    ASSERT_GE(live_rows.size(), 3u);
+    for (std::size_t k : {live_rows.size() - 2, live_rows.size() - 1}) {
+        rows[live_rows[k]] = rows[live_rows[0]];
+        times[k] = times[0];
     }
-    std::size_t window_peak = 0;
-    for (const auto &counts : per_window)
-        for (std::size_t w = 0; w < 64; ++w)
-            window_peak =
-                std::max(window_peak, counts[w] + counts[w + 1]);
-    const std::size_t bound = 2 * (window_peak + 1);
-    // The stream ran long enough that a buffer keeping every drawn
-    // time would break the bound.
-    EXPECT_GT(*std::max_element(per_row.begin(), per_row.end()),
-              4 * bound);
-    EXPECT_LE(stream.peakRowBuffer(), bound);
+
+    TenantWriteStream tied(cfg);
+    restoreCursor(tied, cursorLine("20", rows, times));
+    const auto events = drain(tied);
+
+    const AppPersona persona = cfg.persona();
+    const double horizon = cfg.horizonMs * cfg.rateScale;
+    std::vector<std::vector<double>> per_row(cfg.rows);
+    for (std::size_t k = 0; k < live_rows.size(); ++k) {
+        const std::vector<std::string> v = splitAt(rows[live_rows[k]], ':');
+        PageWriteStream gen(persona, live_rows[k]);
+        PageWriteStream::State st;
+        st.proc.rng = {std::stoull(v[0]), std::stoull(v[1]),
+                       std::stoull(v[2]), std::stoull(v[3])};
+        st.proc.burstRemaining = std::stoull(v[4]);
+        st.t = std::stod(times[k]);
+        gen.restore(st);
+        per_row[live_rows[k]] = rowTimes(gen, horizon, {st.t});
+    }
+    const std::vector<double> &a = per_row[live_rows[0]];
+    EXPECT_EQ(per_row[live_rows[live_rows.size() - 1]], a);
+    EXPECT_EQ(per_row[live_rows[live_rows.size() - 2]], a);
+    ASSERT_GE(a.size(), 1u);
+    EXPECT_EQ(events, stableOrder(cfg, per_row));
 }
 
 TEST(TenantStream, SavedCursorBytesPinnedInMemcondConfig)
 {
-    // The tenant stream's saved cursor holds the times its merge drew
-    // ahead of the consumer, so it moves with the merge's window
-    // schedule, and every memcond snapshot carries it. Pin its bytes
-    // in perfbench memcond's config (seed 1, 512 rows, 256 rounds of
-    // 20 us): the in-quota tenant alice (index 0) and the 8x
-    // antagonist mallory (index 3), each saved after a fixed number
-    // of pops. The seeds follow service/tenant.cc's derivation.
+    // The saved cursor is a function of the stream's position alone:
+    // after n pops a fresh stream, one restored at m < n and popped on
+    // to n, and one that peeked around its pops all save the same
+    // bytes, in which every live row holds exactly its one pending
+    // time. Pinned in perfbench memcond's config (seed 1, 512 rows,
+    // 256 rounds of 20 us): the in-quota tenant alice (index 0) and
+    // the 8x antagonist mallory (index 3). The seeds follow
+    // service/tenant.cc's derivation.
     const std::uint64_t service_seed = hashMix64(std::uint64_t{1} ^ 0x5e41ce);
     struct Pin
     {
@@ -656,8 +804,22 @@ TEST(TenantStream, SavedCursorBytesPinnedInMemcondConfig)
         std::size_t bytes;
         std::uint32_t crc;
     };
-    for (const Pin &pin : {Pin{0, 1.0, 1000, 35412, 0xe9f46041u},
-                           Pin{3, 8.0, 8000, 41558, 0xfd8c232eu}}) {
+    auto popTo = [](TenantWriteStream &s, std::size_t n, bool peek) {
+        Tick at{};
+        std::uint64_t row = 0;
+        while (s.generated() < n) {
+            ASSERT_TRUE(s.peek(&at, &row));
+            if (peek) {
+                ASSERT_TRUE(s.peek(&at, &row));
+            }
+            s.pop();
+            if (peek)
+                s.peek(&at, &row);
+        }
+    };
+    for (const Pin &pin : {Pin{0, 1.0, 1000, 34205, 0x7d6bf035u},
+                           Pin{3, 8.0, 8000, 34896, 0xd952100au}}) {
+        SCOPED_TRACE("tenant " + std::to_string(pin.tenant));
         TenantTrafficConfig cfg;
         cfg.rows = 512;
         cfg.rateScale = pin.rateScale;
@@ -665,52 +827,115 @@ TEST(TenantStream, SavedCursorBytesPinnedInMemcondConfig)
             ticksToMs(usToTicks(20.0)).value() * 256.0 * 1.25 + 0.05;
         cfg.seed = hashMix64(service_seed ^
                              (0x7e9a37u + pin.tenant * 0x9e3779b9u));
-        TenantWriteStream stream(cfg);
-        Tick at{};
-        std::uint64_t row = 0;
-        for (std::size_t i = 0; i < pin.pops; ++i) {
-            ASSERT_TRUE(stream.peek(&at, &row));
-            stream.pop();
-        }
-        StateWriter out;
-        stream.saveState(out);
-        std::string bytes;
-        for (const std::string &line : std::move(out).take())
-            bytes += line + "\n";
-        EXPECT_EQ(bytes.size(), pin.bytes) << "tenant " << pin.tenant;
-        EXPECT_EQ(ckpt::crc32(bytes), pin.crc) << "tenant " << pin.tenant;
+        TenantWriteStream fresh(cfg);
+        popTo(fresh, pin.pops, false);
+        const std::string line = savedCursor(fresh);
+
+        TenantWriteStream peeking(cfg);
+        popTo(peeking, pin.pops, true);
+        EXPECT_EQ(savedCursor(peeking), line);
+
+        TenantWriteStream early(cfg);
+        popTo(early, pin.pops / 3, true);
+        TenantWriteStream restored(cfg);
+        restoreCursor(restored, savedCursor(early));
+        popTo(restored, pin.pops, false);
+        EXPECT_EQ(savedCursor(restored), line);
+
+        const std::vector<std::string> rows =
+            splitAt(fieldOf(line, "rows"), ',');
+        const std::vector<std::string> times =
+            splitAt(fieldOf(line, "times"), ',');
+        ASSERT_EQ(rows.size(), cfg.rows);
+        const auto live = static_cast<std::size_t>(
+            std::count_if(rows.begin(), rows.end(), liveTuple));
+        EXPECT_GT(live, 0u);
+        EXPECT_EQ(times.size(), live);
+
+        const std::string bytes = line + "\n";
+        EXPECT_EQ(bytes.size(), pin.bytes);
+        EXPECT_EQ(ckpt::crc32(bytes), pin.crc);
     }
 }
 
 TEST(TenantStream, MalformedCursorIsAStateError)
 {
     TenantTrafficConfig cfg = placedConfig();
+    ASSERT_EQ(cfg.horizonMs * cfg.rateScale, 0.5);
     TenantWriteStream live(cfg);
-    Tick at{};
-    std::uint64_t row = 0;
-    for (int i = 0; i < 5 && live.peek(&at, &row); ++i)
+    for (int i = 0; i < 5; ++i)
         live.pop();
-    StateWriter out;
-    live.saveState(out);
-    const std::vector<std::string> saved = std::move(out).take();
-    ASSERT_EQ(saved.size(), 1u);
+    const std::string line = savedCursor(live);
+    const std::string popped = fieldOf(line, "popped");
+    const std::vector<std::string> rows = splitAt(fieldOf(line, "rows"), ',');
+    const std::vector<std::string> times =
+        splitAt(fieldOf(line, "times"), ',');
+    ASSERT_EQ(cursorLine(popped, rows, times), line);
 
-    // Each damaged cursor is refused before a merge is built from it.
-    const std::string line = saved[0];
-    const std::size_t times = line.find(" times=");
-    ASSERT_NE(times, std::string::npos);
-    const std::vector<std::string> damaged = {
-        line.substr(0, times),                     // no times field
-        line + ",1",                               // a time no row claims
-        "stream popped=5 rows=1:2:3:4:0:0:0 times=", // one row, not all
-        line.substr(0, line.find(" rows=")) + " rows=0:0:0:0:0:0:1" +
-            line.substr(line.find(','))            // zero RNG words
+    // A live row, a finished one, and a read-only one.
+    const AppPersona persona = cfg.persona();
+    std::size_t live_row = rows.size(), done_row = rows.size(),
+                read_only = rows.size();
+    for (std::size_t row = rows.size(); row-- > 0;) {
+        (liveTuple(rows[row]) ? live_row : done_row) = row;
+        if (PageWriteProcess(persona, row).isReadOnly())
+            read_only = row;
+    }
+    ASSERT_LT(live_row, rows.size());
+    ASSERT_LT(done_row, rows.size());
+    ASSERT_LT(read_only, rows.size());
+    auto withRow = [&](std::size_t row, const std::string &tuple) {
+        std::vector<std::string> damaged = rows;
+        damaged[row] = tuple;
+        return cursorLine(popped, damaged, times);
     };
-    for (const std::string &bad : damaged) {
+    auto withTimes = [&](std::vector<std::string> damaged) {
+        return cursorLine(popped, rows, damaged);
+    };
+    std::vector<std::string> past = times;
+    past[0] = "0.5"; // the horizon itself
+    std::vector<std::string> beyond = times;
+    beyond[0] = "7";
+    std::vector<std::string> negative = times;
+    negative[0] = "-0.25";
+    std::vector<std::string> extra = times;
+    extra.push_back("0.25");
+    std::vector<std::string> short_by_one = times;
+    short_by_one.pop_back();
+
+    // Each damaged cursor is refused for what is wrong with it.
+    struct Bad
+    {
+        std::string line;
+        const char *reason;
+    };
+    const std::vector<Bad> damaged = {
+        {line.substr(0, line.find(" times=")), "times"},
+        {withTimes(extra), "times no row claims"},
+        {withTimes(short_by_one), "fewer times than live rows"},
+        {"stream popped=5 rows=1:2:3:4:0:0 times=0.25",
+         "one write process per row"},
+        {withRow(live_row, "0:0:0:0:0:0"), "without state"},
+        {withRow(live_row, rows[live_row].substr(
+                               0, rows[live_row].size() - 1) + "2"),
+         "malformed write process"},
+        {withTimes(past), "outside the horizon"},
+        {withTimes(beyond), "outside the horizon"},
+        {withTimes(negative), "outside the horizon"},
+        {withRow(done_row, "1:2:3:4:0:1"), "finished row that carries"},
+        {withRow(done_row, "0:0:0:0:3:1"), "finished row that carries"},
+        {withRow(read_only, "1:2:3:4:0:0"), "read-only row"},
+    };
+    for (const Bad &bad : damaged) {
         TenantWriteStream fresh(cfg);
-        const std::vector<std::string> rec{bad};
-        StateReader in(rec);
-        EXPECT_THROW(fresh.loadState(in), StateError) << bad.substr(0, 80);
+        try {
+            restoreCursor(fresh, bad.line);
+            ADD_FAILURE() << "accepted: " << bad.line.substr(0, 80);
+        } catch (const StateError &e) {
+            EXPECT_NE(std::string(e.what()).find(bad.reason),
+                      std::string::npos)
+                << e.what();
+        }
     }
 }
 
